@@ -6,7 +6,7 @@ Subcommands:
 * ``verify``  -- run a verification campaign, emit a JSON/CSV/table report.
 * ``means``   -- special means and the power-mean inequality checks.
 * ``identity`` -- residual of the kernel representation of the functional.
-* ``pconvex`` -- grid P-convexity check of a corpus function.
+* ``pconvex`` -- lattice P-convexity check of a corpus function.
 * ``search``  -- randomized counterexample search for one claim.
 
 All real-valued inputs also accept exact fraction syntax ``p/q``.  The
@@ -263,13 +263,16 @@ def _campaign_config(args, parser) -> harness.CampaignConfig:
         kwargs["lambda_grid"] = args.lambda_grid
     if args.q_grid is not None:
         kwargs["q_grid"] = args.q_grid
-    return harness.CampaignConfig(
-        claims=args.claims,
-        functions=args.functions,
-        trials=args.trials,
-        seed=seed,
-        **kwargs,
-    )
+    try:
+        return harness.CampaignConfig(
+            claims=args.claims,
+            functions=args.functions,
+            trials=args.trials,
+            seed=seed,
+            **kwargs,
+        )
+    except ValueError as exc:
+        parser.error(str(exc))
 
 
 def _validate_ids(config, parser) -> None:
@@ -344,7 +347,7 @@ def _cmd_means(args, parser) -> int:
 
 def _cmd_identity(args, parser) -> int:
     fn = _lookup_function(args.function, parser)
-    domain = Interval(float(args.a), float(args.b))
+    domain = _function_domain(fn, args, parser)
     residual = functionals.identity_residual(fn, domain, float(args.lam))
     print(f"residual {_fmt(residual)}")
     return 2 if residual > 1e-8 else 0
@@ -352,9 +355,8 @@ def _cmd_identity(args, parser) -> int:
 
 def _cmd_pconvex(args, parser) -> int:
     fn = _lookup_function(args.function, parser)
-    domain = Interval(float(args.a), float(args.b))
-    grid = GridSpec(*args.grid) if args.grid else GridSpec()
-    report = check_p_convex(fn.f, domain, grid)
+    domain = _function_domain(fn, args, parser)
+    report = check_p_convex(fn.f, domain, args.grid)
     if report.status == "passed":
         print(f"passed samples={report.samples_checked}")
         return 0
@@ -398,11 +400,28 @@ def _lookup_function(fid: str, parser):
         parser.error(str(exc.args[0]))
 
 
-def _int_grid(text: str) -> tuple[int, ...]:
+def _function_domain(fn, args, parser) -> Interval:
+    """``[--a, --b]`` as an interval inside the validity domain of ``fn``."""
+    lo, hi = float(args.a), float(args.b)
+    if not lo < hi:
+        parser.error("--a must be less than --b")
+    domain = Interval(lo, hi)
+    if not fn.domain.contains(domain):
+        parser.error(
+            f"[{_fmt(lo)}, {_fmt(hi)}] is outside the validity domain of "
+            f"{fn.id} [{_fmt(fn.domain.lo)}, {_fmt(fn.domain.hi)}]"
+        )
+    return domain
+
+
+def _grid_spec(text: str) -> GridSpec:
     parts = tuple(int(p) for p in text.split(",") if p.strip())
     if len(parts) != 3:
         raise argparse.ArgumentTypeError("grid must be nx,ny,nlam")
-    return parts
+    try:
+        return GridSpec(*parts)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from exc
 
 
 def build_parser() -> _Parser:
@@ -451,11 +470,11 @@ def build_parser() -> _Parser:
     p_id.add_argument("--b", type=parse_real, required=True)
     p_id.add_argument("--lambda", dest="lam", type=parse_real, required=True)
 
-    p_pc = sub.add_parser("pconvex", help="grid P-convexity check")
+    p_pc = sub.add_parser("pconvex", help="lattice P-convexity check")
     p_pc.add_argument("--function", required=True)
     p_pc.add_argument("--a", type=parse_real, required=True)
     p_pc.add_argument("--b", type=parse_real, required=True)
-    p_pc.add_argument("--grid", type=_int_grid, default=None, help="nx,ny,nlam")
+    p_pc.add_argument("--grid", type=_grid_spec, default=GridSpec(), help="nx,ny,nlam")
 
     p_search = sub.add_parser("search", help="randomized counterexample search")
     p_search.add_argument("--claim", required=True)

@@ -6,6 +6,13 @@ lam in [0, 1].  The class contains every nonnegative monotone, convex and
 quasi-convex function, which is why all corpus members except the narrow
 Gaussian bump qualify on positive domains.
 
+:func:`check_p_convex` decides the condition on a lattice of n equally
+spaced points, which holds every x, y and lam*x + (1-lam)*y point of the
+(x, y, lam) grid named by :class:`GridSpec`.  For z between x and y the
+worst choice of x and y is the smallest value on each side of z, so one
+pass with a running minimum from each end decides every lattice triple,
+with g evaluated only n times.
+
 The corpus is compiled in; functions are referenced by short id from the
 CLI (``poly3``, ``expx``, ``bump``, ...).  Every member carries analytic
 first and second derivatives, and an exact antiderivative difference where
@@ -89,7 +96,18 @@ class TestFunction:
 
 @dataclass(frozen=True)
 class GridSpec:
-    """Sampling resolution for the P-convexity scan (x, y and lam axes)."""
+    """Resolution of the P-convexity check: nx x-points, ny y-points and
+    nlam lam-points, each equally spaced.
+
+    :func:`check_p_convex` samples g on ``n = (nlam - 1) * lcm(nx - 1,
+    ny - 1) + 1`` equally spaced points (801 by default).  The i-th x point
+    sits at lattice index ``i * L / (nx - 1) * (nlam - 1)`` with
+    ``L = lcm(nx - 1, ny - 1)``, likewise every y point, and the mix
+    ``lam_k * x_i + (1 - lam_k) * y_j`` sits at index
+    ``(k * i * L / (nx - 1) + (nlam - 1 - k) * j * L / (ny - 1))``, so every
+    triple of the grid is a lattice triple.  n never exceeds the
+    nx * ny * nlam points of the grid.
+    """
 
     nx: int = 41
     ny: int = 41
@@ -102,7 +120,8 @@ class GridSpec:
 
 @dataclass(frozen=True)
 class PViolation:
-    """First sampled triple violating the P-inequality: lhs > rhs + tol."""
+    """A sampled triple violating the P-inequality: lhs > rhs + tol, with
+    lhs = g(lam*x + (1-lam)*y) and rhs = g(x) + g(y)."""
 
     x: float
     y: float
@@ -153,62 +172,53 @@ def check_p_convex(
     grid: GridSpec = GridSpec(),
     tol_abs: float = 1e-12,
 ) -> PConvexityReport:
-    """Grid check of the P-function condition on ``domain``.
+    """Lattice check of the P-function condition on ``domain``.
 
-    Scans all (x, y, lam) triples of the grid in lexicographic order and
-    reports the first violating triple as witness.  Negativity of g is
-    caught by the diagonal triples (x == y), since g(x) <= 2 g(x) fails
-    exactly when g(x) < 0.  Non-finite evaluations yield the distinct
-    "undefined" status rather than a violation.
+    Evaluates g once at each of the n equally spaced points ``zs`` of the
+    grid's lattice (see :class:`GridSpec`), so ``samples_checked`` is n.
+    A nonnegative g satisfies ``g(z) <= g(x) + g(y)`` for every lattice
+    triple x <= z <= y exactly when each ``g(z)`` is at most the smallest
+    sample at or left of z plus the smallest at or right of z; two running
+    minima decide that in one pass.  The witness of a failure is the
+    worst lattice triple: the z of largest excess, with x and y its two
+    one-sided minimizers and lam = (y - z) / (y - x).
+
+    A negative sample below ``-tol_abs`` is its own witness (x == y,
+    lam = 0.5), since g(x) <= 2 g(x) fails exactly when g(x) < 0.  A
+    non-finite sample yields the distinct "undefined" status, at the first
+    such lattice point, rather than a violation.
 
     Deterministic for a fixed grid spec.
     """
-    xs = np.linspace(domain.lo, domain.hi, grid.nx)
-    ys = np.linspace(domain.lo, domain.hi, grid.ny)
-    lams = np.linspace(0.0, 1.0, grid.nlam)
-    n_samples = grid.nx * grid.ny * grid.nlam
+    n = (grid.nlam - 1) * math.lcm(grid.nx - 1, grid.ny - 1) + 1
+    zs = np.linspace(domain.lo, domain.hi, n)
+    gz = _sample_safe(g, zs)
 
-    gx = _sample_safe(g, xs)
-    gy = _sample_safe(g, ys)
-    for arr, pts in ((gx, xs), (gy, ys)):
-        if not np.all(np.isfinite(arr)):
-            bad = float(pts[~np.isfinite(arr)][0])
-            return PConvexityReport("undefined", n_samples, undefined_at=bad)
+    bad = ~np.isfinite(gz)
+    if np.any(bad):
+        return PConvexityReport("undefined", n, undefined_at=float(zs[np.argmax(bad)]))
 
-    mix = lams[None, None, :] * xs[:, None, None] + (1.0 - lams[None, None, :]) * ys[
-        None, :, None
-    ]
-    gmix = _sample_safe(g, mix)
-    if not np.all(np.isfinite(gmix)):
-        bad = float(mix[~np.isfinite(gmix)][0])
-        return PConvexityReport("undefined", n_samples, undefined_at=bad)
-
-    rhs = gx[:, None, None] + gy[None, :, None]
-    viol = gmix > rhs + tol_abs
-
-    # Explicit nonnegativity pass covers asymmetric grids without a diagonal.
-    if np.any(gx < -tol_abs) or np.any(gy < -tol_abs):
-        pts = xs if np.any(gx < -tol_abs) else ys
-        vals = gx if np.any(gx < -tol_abs) else gy
-        i = int(np.argmax(vals < -tol_abs))
+    negative = gz < -tol_abs
+    if np.any(negative):
+        k = int(np.argmax(negative))
         w = PViolation(
-            x=float(pts[i]), y=float(pts[i]), lam=0.5,
-            lhs=float(vals[i]), rhs=float(2 * vals[i]),
+            x=float(zs[k]), y=float(zs[k]), lam=0.5,
+            lhs=float(gz[k]), rhs=float(2 * gz[k]),
         )
-        return PConvexityReport("failed", n_samples, witness=w)
+        return PConvexityReport("failed", n, witness=w)
 
-    if np.any(viol):
-        i, j, k = np.unravel_index(int(np.argmax(viol)), viol.shape)
-        w = PViolation(
-            x=float(xs[i]),
-            y=float(ys[j]),
-            lam=float(lams[k]),
-            lhs=float(gmix[i, j, k]),
-            rhs=float(gx[i] + gy[j]),
-        )
-        return PConvexityReport("failed", n_samples, witness=w)
+    rhs = np.minimum.accumulate(gz) + np.minimum.accumulate(gz[::-1])[::-1]
+    if not np.any(gz > rhs + tol_abs):
+        return PConvexityReport("passed", n)
 
-    return PConvexityReport("passed", n_samples)
+    k = int(np.argmax(gz - rhs))
+    i = int(np.argmin(gz[: k + 1]))
+    j = k + int(np.argmin(gz[k:]))
+    x, y, z = float(zs[i]), float(zs[j]), float(zs[k])
+    w = PViolation(
+        x=x, y=y, lam=(y - z) / (y - x), lhs=float(gz[k]), rhs=float(gz[i] + gz[j])
+    )
+    return PConvexityReport("failed", n, witness=w)
 
 
 # ---------------------------------------------------------------------------

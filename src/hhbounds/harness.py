@@ -360,7 +360,7 @@ class _Context:
     def __init__(self, config: CampaignConfig):
         self.config = config
         self._avg: dict = {}
-        self._avg_exact: dict = {}
+        self._avg_refined: dict = {}
         self._pcheck: dict = {}
         self._envelope: dict = {}
 
@@ -375,8 +375,11 @@ class _Context:
     def avg_refined(self, fn: TestFunction, domain: Interval) -> float:
         """Average recomputed by the adaptive oracle at tightened tolerance,
         bypassing any closed-form antiderivative."""
-        res = oracle.integrate(fn.f, domain, self.config.oracle_tol / 10.0)
-        return res.value / domain.width
+        key = (fn.id, domain.lo, domain.hi)
+        if key not in self._avg_refined:
+            res = oracle.integrate(fn.f, domain, self.config.oracle_tol / 10.0)
+            self._avg_refined[key] = res.value / domain.width
+        return self._avg_refined[key]
 
     def endpoints(self, fn: TestFunction, domain: Interval) -> tuple[float, float]:
         return (

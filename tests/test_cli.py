@@ -298,6 +298,33 @@ class TestOtherCommands:
         assert code == 0
         assert out.startswith("passed")
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ("pconvex", "--function", "poly2", "--a", "0", "--b", "1", "--grid", "2,2,2"),
+            ("pconvex", "--function", "poly2", "--a", "1", "--b", "1"),
+            ("pconvex", "--function", "bump", "--a", "0", "--b", "2"),
+            ("identity", "--function", "poly2", "--a", "2", "--b", "1", "--lambda", "1"),
+            ("identity", "--function", "bump", "--a", "0", "--b", "2", "--lambda", "1"),
+            ("verify", "--claims", "thm5", "--functions", "poly2", "--trials", "-1"),
+            ("search", "--claim", "thm5", "--functions", "poly2", "--trials", "-1"),
+        ],
+        ids=[
+            "pconvex-grid-below-3",
+            "pconvex-a-not-below-b",
+            "pconvex-outside-domain",
+            "identity-a-not-below-b",
+            "identity-outside-domain",
+            "verify-negative-trials",
+            "search-negative-trials",
+        ],
+    )
+    def test_invalid_input_is_usage_error(self, argv, capsys):
+        code, out = run_cli(*argv)
+        assert code == USAGE_ERROR
+        assert out == ""
+        assert "error:" in capsys.readouterr().err
+
     def test_search_finds_stated_counterexample(self):
         code, out = run_cli(
             "search", "--claim", "thm6-stated", "--functions", "poly2",

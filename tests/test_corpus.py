@@ -4,10 +4,15 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hhbounds.corpus import (
     GridSpec,
     Interval,
+    PConvexityReport,
+    PViolation,
+    _sample_safe,
     check_p_convex,
     corpus_standard,
     function_ids,
@@ -17,6 +22,89 @@ from hhbounds.oracle import integrate
 
 CORPUS = corpus_standard()
 IDS = [f.id for f in CORPUS]
+
+
+def reference_grid_scan(g, domain, grid=GridSpec(), tol_abs=1e-12):
+    """The former P-convexity check: g at every (x, y, lam) triple of the
+    nx * ny * nlam grid, mixes in one 3-D broadcast, first violating triple
+    in lexicographic order as witness.  Every mix is a point of the
+    lattice :func:`check_p_convex` samples, so whatever this scan fails,
+    the lattice check must fail too."""
+    xs = np.linspace(domain.lo, domain.hi, grid.nx)
+    ys = np.linspace(domain.lo, domain.hi, grid.ny)
+    lams = np.linspace(0.0, 1.0, grid.nlam)
+    n_samples = grid.nx * grid.ny * grid.nlam
+
+    gx = _sample_safe(g, xs)
+    gy = _sample_safe(g, ys)
+    for arr, pts in ((gx, xs), (gy, ys)):
+        if not np.all(np.isfinite(arr)):
+            bad = float(pts[~np.isfinite(arr)][0])
+            return PConvexityReport("undefined", n_samples, undefined_at=bad)
+
+    mix = lams[None, None, :] * xs[:, None, None] + (1.0 - lams[None, None, :]) * ys[
+        None, :, None
+    ]
+    gmix = _sample_safe(g, mix)
+    if not np.all(np.isfinite(gmix)):
+        bad = float(mix[~np.isfinite(gmix)][0])
+        return PConvexityReport("undefined", n_samples, undefined_at=bad)
+
+    rhs = gx[:, None, None] + gy[None, :, None]
+    viol = gmix > rhs + tol_abs
+
+    if np.any(gx < -tol_abs) or np.any(gy < -tol_abs):
+        pts = xs if np.any(gx < -tol_abs) else ys
+        vals = gx if np.any(gx < -tol_abs) else gy
+        i = int(np.argmax(vals < -tol_abs))
+        w = PViolation(
+            x=float(pts[i]), y=float(pts[i]), lam=0.5,
+            lhs=float(vals[i]), rhs=float(2 * vals[i]),
+        )
+        return PConvexityReport("failed", n_samples, witness=w)
+
+    if np.any(viol):
+        i, j, k = np.unravel_index(int(np.argmax(viol)), viol.shape)
+        w = PViolation(
+            x=float(xs[i]),
+            y=float(ys[j]),
+            lam=float(lams[k]),
+            lhs=float(gmix[i, j, k]),
+            rhs=float(gx[i] + gy[j]),
+        )
+        return PConvexityReport("failed", n_samples, witness=w)
+
+    return PConvexityReport("passed", n_samples)
+
+
+def _abs_d2_power(fn, q):
+    return lambda x: np.abs(fn.d2(x)) ** q
+
+
+def _gaussian_sum(bumps):
+    return lambda x: sum(h * np.exp(-((x - c) ** 2) / w) for c, w, h in bumps)
+
+
+_candidates = st.one_of(
+    st.builds(
+        lambda fn, q: (f"|{fn.id}''|^{q}", _abs_d2_power(fn, q), fn.domain),
+        st.sampled_from(CORPUS),
+        st.sampled_from([1.0, 1.5, 2.0, 3.0]),
+    ),
+    st.just(("bump", get_function("bump").f, Interval(0.0, 1.0))),
+    st.builds(
+        lambda bumps: (f"gaussians {bumps}", _gaussian_sum(bumps), Interval(0.0, 1.0)),
+        st.lists(
+            st.tuples(st.floats(0.0, 1.0), st.floats(1e-4, 0.2), st.floats(0.01, 2.0)),
+            min_size=1,
+            max_size=4,
+        ),
+    ),
+)
+_grids = st.one_of(
+    st.just(GridSpec()),
+    st.builds(GridSpec, st.integers(3, 25), st.integers(3, 25), st.integers(3, 12)),
+)
 
 
 class TestInterval:
@@ -107,7 +195,7 @@ class TestCheckPConvex:
     def test_x_squared_passes(self):
         rep = check_p_convex(lambda x: x**2, Interval(0.0, 1.0))
         assert rep.passed and rep.witness is None
-        assert rep.samples_checked == 41 * 41 * 21
+        assert rep.samples_checked == 801
 
     def test_constant_passes(self):
         rep = check_p_convex(lambda x: 1.0 + 0 * x, Interval(0.0, 1.0))
@@ -123,6 +211,13 @@ class TestCheckPConvex:
         mix = w.lam * w.x + (1 - w.lam) * w.y
         assert abs(mix - 0.5) < 0.1
         assert w.lhs > 0.9
+
+    def test_bump_witness_sits_at_its_peak(self):
+        bump = get_function("bump")
+        w = check_p_convex(bump.f, Interval(0.0, 1.0)).witness
+        mix = w.lam * w.x + (1 - w.lam) * w.y
+        assert mix == pytest.approx(0.5, abs=1e-12)
+        assert w.lhs == pytest.approx(1.0) and w.rhs < 1e-100
 
     def test_named_triple_violates_bump(self):
         # direct evaluation: center value ~1 exceeds the sum of flank values
@@ -168,3 +263,31 @@ class TestCheckPConvex:
         bump = get_function("bump")
         rep = check_p_convex(bump.f, Interval(0.0, 1.0), GridSpec(11, 11, 5))
         assert rep.status == "failed"
+
+
+class TestLatticeCoversGridScan:
+    @given(
+        candidate=_candidates,
+        grid=_grids,
+        lo=st.floats(0.0, 0.9),
+        width=st.floats(0.01, 1.0),
+    )
+    @settings(max_examples=200, deadline=None, derandomize=True)
+    def test_grid_scan_failure_implies_lattice_failure(self, candidate, grid, lo, width):
+        _, g, dom = candidate
+        a = dom.lo + lo * dom.width
+        b = min(dom.hi, a + width * dom.width)
+        domain = Interval(a, b)
+        old = reference_grid_scan(g, domain, grid)
+        new = check_p_convex(g, domain, grid)
+
+        n = (grid.nlam - 1) * math.lcm(grid.nx - 1, grid.ny - 1) + 1
+        assert new.samples_checked == n <= old.samples_checked
+        if old.status == "failed":
+            assert new.status == "failed"
+        if new.status == "failed":
+            w = new.witness
+            mix = w.lam * w.x + (1 - w.lam) * w.y
+            lhs = float(g(np.array([mix]))[0])
+            rhs = float(g(np.array([w.x]))[0] + g(np.array([w.y]))[0])
+            assert lhs > rhs + 1e-12
