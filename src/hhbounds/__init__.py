@@ -21,10 +21,7 @@ from .oracle import (
     integrate_exact_poly,
 )
 from .kernel import (
-    MomentPair,
     kernel_value,
-    moment_abs,
-    verify_moments_numeric,
     weighted_moment,
     weighted_moment_large_lambda,
     weighted_moment_small_lambda,
@@ -80,13 +77,10 @@ __all__ = [
     "ConvergenceError",
     "integrate",
     "integrate_exact_poly",
-    "MomentPair",
     "kernel_value",
-    "moment_abs",
     "weighted_moment",
     "weighted_moment_small_lambda",
     "weighted_moment_large_lambda",
-    "verify_moments_numeric",
     "DeviationValue",
     "functional_lambda",
     "identity_residual",

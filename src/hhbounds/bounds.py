@@ -14,6 +14,13 @@ Both conventions are first-class: the derived family is sound for P-convex
 |f''|^q and asserted as an invariant, while the stated family is treated as
 a falsifiable claim by the harness.  Rule shortcuts (midpoint, trapezoid,
 Simpson) fix lam to 0, 1 and 1/3 respectively.
+
+Each bound is written once and runs in the number type of its inputs.
+Floats give the double-precision value.  Fractions (an :class:`Interval`
+with Fraction endpoints, Fraction lam and derivative data) give the exact
+rational value, except that a q-th root with q != 1 is taken in mpf at the
+working precision, the one irrational step.  The ``_exact`` and ``_mp``
+names convert their arguments and call the same formula.
 """
 
 from __future__ import annotations
@@ -21,7 +28,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Literal, Optional, Union
+from typing import Literal, Optional
 
 import mpmath
 
@@ -34,7 +41,6 @@ __all__ = [
     "DerivativeEnvelope",
     "Rule",
     "Variant",
-    "RULE_LAMBDA",
     "RULE_LAMBDA_EXACT",
     "bound_theorem5",
     "bound_theorem5_exact",
@@ -54,19 +60,18 @@ Rule = Literal["midpoint", "trapezoid", "simpson"]
 Variant = Literal["stated", "derived"]
 MForm = Literal["with_q", "relaxed"]
 
-RULE_LAMBDA: dict[str, float] = {
-    "midpoint": 0.0,
-    "trapezoid": 1.0,
-    "simpson": 1.0 / 3.0,
-}
 RULE_LAMBDA_EXACT: dict[str, Fraction] = {
     "midpoint": Fraction(0),
     "trapezoid": Fraction(1),
     "simpson": Fraction(1, 3),
 }
 
-# Stated per-rule coefficients of the power-sum term: (b-a)^2 / C.
-_RULE_DENOMINATOR = {"midpoint": 48, "trapezoid": 24, "simpson": 162}
+# Stated per-rule denominators C of (b-a)^2 / C.  The stated constant halves
+# the kernel moment, so C = 2 / moment(lam): 48, 24 and 162.
+_RULE_DENOMINATOR = {
+    rule: int(2 / kernel.weighted_moment(lam))
+    for rule, lam in RULE_LAMBDA_EXACT.items()
+}
 
 
 @dataclass(frozen=True)
@@ -104,8 +109,8 @@ class DerivativeEnvelope:
             raise ValueError("sup_abs_d4 must be nonnegative")
 
 
-def _check_q(q: float) -> None:
-    if not q >= 1.0:
+def _check_q(q) -> None:
+    if not q >= 1:
         raise ValueError(f"q must be >= 1, got {q}")
 
 
@@ -114,7 +119,37 @@ def _check_variant(variant: str) -> None:
         raise ValueError(f"variant must be 'stated' or 'derived', got {variant!r}")
 
 
-def bound_theorem5(domain: Interval, lam: float, e: EndpointData) -> float:
+def _exact(domain) -> Interval:
+    """``domain`` with its endpoints as exact rationals."""
+    return Interval(Fraction(domain.lo), Fraction(domain.hi))
+
+
+def _exact_or_none(x) -> Optional[Fraction]:
+    return None if x is None else Fraction(x)
+
+
+def _power_sum(m_a, m_b, q):
+    """(m_a^q + m_b^q)^(1/q), which is m_a + m_b at q = 1 in any number type.
+
+    For other q the root is taken in float, or, for Fraction inputs, in mpf
+    at the working precision.
+    """
+    if q == 1:
+        return m_a + m_b
+    if type(m_a) is Fraction:
+        qm = to_mpf(q)
+        return (to_mpf(m_a) ** qm + to_mpf(m_b) ** qm) ** (1 / qm)
+    return (m_a**q + m_b**q) ** (1.0 / q)
+
+
+def _times(c, s):
+    """c * s, with an exact c converted to mpf once when s is an mpf root."""
+    if isinstance(s, mpmath.mpf):
+        return to_mpf(c) * s
+    return c * s
+
+
+def bound_theorem5(domain: Interval, lam, e: EndpointData):
     """Endpoint-sum deviation bound under P-convexity of |f''|:
 
     (b-a)^2/24 * (8 lam^3 - 3 lam + 1) * (m_a + m_b)   for lam <= 1/2,
@@ -126,70 +161,55 @@ def bound_theorem5(domain: Interval, lam: float, e: EndpointData) -> float:
 
 
 def bound_theorem5_exact(domain, lam, m_a, m_b) -> Fraction:
-    width = Fraction(domain.hi) - Fraction(domain.lo)
-    return width**2 * kernel.weighted_moment_exact(lam) * (
-        Fraction(m_a) + Fraction(m_b)
-    )
+    e = EndpointData(Fraction(m_a), Fraction(m_b))
+    return bound_theorem5(_exact(domain), Fraction(lam), e)
 
 
-def _power_sum(m_a: float, m_b: float, q: float) -> float:
-    if q == 1.0:
-        return m_a + m_b
-    return (m_a**q + m_b**q) ** (1.0 / q)
-
-
-def bound_theorem6(
-    domain: Interval, lam: float, q: float, e: EndpointData, variant: Variant
-) -> float:
+def bound_theorem6(domain: Interval, lam, q, e: EndpointData, variant: Variant):
     """Power-mean deviation bound under P-convexity of |f''|^q.
 
     With S = (m_a^q + m_b^q)^(1/q), the stated family is
     (b-a)^2/48 * (8 lam^3 - 3 lam + 1) * S (small lam) and
     (b-a)^2/48 * (3 lam - 1) * S (large lam); the derived family replaces
-    /48 by /24 and reduces to :func:`bound_theorem5` at q = 1.
+    /48 by /24 and reduces to :func:`bound_theorem5` at q = 1.  Exact
+    inputs give a Fraction at q = 1 and an mpf otherwise.
     """
     _check_q(q)
     _check_variant(variant)
     s = _power_sum(e.m_a, e.m_b, q)
-    factor = 1.0 if variant == "derived" else 0.5
-    return domain.width**2 * kernel.weighted_moment(lam) * s * factor
+    bound = _times(domain.width**2 * kernel.weighted_moment(lam), s)
+    return bound if variant == "derived" else bound / 2
 
 
 def bound_theorem6_exact(domain, lam, q, m_a, m_b, variant: Variant) -> Fraction:
     """Exact rational power-mean bound; only q = 1 keeps the value rational."""
-    _check_variant(variant)
     if Fraction(q) != 1:
         raise ValueError("exact path requires q = 1")
-    width = Fraction(domain.hi) - Fraction(domain.lo)
-    s = Fraction(m_a) + Fraction(m_b)
-    factor = Fraction(1) if variant == "derived" else Fraction(1, 2)
-    return width**2 * kernel.weighted_moment_exact(lam) * s * factor
+    e = EndpointData(Fraction(m_a), Fraction(m_b))
+    return bound_theorem6(_exact(domain), Fraction(lam), 1, e, variant)
 
 
 def bound_theorem6_mp(
     domain, lam, q, m_a, m_b, variant: Variant, dps: int = 50
 ) -> mpmath.mpf:
     """High-precision power-mean bound for irrational q-th roots."""
-    _check_variant(variant)
+    e = EndpointData(Fraction(m_a), Fraction(m_b))
     with mpmath.workdps(dps):
-        width = to_mpf(Fraction(domain.hi) - Fraction(domain.lo))
-        moment = to_mpf(kernel.weighted_moment_exact(lam))
-        qm = to_mpf(Fraction(q))
-        ma, mb = to_mpf(m_a), to_mpf(m_b)
-        s = (ma**qm + mb**qm) ** (1 / qm)
-        factor = 1 if variant == "derived" else mpmath.mpf(0.5)
-        return width**2 * moment * s * factor
+        bound = bound_theorem6(_exact(domain), Fraction(lam), Fraction(q), e, variant)
+        return bound if isinstance(bound, mpmath.mpf) else to_mpf(bound)
 
 
-def bound_corollary(
-    rule: Rule, domain: Interval, q: float, e: EndpointData, variant: Variant
-) -> float:
-    """Rule shortcut of the power-mean bound at lam = 0, 1 or 1/3.
+def bound_corollary(rule: Rule, domain: Interval, q, e: EndpointData, variant: Variant):
+    """Rule shortcut of the power-mean bound at lam = 0, 1 or 1/3, taken in
+    the number type of the endpoints.
 
     Stated coefficients: midpoint (b-a)^2/48, trapezoid (b-a)^2/24,
     Simpson (b-a)^2/162.
     """
-    return bound_theorem6(domain, RULE_LAMBDA[rule], q, e, variant)
+    lam = RULE_LAMBDA_EXACT[rule]
+    if type(domain.lo) is not Fraction:
+        lam = float(lam)
+    return bound_theorem6(domain, lam, q, e, variant)
 
 
 def bound_corollary_exact(rule, domain, q, m_a, m_b, variant: Variant) -> Fraction:
@@ -199,11 +219,11 @@ def bound_corollary_exact(rule, domain, q, m_a, m_b, variant: Variant) -> Fracti
 def bound_bounded_m(
     rule: Rule,
     domain: Interval,
-    q: float,
+    q,
     env: DerivativeEnvelope,
     form: MForm,
     variant: Variant = "stated",
-) -> float:
+):
     """Uniform-M forms: with |f''| <= M the power sum collapses to M 2^(1/q).
 
     ``with_q``  keeps the 2^(1/q) factor: M (b-a)^2 / C * 2^(1/q) with the
@@ -218,31 +238,23 @@ def bound_bounded_m(
         denom //= 2
     m = env.sup_abs_d2
     if form == "relaxed":
-        return m * domain.width**2 / denom * 2.0
+        return m * domain.width**2 / denom * 2
     _check_q(q)
-    return m * domain.width**2 / denom * 2.0 ** (1.0 / q)
+    one = type(m)(1)  # 2^(1/q) is the power sum of two ones
+    return _times(m * domain.width**2 / denom, _power_sum(one, one, q))
 
 
 def bound_bounded_m_exact(
     rule, domain, q, sup_abs_d2, form: MForm, variant: Variant = "stated"
 ) -> Fraction:
     """Exact path for the uniform-M forms (q = 1 or the relaxed form)."""
-    _check_variant(variant)
-    denom = _RULE_DENOMINATOR[rule]
-    if variant == "derived":
-        denom //= 2
-    width = Fraction(domain.hi) - Fraction(domain.lo)
-    m = Fraction(sup_abs_d2)
-    if form == "relaxed":
-        return m * width**2 / denom * 2
-    if Fraction(q) != 1:
+    if form != "relaxed" and Fraction(q) != 1:
         raise ValueError("exact path requires q = 1 or the relaxed form")
-    return m * width**2 / denom * 2
+    env = DerivativeEnvelope(sup_abs_d2=Fraction(sup_abs_d2))
+    return bound_bounded_m(rule, _exact(domain), 1, env, form, variant)
 
 
-def bound_classical(
-    rule: Rule, domain: Interval, env: DerivativeEnvelope, p: int = 4
-) -> Union[tuple[float, float], float]:
+def bound_classical(rule: Rule, domain: Interval, env: DerivativeEnvelope, p: int = 4):
     """Classical comparison bounds.
 
     trapezoid: two-sided enclosure [k/3 ((b-a)/2)^2, K/3 ((b-a)/2)^2] of the
@@ -257,18 +269,18 @@ def bound_classical(
     if rule == "trapezoid":
         if env.lower_d2 is None or env.upper_d2 is None:
             raise ValueError("trapezoid enclosure requires lower_d2 and upper_d2")
-        half_sq = (w / 2.0) ** 2
-        return (env.lower_d2 / 3.0 * half_sq, env.upper_d2 / 3.0 * half_sq)
+        half_sq = (w / 2) ** 2
+        return (env.lower_d2 / 3 * half_sq, env.upper_d2 / 3 * half_sq)
     if rule == "midpoint":
         if env.lower_d2 is None or env.upper_d2 is None:
             raise ValueError("midpoint enclosure requires lower_d2 and upper_d2")
-        return (env.lower_d2 * w**2 / 24.0, env.upper_d2 * w**2 / 24.0)
+        return (env.lower_d2 * w**2 / 24, env.upper_d2 * w**2 / 24)
     if rule == "simpson":
         if env.sup_abs_d4 is None:
             raise ValueError("simpson bound requires sup_abs_d4")
         if p not in (2, 4):
             raise ValueError("p must be 2 or 4")
-        return env.sup_abs_d4 * w**p / 2880.0
+        return env.sup_abs_d4 * w**p / 2880
     raise ValueError(f"unknown rule {rule!r}")
 
 
@@ -276,20 +288,12 @@ def bound_classical_exact(
     rule, domain, *, lower_d2=None, upper_d2=None, sup_abs_d4=None, p: int = 4
 ):
     """Exact rational version of :func:`bound_classical`."""
-    width = Fraction(domain.hi) - Fraction(domain.lo)
-    if rule == "trapezoid":
-        half_sq = (width / 2) ** 2
-        return (Fraction(lower_d2) / 3 * half_sq, Fraction(upper_d2) / 3 * half_sq)
-    if rule == "midpoint":
-        return (
-            Fraction(lower_d2) * width**2 / 24,
-            Fraction(upper_d2) * width**2 / 24,
-        )
-    if rule == "simpson":
-        if p not in (2, 4):
-            raise ValueError("p must be 2 or 4")
-        return Fraction(sup_abs_d4) * width**p / 2880
-    raise ValueError(f"unknown rule {rule!r}")
+    env = DerivativeEnvelope(
+        lower_d2=_exact_or_none(lower_d2),
+        upper_d2=_exact_or_none(upper_d2),
+        sup_abs_d4=_exact_or_none(sup_abs_d4),
+    )
+    return bound_classical(rule, _exact(domain), env, p)
 
 
 def compare_bounds(

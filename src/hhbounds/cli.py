@@ -170,6 +170,13 @@ def to_table(doc: dict) -> str:
 
 
 def _cmd_bound(args, parser) -> int:
+    try:
+        return _print_bound(args, parser)
+    except ValueError as exc:  # derivative data the bounds reject
+        parser.error(str(exc))
+
+
+def _print_bound(args, parser) -> int:
     a, b = args.a, args.b
     if not a < b:
         parser.error("--a must be less than --b")

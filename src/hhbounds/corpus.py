@@ -106,7 +106,9 @@ class GridSpec:
     ``lam_k * x_i + (1 - lam_k) * y_j`` sits at index
     ``(k * i * L / (nx - 1) + (nlam - 1 - k) * j * L / (ny - 1))``, so every
     triple of the grid is a lattice triple.  n never exceeds the
-    nx * ny * nlam points of the grid.
+    nx * ny * nlam points of the grid, and a grid whose n exceeds
+    ``_MAX_LATTICE`` (10^7 points, 80 MB of float64) is rejected before
+    anything is allocated.
     """
 
     nx: int = 41
@@ -116,6 +118,18 @@ class GridSpec:
     def __post_init__(self) -> None:
         if min(self.nx, self.ny, self.nlam) < 3:
             raise ValueError("grid needs at least 3 points per axis")
+        n = _lattice_size(self)
+        if n > _MAX_LATTICE:
+            raise ValueError(
+                f"grid lattice of {n} points exceeds the cap of {_MAX_LATTICE}"
+            )
+
+
+_MAX_LATTICE = 10**7
+
+
+def _lattice_size(grid: GridSpec) -> int:
+    return (grid.nlam - 1) * math.lcm(grid.nx - 1, grid.ny - 1) + 1
 
 
 @dataclass(frozen=True)
@@ -190,7 +204,7 @@ def check_p_convex(
 
     Deterministic for a fixed grid spec.
     """
-    n = (grid.nlam - 1) * math.lcm(grid.nx - 1, grid.ny - 1) + 1
+    n = _lattice_size(grid)
     zs = np.linspace(domain.lo, domain.hi, n)
     gz = _sample_safe(g, zs)
 

@@ -14,6 +14,11 @@ specializations are the classical quadrature gaps:
 Signed values are retained; absolute values are taken only where a bound
 claim demands it.  Polynomials with rational coefficients are evaluated on
 the exact rational path automatically.
+
+Every functional reads one panel tuple (f(a), f(m), f(b), avg(f)) and is
+written once: floats in the tuple give the double-precision value,
+Fractions the exact one.  The ``_exact`` names build the tuple in exact
+rationals (polynomials only) and call the same formula.
 """
 
 from __future__ import annotations
@@ -85,6 +90,52 @@ def average_value_exact(f: TestFunction, domain) -> Fraction:
     return integrate_exact_poly(f.poly_coeffs, (lo, hi)) / (hi - lo)
 
 
+def _samples(f: TestFunction, domain: Interval, avg=None) -> tuple:
+    """The panel tuple (f(a), f(m), f(b), avg(f)) in floats; ``avg`` is
+    computed when not given."""
+    if avg is None:
+        avg = average_value(f, domain)
+    fm = float(f.f(domain.midpoint))
+    return float(f.f(domain.lo)), fm, float(f.f(domain.hi)), avg
+
+
+def _samples_exact(f: TestFunction, domain, avg=None) -> tuple:
+    """The panel tuple in exact rationals (polynomials only); ``avg`` is
+    computed when not given."""
+    if avg is None:
+        avg = average_value_exact(f, domain)
+    lo, hi = Fraction(domain.lo), Fraction(domain.hi)
+    c = f.poly_coeffs
+    return (
+        poly_eval_exact(c, lo),
+        poly_eval_exact(c, (lo + hi) / 2),
+        poly_eval_exact(c, hi),
+        avg,
+    )
+
+
+def _lambda_value(s: tuple, lam):
+    """F(lam) = (lam - 1) f(m) - lam (f(a) + f(b))/2 + avg(f)."""
+    fa, fm, fb, avg = s
+    return (lam - 1) * fm - lam * (fa + fb) / 2 + avg
+
+
+def _gap_left(s: tuple):
+    """avg(f) - f(m)."""
+    return s[3] - s[1]
+
+
+def _gap_right(s: tuple):
+    """(f(a) + f(b))/2 - avg(f)."""
+    return (s[0] + s[2]) / 2 - s[3]
+
+
+def _simpson_value(s: tuple):
+    """(1/3) [ (f(a)+f(b))/2 + 2 f(m) ] - avg(f)."""
+    fa, fm, fb, avg = s
+    return ((fa + fb) / 2 + 2 * fm) / 3 - avg
+
+
 def functional_lambda(
     f: TestFunction,
     domain: Interval,
@@ -96,30 +147,15 @@ def functional_lambda(
     ``avg`` short-circuits the integral when the caller already has it
     (campaigns reuse one average across the whole lambda grid).
     """
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
-    if avg is None:
-        avg = average_value(f, domain)
-    fm = float(f.f(domain.midpoint))
-    fa, fb = float(f.f(domain.lo)), float(f.f(domain.hi))
-    value = (lam - 1.0) * fm - lam * (fa + fb) / 2.0 + avg
-    return DeviationValue(value)
+    kernel._check_lam(lam)
+    return DeviationValue(_lambda_value(_samples(f, domain, avg), lam))
 
 
 def functional_lambda_exact(f: TestFunction, domain, lam) -> Fraction:
     """Exact rational value of the functional (polynomials only)."""
-    lo, hi = Fraction(domain.lo), Fraction(domain.hi)
     lf = Fraction(lam)
-    if not 0 <= lf <= 1:
-        raise ValueError("lam must lie in [0, 1]")
-    if f.poly_coeffs is None:
-        raise ValueError(f"{f.id} has no exact rational path")
-    avg = average_value_exact(f, domain)
-    m = (lo + hi) / 2
-    fm = poly_eval_exact(f.poly_coeffs, m)
-    fa = poly_eval_exact(f.poly_coeffs, lo)
-    fb = poly_eval_exact(f.poly_coeffs, hi)
-    return (lf - 1) * fm - lf * (fa + fb) / 2 + avg
+    kernel._check_lam(lf)
+    return _lambda_value(_samples_exact(f, domain), lf)
 
 
 def identity_rhs(
@@ -131,8 +167,7 @@ def identity_rhs(
     abscissae so each oracle call sees a smooth piece.
     """
     _require_subdomain(f, domain)
-    if not 0.0 <= lam <= 1.0:
-        raise ValueError("lam must lie in [0, 1]")
+    kernel._check_lam(lam)
     a, b = domain.lo, domain.hi
 
     def integrand(t):
@@ -156,31 +191,20 @@ def identity_residual(
 
 def hh_gap_left(f: TestFunction, domain: Interval) -> float:
     """avg(f) - f(midpoint); nonnegative for convex f."""
-    return average_value(f, domain) - float(f.f(domain.midpoint))
+    return _gap_left(_samples(f, domain))
 
 
 def hh_gap_right(f: TestFunction, domain: Interval) -> float:
     """(f(a)+f(b))/2 - avg(f); nonnegative for convex f."""
-    fa, fb = float(f.f(domain.lo)), float(f.f(domain.hi))
-    return (fa + fb) / 2.0 - average_value(f, domain)
+    return _gap_right(_samples(f, domain))
 
 
 def hh_gap_left_exact(f: TestFunction, domain) -> Fraction:
-    lo, hi = Fraction(domain.lo), Fraction(domain.hi)
-    if f.poly_coeffs is None:
-        raise ValueError(f"{f.id} has no exact rational path")
-    return average_value_exact(f, domain) - poly_eval_exact(
-        f.poly_coeffs, (lo + hi) / 2
-    )
+    return _gap_left(_samples_exact(f, domain))
 
 
 def hh_gap_right_exact(f: TestFunction, domain) -> Fraction:
-    lo, hi = Fraction(domain.lo), Fraction(domain.hi)
-    if f.poly_coeffs is None:
-        raise ValueError(f"{f.id} has no exact rational path")
-    fa = poly_eval_exact(f.poly_coeffs, lo)
-    fb = poly_eval_exact(f.poly_coeffs, hi)
-    return (fa + fb) / 2 - average_value_exact(f, domain)
+    return _gap_right(_samples_exact(f, domain))
 
 
 def hh_p_check(f: TestFunction, domain: Interval, tol: float = 1e-12) -> bool:
@@ -188,9 +212,7 @@ def hh_p_check(f: TestFunction, domain: Interval, tol: float = 1e-12) -> bool:
 
     f(m) <= 2 avg(f) and 2 avg(f) <= 2 (f(a) + f(b)), with margin >= -tol.
     """
-    avg = average_value(f, domain)
-    fm = float(f.f(domain.midpoint))
-    fa, fb = float(f.f(domain.lo)), float(f.f(domain.hi))
+    fa, fm, fb, avg = _samples(f, domain)
     return (2.0 * avg - fm >= -tol) and (2.0 * (fa + fb) - 2.0 * avg >= -tol)
 
 
@@ -201,12 +223,8 @@ def simpson_deviation(f: TestFunction, domain: Interval) -> DeviationValue:
 
     Equals minus the lambda-family functional at lam = 1/3.
     """
-    avg = average_value(f, domain)
-    fm = float(f.f(domain.midpoint))
-    fa, fb = float(f.f(domain.lo)), float(f.f(domain.hi))
-    value = ((fa + fb) / 2.0 + 2.0 * fm) / 3.0 - avg
-    return DeviationValue(value)
+    return DeviationValue(_simpson_value(_samples(f, domain)))
 
 
 def simpson_deviation_exact(f: TestFunction, domain) -> Fraction:
-    return -functional_lambda_exact(f, domain, Fraction(1, 3))
+    return _simpson_value(_samples_exact(f, domain))

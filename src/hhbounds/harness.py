@@ -12,10 +12,15 @@ provenance tag:
 
 A campaign sweeps (claim, function, interval, lambda, q) combinations,
 records one :class:`VerificationRecord` per combination, and aggregates a
-per-claim summary.  Reported violations are re-verified on the exact
-rational path (polynomials, and the means checks at 50-digit precision) or
-by re-integration at tightened tolerance before they reach the report.
-Runs are deterministic for a fixed config.
+per-claim summary.  Each claim family has one side function that states
+its inequality on a panel: the values of one (function, interval) cached
+per run in floats, in floats with a refined average, or in exact
+rationals.  The float sides come first; any margin that is not a
+comfortable 'holds' is re-derived by the same side function on the exact
+panel (polynomials; 50 digits where a q-th root is irrational) or on the
+refined one, and :func:`~hhbounds.records.classify` decides every status.
+An oracle failure anywhere, confirmation included, yields an 'undefined'
+record.  Runs are deterministic for a fixed config.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Callable, Mapping, Optional
+from typing import Mapping, Optional
 
 import mpmath
 import numpy as np
@@ -37,8 +42,8 @@ from .corpus import (
     corpus_standard,
     _sample,
 )
-from .oracle import OracleError, poly_derivative_coeffs, poly_eval_exact, to_mpf
-from .records import VerificationRecord
+from .oracle import OracleError, poly_derivative_coeffs, poly_eval_exact
+from .records import STATUSES, VerificationRecord, classify
 
 __all__ = [
     "BoundClaim",
@@ -83,191 +88,97 @@ class BoundClaim:
     uses_q: bool = False
 
 
-def _cor_claims() -> list[BoundClaim]:
-    out = []
-    for num, rule in ((1, "midpoint"), (2, "trapezoid"), (3, "simpson")):
-        for variant in ("stated", "derived"):
-            prov = STATED_ONLY if variant == "stated" else PROOF_BACKED
-            out.append(
-                BoundClaim(
-                    id=f"cor{num}-{variant}",
-                    description=f"{rule} power-mean bound ({variant} constant)",
-                    provenance=prov,
-                    lhs_spec="abs(functional_lambda)",
-                    rhs_spec="bound_corollary",
-                    hypothesis="check_p_convex(|d2|^q)",
-                    family="cor",
-                    rule=rule,
-                    variant=variant,
-                    fixed_lambda=bounds.RULE_LAMBDA[rule],
-                    uses_q=True,
-                )
-            )
-    return out
-
-
-def _corm_claims() -> list[BoundClaim]:
-    out = []
-    for num, rule in ((4, "midpoint"), (5, "trapezoid"), (8, "simpson")):
-        for variant in ("stated", "derived"):
-            prov = STATED_ONLY if variant == "stated" else PROOF_BACKED
-            out.append(
-                BoundClaim(
-                    id=f"cor{num}-{variant}",
-                    description=f"{rule} uniform-M bound with 2^(1/q) ({variant})",
-                    provenance=prov,
-                    lhs_spec="abs(functional_lambda)",
-                    rhs_spec="bound_bounded_m",
-                    hypothesis="check_p_convex(|d2|^q)",
-                    family="corm",
-                    rule=rule,
-                    variant=variant,
-                    form="with_q",
-                    fixed_lambda=bounds.RULE_LAMBDA[rule],
-                    uses_q=True,
-                )
-            )
-        # The relaxed forms (2^(1/q) <= 2) coincide with the sharp kernel
-        # bounds M (b-a)^2 * int|k|, hence proof-backed.
-        out.append(
-            BoundClaim(
-                id=f"cor{num}-relaxed",
-                description=f"{rule} uniform-M bound, q-free form",
-                provenance=PROOF_BACKED,
-                lhs_spec="abs(functional_lambda)",
-                rhs_spec="bound_bounded_m",
-                hypothesis="check_p_convex(|d2|)",
-                family="corm",
-                rule=rule,
-                variant="stated",
-                form="relaxed",
-                fixed_lambda=bounds.RULE_LAMBDA[rule],
-            )
-        )
-    return out
-
-
-def _prop_claims() -> list[BoundClaim]:
-    out = []
-    for idx in (1, 2, 3):
-        for variant in ("stated", "derived"):
-            prov = STATED_ONLY if variant == "stated" else PROOF_BACKED
-            out.append(
-                BoundClaim(
-                    id=f"prop{idx}-{variant}",
-                    description=f"special-means inequality {idx} ({variant} constant)",
-                    provenance=prov,
-                    lhs_spec="abs(mean combination)",
-                    rhs_spec="check_proposition",
-                    hypothesis="f = x^n, |n(n-1)| >= 3, 0 < a < b",
-                    family="prop",
-                    prop_idx=idx,
-                    variant=variant,
-                    fixed_lambda={1: 0.0, 2: 1.0, 3: 1.0 / 3.0}[idx],
-                    uses_q=True,
-                )
-            )
-    return out
-
-
 def ledger_standard() -> tuple[BoundClaim, ...]:
     """The full claims ledger; power-mean family claims appear twice
-    (stated and derived constants)."""
-    claims: list[BoundClaim] = [
+    (stated and derived constants).  The corollaries fix lam at their
+    rule's value from :data:`bounds.RULE_LAMBDA_EXACT`."""
+    variants = (("stated", STATED_ONLY), ("derived", PROOF_BACKED))
+    rule_lam = {r: float(lam) for r, lam in bounds.RULE_LAMBDA_EXACT.items()}
+    f_lam = "abs(functional_lambda)"
+    d2q = "check_p_convex(|d2|^q)"
+    claims = [
         BoundClaim(
-            id="thm5",
-            description="endpoint-sum deviation bound for P-convex |f''|",
-            provenance=PROOF_BACKED,
-            lhs_spec="abs(functional_lambda)",
-            rhs_spec="bound_theorem5",
-            hypothesis="check_p_convex(|d2|)",
-            family="thm5",
-            uses_lambda=True,
-        ),
+            "thm5", "endpoint-sum deviation bound for P-convex |f''|", PROOF_BACKED,
+            f_lam, "bound_theorem5", "check_p_convex(|d2|)", "thm5", uses_lambda=True,
+        )
     ]
-    for variant in ("stated", "derived"):
-        prov = STATED_ONLY if variant == "stated" else PROOF_BACKED
+    claims += [
+        BoundClaim(
+            f"thm6-{v}", f"power-mean deviation bound ({v} constant)", prov,
+            f_lam, "bound_theorem6", d2q, "thm6", variant=v, uses_lambda=True,
+            uses_q=True,
+        )
+        for v, prov in variants
+    ]
+    for num, rule in zip((1, 2, 3), rule_lam):
+        claims += [
+            BoundClaim(
+                f"cor{num}-{v}", f"{rule} power-mean bound ({v} constant)", prov,
+                f_lam, "bound_corollary", d2q, "cor", rule=rule, variant=v,
+                fixed_lambda=rule_lam[rule], uses_q=True,
+            )
+            for v, prov in variants
+        ]
+    for num, rule in zip((4, 5, 8), rule_lam):
+        claims += [
+            BoundClaim(
+                f"cor{num}-{v}", f"{rule} uniform-M bound with 2^(1/q) ({v})", prov,
+                f_lam, "bound_bounded_m", d2q, "corm", rule=rule, variant=v,
+                form="with_q", fixed_lambda=rule_lam[rule], uses_q=True,
+            )
+            for v, prov in variants
+        ]
+        # The relaxed forms (2^(1/q) <= 2) coincide with the sharp kernel
+        # bounds M (b-a)^2 * int|k|, hence proof-backed.
         claims.append(
             BoundClaim(
-                id=f"thm6-{variant}",
-                description=f"power-mean deviation bound ({variant} constant)",
-                provenance=prov,
-                lhs_spec="abs(functional_lambda)",
-                rhs_spec="bound_theorem6",
-                hypothesis="check_p_convex(|d2|^q)",
-                family="thm6",
-                variant=variant,
-                uses_lambda=True,
-                uses_q=True,
+                f"cor{num}-relaxed", f"{rule} uniform-M bound, q-free form",
+                PROOF_BACKED, f_lam, "bound_bounded_m", "check_p_convex(|d2|)",
+                "corm", rule=rule, variant="stated", form="relaxed",
+                fixed_lambda=rule_lam[rule],
             )
         )
-    claims.extend(_cor_claims())
-    claims.extend(_corm_claims())
-    claims.extend(
-        [
+    claims += [
+        BoundClaim(
+            "hh", "average-value enclosure for convex f", PROOF_BACKED,
+            "hh_gap_left/hh_gap_right", "0 <= gap", "f convex on [a, b]", "hh",
+        ),
+        BoundClaim(
+            "hh-p", "doubled average-value enclosure for P-functions", PROOF_BACKED,
+            "hh_p_check sides", "hh_p_check sides", "check_p_convex(f)", "hh-p",
+        ),
+        BoundClaim(
+            "mid-envelope", "two-sided midpoint-gap enclosure from f'' range",
+            PROOF_BACKED, "hh_gap_left", "bound_classical(midpoint)",
+            "f twice differentiable", "envelope", rule="midpoint",
+        ),
+        BoundClaim(
+            "trap-envelope", "two-sided trapezoid-gap enclosure from f'' range",
+            PROOF_BACKED, "hh_gap_right", "bound_classical(trapezoid)",
+            "f twice differentiable", "envelope", rule="trapezoid",
+        ),
+        BoundClaim(
+            "simpson-4th-p4",
+            "classical fourth-derivative Simpson bound (quartic width)", PROOF_BACKED,
+            "abs(simpson_deviation)", "bound_classical(simpson, p=4)", "f has d4",
+            "simpson4", rule="simpson", p=4,
+        ),
+        BoundClaim(
+            "simpson-4th-p2", "quadratic-width variant of the Simpson bound",
+            STATED_ONLY, "abs(simpson_deviation)", "bound_classical(simpson, p=2)",
+            "f has d4", "simpson4", rule="simpson", p=2,
+        ),
+    ]
+    for idx, rule in enumerate(means._PROP_RULES, 1):
+        claims += [
             BoundClaim(
-                id="hh",
-                description="average-value enclosure for convex f",
-                provenance=PROOF_BACKED,
-                lhs_spec="hh_gap_left/hh_gap_right",
-                rhs_spec="0 <= gap",
-                hypothesis="f convex on [a, b]",
-                family="hh",
-            ),
-            BoundClaim(
-                id="hh-p",
-                description="doubled average-value enclosure for P-functions",
-                provenance=PROOF_BACKED,
-                lhs_spec="hh_p_check sides",
-                rhs_spec="hh_p_check sides",
-                hypothesis="check_p_convex(f)",
-                family="hh-p",
-            ),
-            BoundClaim(
-                id="mid-envelope",
-                description="two-sided midpoint-gap enclosure from f'' range",
-                provenance=PROOF_BACKED,
-                lhs_spec="hh_gap_left",
-                rhs_spec="bound_classical(midpoint)",
-                hypothesis="f twice differentiable",
-                family="envelope",
-                rule="midpoint",
-            ),
-            BoundClaim(
-                id="trap-envelope",
-                description="two-sided trapezoid-gap enclosure from f'' range",
-                provenance=PROOF_BACKED,
-                lhs_spec="hh_gap_right",
-                rhs_spec="bound_classical(trapezoid)",
-                hypothesis="f twice differentiable",
-                family="envelope",
-                rule="trapezoid",
-            ),
-            BoundClaim(
-                id="simpson-4th-p4",
-                description="classical fourth-derivative Simpson bound (quartic width)",
-                provenance=PROOF_BACKED,
-                lhs_spec="abs(simpson_deviation)",
-                rhs_spec="bound_classical(simpson, p=4)",
-                hypothesis="f has d4",
-                family="simpson4",
-                rule="simpson",
-                p=4,
-            ),
-            BoundClaim(
-                id="simpson-4th-p2",
-                description="quadratic-width variant of the Simpson bound",
-                provenance=STATED_ONLY,
-                lhs_spec="abs(simpson_deviation)",
-                rhs_spec="bound_classical(simpson, p=2)",
-                hypothesis="f has d4",
-                family="simpson4",
-                rule="simpson",
-                p=2,
-            ),
+                f"prop{idx}-{v}", f"special-means inequality {idx} ({v} constant)",
+                prov, "abs(mean combination)", "check_proposition",
+                "f = x^n, |n(n-1)| >= 3, 0 < a < b", "prop", prop_idx=idx, variant=v,
+                fixed_lambda=rule_lam[rule], uses_q=True,
+            )
+            for v, prov in variants
         ]
-    )
-    claims.extend(_prop_claims())
     return tuple(claims)
 
 
@@ -354,65 +265,108 @@ def sample_intervals(config: CampaignConfig) -> list[tuple[float, float]]:
     return out
 
 
+class _Panel:
+    """One (function, interval) in one number type, as the side functions
+    read it.
+
+    ``kind`` is 'float', 'refined' (floats, with the average re-integrated
+    by the oracle at a tenth of the tolerance, bypassing any closed form)
+    or 'exact' (Fractions; polynomials only).  ``domain`` has endpoints of
+    that type and ``samples`` is (f(a), f(m), f(b), avg(f)).  The endpoint
+    data |f''(a)|, |f''(b)| and the sampled envelope are computed on first
+    use, since only some claim families read them.
+    """
+
+    def __init__(self, ctx: "_Context", fn: TestFunction, domain: Interval, kind: str):
+        self._ctx, self._fn, self._interval = ctx, fn, domain
+        self._ends = self._env = None
+        self.exact = kind == "exact"
+        if self.exact:
+            self.domain = bounds._exact(domain)
+            avg = ctx.average_exact(fn, domain)
+            self.samples = functionals._samples_exact(fn, domain, avg)
+            return
+        self.domain = domain
+        if kind == "refined":
+            tol = ctx.config.oracle_tol / 10.0
+            avg = oracle.integrate(fn.f, domain, tol).value / domain.width
+        elif fn.poly_coeffs is not None:
+            avg = float(ctx.average_exact(fn, domain))
+        else:
+            avg = functionals.average_value(fn, domain, ctx.config.oracle_tol)
+        self.samples = functionals._samples(fn, domain, avg)
+
+    @property
+    def ends(self) -> bounds.EndpointData:
+        if self._ends is None:
+            lo, hi = self.domain.lo, self.domain.hi
+            if self.exact:
+                d2c = poly_derivative_coeffs(self._fn.poly_coeffs, 2)
+                m_a, m_b = poly_eval_exact(d2c, lo), poly_eval_exact(d2c, hi)
+            else:
+                m_a, m_b = float(self._fn.d2(lo)), float(self._fn.d2(hi))
+            self._ends = bounds.EndpointData(abs(m_a), abs(m_b))
+        return self._ends
+
+    @property
+    def env(self) -> bounds.DerivativeEnvelope:
+        if self._env is None:
+            env = self._ctx.envelope(self._fn, self._interval)
+            if self.exact:
+                d4 = env.sup_abs_d4
+                env = bounds.DerivativeEnvelope(
+                    Fraction(env.sup_abs_d2),
+                    Fraction(env.lower_d2),
+                    Fraction(env.upper_d2),
+                    None if d4 is None else Fraction(d4),
+                )
+            self._env = env
+        return self._env
+
+
 class _Context:
-    """Per-run caches: averages, endpoint data, envelopes, P-checks."""
+    """Per-run caches: panels, exact averages, envelopes, P-checks."""
 
     def __init__(self, config: CampaignConfig):
         self.config = config
-        self._avg: dict = {}
-        self._avg_refined: dict = {}
+        self._panel: dict = {}
+        self._average_exact: dict = {}
         self._pcheck: dict = {}
         self._envelope: dict = {}
 
-    def avg(self, fn: TestFunction, domain: Interval) -> float:
+    def average_exact(self, fn: TestFunction, domain: Interval) -> Fraction:
+        """The exact average of a polynomial; its float panel uses it
+        rounded, as :func:`functionals.average_value` would."""
         key = (fn.id, domain.lo, domain.hi)
-        if key not in self._avg:
-            self._avg[key] = functionals.average_value(
-                fn, domain, self.config.oracle_tol
-            )
-        return self._avg[key]
+        if key not in self._average_exact:
+            self._average_exact[key] = functionals.average_value_exact(fn, domain)
+        return self._average_exact[key]
 
-    def avg_refined(self, fn: TestFunction, domain: Interval) -> float:
-        """Average recomputed by the adaptive oracle at tightened tolerance,
-        bypassing any closed-form antiderivative."""
-        key = (fn.id, domain.lo, domain.hi)
-        if key not in self._avg_refined:
-            res = oracle.integrate(fn.f, domain, self.config.oracle_tol / 10.0)
-            self._avg_refined[key] = res.value / domain.width
-        return self._avg_refined[key]
+    def panel(self, fn: TestFunction, domain: Interval, kind: str) -> _Panel:
+        key = (kind, fn.id, domain.lo, domain.hi)
+        if key not in self._panel:
+            self._panel[key] = _Panel(self, fn, domain, kind)
+        return self._panel[key]
 
-    def endpoints(self, fn: TestFunction, domain: Interval) -> tuple[float, float]:
-        return (
-            abs(float(fn.d2(domain.lo))),
-            abs(float(fn.d2(domain.hi))),
-        )
-
-    def endpoints_exact(self, fn: TestFunction, domain) -> tuple[Fraction, Fraction]:
-        d2c = poly_derivative_coeffs(fn.poly_coeffs, 2)
-        return (
-            abs(poly_eval_exact(d2c, Fraction(domain.lo))),
-            abs(poly_eval_exact(d2c, Fraction(domain.hi))),
-        )
-
-    def envelope(self, fn: TestFunction, domain: Interval) -> dict:
+    def envelope(self, fn: TestFunction, domain: Interval) -> bounds.DerivativeEnvelope:
         key = (fn.id, domain.lo, domain.hi)
         if key not in self._envelope:
             xs = np.linspace(domain.lo, domain.hi, 257)
             d2v = _sample(fn.d2, xs)
             if not np.all(np.isfinite(d2v)):
                 raise OracleError(f"non-finite d2 while profiling {fn.id}")
-            env = {
-                "sup_abs_d2": float(np.max(np.abs(d2v))),
-                "lower_d2": float(np.min(d2v)),
-                "upper_d2": float(np.max(d2v)),
-                "sup_abs_d4": None,
-            }
+            sup_d4 = None
             if fn.d4 is not None:
                 d4v = _sample(fn.d4, xs)
                 if not np.all(np.isfinite(d4v)):
                     raise OracleError(f"non-finite d4 while profiling {fn.id}")
-                env["sup_abs_d4"] = float(np.max(np.abs(d4v)))
-            self._envelope[key] = env
+                sup_d4 = float(np.max(np.abs(d4v)))
+            self._envelope[key] = bounds.DerivativeEnvelope(
+                sup_abs_d2=float(np.max(np.abs(d2v))),
+                lower_d2=float(np.min(d2v)),
+                upper_d2=float(np.max(d2v)),
+                sup_abs_d4=sup_d4,
+            )
         return self._envelope[key]
 
     def pconvex(self, fn: TestFunction, domain: Interval, q: float, of: str):
@@ -432,7 +386,7 @@ class _Context:
 
     def convex(self, fn: TestFunction, domain: Interval) -> bool:
         env = self.envelope(fn, domain)
-        return env["lower_d2"] >= -1e-12 * (1.0 + abs(env["upper_d2"]))
+        return env.lower_d2 >= -1e-12 * (1.0 + abs(env.upper_d2))
 
 
 def _monomial_order(fn: TestFunction) -> Optional[int]:
@@ -447,73 +401,86 @@ def _monomial_order(fn: TestFunction) -> Optional[int]:
 # ---------------------------------------------------------------------------
 # Per-combination evaluation
 # ---------------------------------------------------------------------------
+#
+# A side function returns the candidate inequalities (lhs, rhs) of one claim
+# on one panel, in the panel's number type.  A two-sided enclosure returns
+# both halves; the record keeps the half with the smaller float margin.
 
 
-def _decide(
-    lhs_f: float,
-    rhs_f: float,
-    tol: float,
-    eq_tol: float,
-    exact_pair: Optional[Callable[[], tuple[Fraction, Fraction]]] = None,
-    mp_pair: Optional[Callable[[], tuple[mpmath.mpf, mpmath.mpf]]] = None,
-    refine_pair: Optional[Callable[[], tuple[float, float]]] = None,
-) -> tuple[str, float, float, float, bool]:
-    """Status decision with mandatory confirmation of suspicious margins.
+def _lambda_sides(claim: BoundClaim, p: _Panel, lam, q):
+    """|F(lam)| against the theorem 5/6, corollary or uniform-M bound."""
+    if p.exact:
+        lam = bounds.RULE_LAMBDA_EXACT[claim.rule] if claim.rule else Fraction(lam)
+    lhs = abs(functionals._lambda_value(p.samples, lam))
+    fam = claim.family
+    if fam == "thm5":
+        rhs = bounds.bound_theorem5(p.domain, lam, p.ends)
+    elif fam == "corm":
+        q = 1.0 if q is None else q
+        rhs = bounds.bound_bounded_m(
+            claim.rule, p.domain, q, p.env, claim.form, claim.variant
+        )
+    else:  # thm6, and the corollaries at their rule's lam
+        rhs = bounds.bound_theorem6(p.domain, lam, q, p.ends, claim.variant)
+    return ((lhs, rhs),)
 
-    Returns (status, lhs, rhs, margin, exact).  A margin that crosses the
-    violation threshold, or sits inside the equality band, is re-derived on
-    the best available path: exact rationals, 50-digit floats, or a refined
-    numerical evaluation.  Comfortable margins are accepted as 'holds'
-    straight from the double-precision values.
-    """
-    scale = max(1.0, abs(lhs_f), abs(rhs_f))
-    margin = rhs_f - lhs_f
-    if margin >= -tol * scale and abs(margin) > eq_tol * scale:
-        return "holds", lhs_f, rhs_f, margin, False
 
-    if exact_pair is not None:
-        lhs_e, rhs_e = exact_pair()
-        margin_e = rhs_e - lhs_e
-        lhs_f, rhs_f, margin_f = float(lhs_e), float(rhs_e), float(margin_e)
-        scale = max(1.0, abs(lhs_f), abs(rhs_f))
-        if margin_f < -tol * scale:
-            status = "violated"
-        elif margin_e == 0:
-            status = "equality"
-        else:
-            status = "holds"
-        return status, lhs_f, rhs_f, margin_f, True
+def _hh_sides(claim: BoundClaim, p: _Panel, lam, q):
+    """f(m) <= avg(f) <= (f(a)+f(b))/2, doubled where f is a P-function."""
+    fa, fm, fb, avg = p.samples
+    if claim.family == "hh":
+        return ((fm, avg), (avg, (fa + fb) / 2))
+    return ((fm, 2 * avg), (2 * avg, 2 * (fa + fb)))
 
-    if mp_pair is not None:
-        with mpmath.workdps(50):
-            lhs_m, rhs_m = mp_pair()
-            margin_m = rhs_m - lhs_m
-            lhs_f, rhs_f, margin_f = float(lhs_m), float(rhs_m), float(margin_m)
-        scale = max(1.0, abs(lhs_f), abs(rhs_f))
-        if margin_f < -tol * scale:
-            status = "violated"
-        elif abs(margin_f) <= eq_tol * scale:
-            status = "equality"
-        else:
-            status = "holds"
-        return status, lhs_f, rhs_f, margin_f, True
 
-    if refine_pair is not None:
-        lhs_f, rhs_f = refine_pair()
-        margin = rhs_f - lhs_f
-        scale = max(1.0, abs(lhs_f), abs(rhs_f))
-
-    if margin < -tol * scale:
-        status = "violated"
-    elif abs(margin) <= eq_tol * scale:
-        status = "equality"
+def _envelope_sides(claim: BoundClaim, p: _Panel, lam, q):
+    """The midpoint or trapezoid gap inside its f''-range enclosure."""
+    if claim.rule == "midpoint":
+        gap = functionals._gap_left(p.samples)
     else:
-        status = "holds"
-    return status, lhs_f, rhs_f, margin, False
+        gap = functionals._gap_right(p.samples)
+    lo_b, hi_b = bounds.bound_classical(claim.rule, p.domain, p.env)
+    return ((lo_b, gap), (gap, hi_b))
 
 
-def _functional_abs_exact(fn: TestFunction, domain: Interval, lam) -> Fraction:
-    return abs(functionals.functional_lambda_exact(fn, domain, lam))
+def _simpson4_sides(claim: BoundClaim, p: _Panel, lam, q):
+    """|Simpson deviation| against sup|f''''| (b-a)^p / 2880."""
+    lhs = abs(functionals._simpson_value(p.samples))
+    return ((lhs, bounds.bound_classical("simpson", p.domain, p.env, claim.p)),)
+
+
+_SIDES = {
+    "thm5": _lambda_sides,
+    "thm6": _lambda_sides,
+    "cor": _lambda_sides,
+    "corm": _lambda_sides,
+    "hh": _hh_sides,
+    "hh-p": _hh_sides,
+    "envelope": _envelope_sides,
+    "simpson4": _simpson4_sides,
+}
+
+
+def _verdict(claim, fn, domain, lam, q, ctx) -> tuple[str, float, float, float, bool]:
+    """(status, lhs, rhs, margin, exact) of one claim instance.
+
+    The sides are evaluated in floats first, and a comfortable 'holds' is
+    accepted there.  Any other margin is re-derived by the same side
+    function on the panel's exact values (polynomials; 50 digits where a
+    q-th root is irrational) or, otherwise, on the refined average.
+    """
+    sides = _SIDES[claim.family]
+    tol, eq_tol = ctx.config.tol, ctx.config.eq_tol
+    pairs = sides(claim, ctx.panel(fn, domain, "float"), lam, q)
+    margins = [rhs - lhs for lhs, rhs in pairs]
+    i = 0 if margins[0] <= margins[-1] else len(pairs) - 1
+    verdict = classify(*pairs[i], tol, eq_tol)
+    if verdict[0] == "holds":
+        return (*verdict, False)
+    exact = fn.poly_coeffs is not None
+    with mpmath.workdps(50):
+        p = ctx.panel(fn, domain, "exact" if exact else "refined")
+        return (*classify(*sides(claim, p, lam, q)[i], tol, eq_tol), exact)
 
 
 def _evaluate_combo(
@@ -550,49 +517,22 @@ def _evaluate_combo(
             return rec("undefined")
         if not ok:
             return rec("hypothesis_failed")
-
-        if claim.family == "prop":
-            n = _monomial_order(fn)
-            inner = means.check_proposition(
-                claim.prop_idx,
-                Fraction(domain.lo),
-                Fraction(domain.hi),
-                n,
-                q if q is not None else 1.0,
-                claim.variant,
-                tol=cfg.tol,
-                eq_tol=cfg.eq_tol,
-            )
-            return VerificationRecord(
-                claim=claim.id,
-                function=fn.id,
-                a=domain.lo,
-                b=domain.hi,
-                lam=lam,
-                q=q,
-                lhs=inner.lhs,
-                rhs=inner.rhs,
-                margin=inner.margin,
-                status=inner.status,
-                exact=inner.exact,
-            )
-
-        lhs_f, rhs_f, exact_pair, mp_pair, refine_pair = _sides(
-            claim, fn, domain, lam, q, ctx
+        if claim.family != "prop":
+            verdict = _verdict(claim, fn, domain, lam, q, ctx)
+            return rec("undefined") if verdict[0] == "undefined" else rec(*verdict)
+        inner = means.check_proposition(
+            claim.prop_idx,
+            Fraction(domain.lo),
+            Fraction(domain.hi),
+            _monomial_order(fn),
+            q if q is not None else 1.0,
+            claim.variant,
+            tol=cfg.tol,
+            eq_tol=cfg.eq_tol,
         )
+        return rec(inner.status, inner.lhs, inner.rhs, inner.margin, inner.exact)
     except OracleError:
         return rec("undefined")
-
-    status, lhs_o, rhs_o, margin_o, exact = _decide(
-        lhs_f,
-        rhs_f,
-        cfg.tol,
-        cfg.eq_tol,
-        exact_pair=exact_pair,
-        mp_pair=mp_pair,
-        refine_pair=refine_pair,
-    )
-    return rec(status, lhs_o, rhs_o, margin_o, exact)
 
 
 def _hypothesis(
@@ -623,223 +563,6 @@ def _hypothesis(
             and abs(n * (n - 1)) >= 3
             and domain.lo > 0
         )
-    raise ValueError(f"unknown claim family {fam!r}")
-
-
-def _sides(claim, fn, domain, lam, q, ctx):
-    """Float lhs/rhs for one combination plus confirmation closures."""
-    cfg = ctx.config
-    fam = claim.family
-    is_poly = fn.poly_coeffs is not None
-
-    if fam in ("thm5", "thm6", "cor", "corm"):
-        lam_f = lam if lam is not None else claim.fixed_lambda
-        lam_exact = (
-            bounds.RULE_LAMBDA_EXACT[claim.rule]
-            if claim.rule is not None
-            else Fraction(lam_f)
-        )
-        avg = ctx.avg(fn, domain)
-        lhs = abs(functionals.functional_lambda(fn, domain, lam_f, avg).value)
-        e = bounds.EndpointData(*ctx.endpoints(fn, domain))
-
-        if fam == "thm5":
-            rhs = bounds.bound_theorem5(domain, lam_f, e)
-        elif fam == "thm6":
-            rhs = bounds.bound_theorem6(domain, lam_f, q, e, claim.variant)
-        elif fam == "cor":
-            rhs = bounds.bound_corollary(claim.rule, domain, q, e, claim.variant)
-        else:  # corm
-            env = bounds.DerivativeEnvelope(
-                sup_abs_d2=ctx.envelope(fn, domain)["sup_abs_d2"]
-            )
-            rhs = bounds.bound_bounded_m(
-                claim.rule,
-                domain,
-                q if q is not None else 1.0,
-                env,
-                claim.form,
-                claim.variant,
-            )
-
-        exact_pair = mp_pair = refine_pair = None
-        if is_poly:
-            q_is_one = q is None or q == 1.0
-
-            def exact_rational():
-                lhs_e = _functional_abs_exact(fn, domain, lam_exact)
-                if fam == "corm":
-                    m_sup = ctx.envelope(fn, domain)["sup_abs_d2"]
-                    rhs_e = bounds.bound_bounded_m_exact(
-                        claim.rule, domain, 1, m_sup, claim.form, claim.variant
-                    )
-                else:
-                    ma, mb = ctx.endpoints_exact(fn, domain)
-                    if fam == "thm5":
-                        rhs_e = bounds.bound_theorem5_exact(domain, lam_exact, ma, mb)
-                    else:
-                        rhs_e = bounds.bound_theorem6_exact(
-                            domain, lam_exact, 1, ma, mb, claim.variant
-                        )
-                return lhs_e, rhs_e
-
-            def exact_mp():
-                lhs_e = _functional_abs_exact(fn, domain, lam_exact)
-                if fam == "corm":
-                    m_sup = Fraction(ctx.envelope(fn, domain)["sup_abs_d2"])
-                    denom = {"midpoint": 48, "trapezoid": 24, "simpson": 162}[
-                        claim.rule
-                    ]
-                    if claim.variant == "derived":
-                        denom //= 2
-                    width = Fraction(domain.hi) - Fraction(domain.lo)
-                    rhs_m = (
-                        to_mpf(m_sup * width**2) / denom * 2 ** (1 / to_mpf(q))
-                    )
-                else:
-                    ma, mb = ctx.endpoints_exact(fn, domain)
-                    rhs_m = bounds.bound_theorem6_mp(
-                        domain, lam_exact, q, ma, mb, claim.variant
-                    )
-                return to_mpf(lhs_e), rhs_m
-
-            exact_pair = exact_rational if q_is_one else None
-            mp_pair = None if q_is_one else exact_mp
-        else:
-
-            def refine():
-                avg_r = ctx.avg_refined(fn, domain)
-                lhs_r = abs(
-                    functionals.functional_lambda(fn, domain, lam_f, avg_r).value
-                )
-                return lhs_r, rhs
-
-            refine_pair = refine
-        return lhs, rhs, exact_pair, mp_pair, refine_pair
-
-    if fam in ("hh", "hh-p"):
-        avg = ctx.avg(fn, domain)
-        fm = float(fn.f(domain.midpoint))
-        fa, fb = float(fn.f(domain.lo)), float(fn.f(domain.hi))
-        if fam == "hh":
-            sides = [(fm, avg), (avg, (fa + fb) / 2.0)]
-        else:
-            sides = [(fm, 2.0 * avg), (2.0 * avg, 2.0 * (fa + fb))]
-        margins = [r - l for l, r in sides]
-        side = 0 if margins[0] <= margins[1] else 1
-        lhs, rhs = sides[side]
-
-        exact_pair = refine_pair = None
-        if is_poly:
-
-            def exact_rational(side=side):
-                avg_e = functionals.average_value_exact(fn, domain)
-                lo, hi = Fraction(domain.lo), Fraction(domain.hi)
-                fm_e = poly_eval_exact(fn.poly_coeffs, (lo + hi) / 2)
-                fa_e = poly_eval_exact(fn.poly_coeffs, lo)
-                fb_e = poly_eval_exact(fn.poly_coeffs, hi)
-                if fam == "hh":
-                    sides_e = [(fm_e, avg_e), (avg_e, (fa_e + fb_e) / 2)]
-                else:
-                    sides_e = [(fm_e, 2 * avg_e), (2 * avg_e, 2 * (fa_e + fb_e))]
-                return sides_e[side]
-
-            exact_pair = exact_rational
-        else:
-
-            def refine(side=side):
-                avg_r = ctx.avg_refined(fn, domain)
-                if fam == "hh":
-                    sides_r = [(fm, avg_r), (avg_r, (fa + fb) / 2.0)]
-                else:
-                    sides_r = [(fm, 2.0 * avg_r), (2.0 * avg_r, 2.0 * (fa + fb))]
-                return sides_r[side]
-
-            refine_pair = refine
-        return lhs, rhs, exact_pair, None, refine_pair
-
-    if fam == "envelope":
-        avg = ctx.avg(fn, domain)
-        env = ctx.envelope(fn, domain)
-        w = domain.width
-        if claim.rule == "midpoint":
-            gap = avg - float(fn.f(domain.midpoint))
-            lo_b = env["lower_d2"] * w**2 / 24.0
-            hi_b = env["upper_d2"] * w**2 / 24.0
-        else:
-            fa, fb = float(fn.f(domain.lo)), float(fn.f(domain.hi))
-            gap = (fa + fb) / 2.0 - avg
-            half_sq = (w / 2.0) ** 2
-            lo_b = env["lower_d2"] / 3.0 * half_sq
-            hi_b = env["upper_d2"] / 3.0 * half_sq
-        sides = [(lo_b, gap), (gap, hi_b)]
-        margins = [r - l for l, r in sides]
-        side = 0 if margins[0] <= margins[1] else 1
-        lhs, rhs = sides[side]
-
-        exact_pair = refine_pair = None
-        if is_poly:
-
-            def exact_rational(side=side):
-                lo, hi = Fraction(domain.lo), Fraction(domain.hi)
-                we = hi - lo
-                if claim.rule == "midpoint":
-                    gap_e = functionals.hh_gap_left_exact(fn, domain)
-                    lo_e = Fraction(env["lower_d2"]) * we**2 / 24
-                    hi_e = Fraction(env["upper_d2"]) * we**2 / 24
-                else:
-                    gap_e = functionals.hh_gap_right_exact(fn, domain)
-                    half_sq = (we / 2) ** 2
-                    lo_e = Fraction(env["lower_d2"]) / 3 * half_sq
-                    hi_e = Fraction(env["upper_d2"]) / 3 * half_sq
-                sides_e = [(lo_e, gap_e), (gap_e, hi_e)]
-                return sides_e[side]
-
-            exact_pair = exact_rational
-        else:
-
-            def refine(side=side):
-                avg_r = ctx.avg_refined(fn, domain)
-                if claim.rule == "midpoint":
-                    gap_r = avg_r - float(fn.f(domain.midpoint))
-                else:
-                    fa, fb = float(fn.f(domain.lo)), float(fn.f(domain.hi))
-                    gap_r = (fa + fb) / 2.0 - avg_r
-                sides_r = [(lo_b, gap_r), (gap_r, hi_b)]
-                return sides_r[side]
-
-            refine_pair = refine
-        return lhs, rhs, exact_pair, None, refine_pair
-
-    if fam == "simpson4":
-        avg = ctx.avg(fn, domain)
-        fm = float(fn.f(domain.midpoint))
-        fa, fb = float(fn.f(domain.lo)), float(fn.f(domain.hi))
-        lhs = abs(((fa + fb) / 2.0 + 2.0 * fm) / 3.0 - avg)
-        sup_d4 = ctx.envelope(fn, domain)["sup_abs_d4"]
-        rhs = sup_d4 * domain.width**claim.p / 2880.0
-
-        exact_pair = refine_pair = None
-        if is_poly:
-
-            def exact_rational():
-                lhs_e = abs(functionals.simpson_deviation_exact(fn, domain))
-                rhs_e = bounds.bound_classical_exact(
-                    "simpson", domain, sup_abs_d4=sup_d4, p=claim.p
-                )
-                return lhs_e, rhs_e
-
-            exact_pair = exact_rational
-        else:
-
-            def refine():
-                avg_r = ctx.avg_refined(fn, domain)
-                lhs_r = abs(((fa + fb) / 2.0 + 2.0 * fm) / 3.0 - avg_r)
-                return lhs_r, rhs
-
-            refine_pair = refine
-        return lhs, rhs, exact_pair, None, refine_pair
-
     raise ValueError(f"unknown claim family {fam!r}")
 
 
@@ -915,31 +638,26 @@ def run_campaign(
 
 
 def summarize(records, claims) -> dict:
-    by_status = {s: 0 for s in ("holds", "equality", "violated", "hypothesis_failed", "undefined")}
-    per_claim: dict = {}
-    for c in claims:
-        per_claim[c.id] = {
-            "provenance": c.provenance,
+    def entry(claim: BoundClaim) -> dict:
+        return {
+            "provenance": claim.provenance,
             "records": 0,
-            "by_status": dict.fromkeys(by_status, 0),
+            "by_status": dict.fromkeys(STATUSES, 0),
             "min_margin": None,
         }
+
+    by_status = dict.fromkeys(STATUSES, 0)
+    per_claim = {c.id: entry(c) for c in claims}
     for r in records:
         by_status[r.status] += 1
-        entry = per_claim.setdefault(
-            r.claim,
-            {
-                "provenance": get_claim(r.claim).provenance,
-                "records": 0,
-                "by_status": dict.fromkeys(by_status, 0),
-                "min_margin": None,
-            },
-        )
-        entry["records"] += 1
-        entry["by_status"][r.status] += 1
+        if r.claim not in per_claim:
+            per_claim[r.claim] = entry(get_claim(r.claim))
+        e = per_claim[r.claim]
+        e["records"] += 1
+        e["by_status"][r.status] += 1
         if r.margin is not None:
-            if entry["min_margin"] is None or r.margin < entry["min_margin"]:
-                entry["min_margin"] = r.margin
+            if e["min_margin"] is None or r.margin < e["min_margin"]:
+                e["min_margin"] = r.margin
 
     violated = sorted(
         {r.claim for r in records if r.status == "violated"}

@@ -16,48 +16,38 @@ factor over [1/2, 1]) have the closed forms
     lam^3/3 - lam/8 + 1/24      for 0 <= lam <= 1/2,
     lam/8 - 1/24                for 1/2 <= lam <= 1,
 
-both equal to 1/48 at the seam.  Every closed form here also exists in exact
-rational arithmetic for rational lam, which the equality-case checks use.
+both equal to 1/48 at the seam.  Each closed form is written once and runs
+in the number type of its argument: a float gives the double-precision
+value, a Fraction the exact rational one.  The ``_exact`` names convert
+their arguments to Fraction and call the same formula.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
-from . import oracle
-
 __all__ = [
-    "MomentPair",
     "kernel_value",
     "kernel_value_exact",
-    "moment_abs",
-    "moment_abs_exact",
     "weighted_moment",
     "weighted_moment_exact",
     "weighted_moment_small_lambda",
     "weighted_moment_small_lambda_exact",
-    "weighted_moment_small_lambda_mirror",
-    "weighted_moment_small_lambda_mirror_exact",
     "weighted_moment_large_lambda",
     "weighted_moment_large_lambda_exact",
-    "verify_moments_numeric",
 ]
 
 
-def _check_lam(lam: float) -> None:
-    if not 0.0 <= lam <= 1.0:
+def _check_lam(lam) -> None:
+    if not 0 <= lam <= 1:
         raise ValueError(f"lam must lie in [0, 1], got {lam}")
 
 
-@dataclass(frozen=True)
-class MomentPair:
-    """Moments of the two kernel halves; equal for every lam by symmetry."""
-
-    first_half: float   # integral of |t (t - lam)| over [0, 1/2]
-    second_half: float  # integral of |(1-t)(1 - lam - t)| over [1/2, 1]
+def _branches(t, lam):
+    """Both kernel branches at t, in the number type of t (or its arrays)."""
+    return t / 2 * (t - lam), (1 - t) / 2 * (1 - lam - t)
 
 
 def kernel_value(t, lam: float):
@@ -66,11 +56,7 @@ def kernel_value(t, lam: float):
     ts = np.asarray(t, dtype=float)
     if np.any(ts < 0.0) or np.any(ts > 1.0):
         raise ValueError("t must lie in [0, 1]")
-    out = np.where(
-        ts <= 0.5,
-        0.5 * ts * (ts - lam),
-        0.5 * (1.0 - ts) * (1.0 - lam - ts),
-    )
+    out = np.where(ts <= 0.5, *_branches(ts, lam))
     if np.isscalar(t) or getattr(t, "ndim", 0) == 0:
         return float(out)
     return out
@@ -80,128 +66,44 @@ def kernel_value_exact(t, lam) -> Fraction:
     tf, lf = Fraction(t), Fraction(lam)
     if not 0 <= tf <= 1 or not 0 <= lf <= 1:
         raise ValueError("t and lam must lie in [0, 1]")
-    if tf <= Fraction(1, 2):
-        return tf * (tf - lf) / 2
-    return (1 - tf) * (1 - lf - tf) / 2
+    first, second = _branches(tf, lf)
+    return first if 2 * tf <= 1 else second
 
 
-def weighted_moment_small_lambda(lam: float) -> float:
+def weighted_moment_small_lambda(lam):
     """Closed form lam^3/3 - lam/8 + 1/24, valid for lam <= 1/2."""
     _check_lam(lam)
-    if lam > 0.5:
+    if 2 * lam > 1:
         raise ValueError("small-lambda moment requires lam <= 1/2")
-    return lam**3 / 3.0 - lam / 8.0 + 1.0 / 24.0
+    return lam**3 / 3 - lam / 8 + type(lam)(1) / 24
 
 
 def weighted_moment_small_lambda_exact(lam) -> Fraction:
-    lf = Fraction(lam)
-    if not 0 <= lf <= Fraction(1, 2):
-        raise ValueError("small-lambda moment requires 0 <= lam <= 1/2")
-    return lf**3 / 3 - lf / 8 + Fraction(1, 24)
+    return weighted_moment_small_lambda(Fraction(lam))
 
 
-def weighted_moment_small_lambda_mirror(lam: float) -> float:
-    """Alternate closed form of the same moment, written from the second
-    kernel half: 2(1-lam)^3/3 + lam(1-lam)^2 + 7 lam/8 - 5/8.  Algebraically
-    identical to :func:`weighted_moment_small_lambda`."""
-    _check_lam(lam)
-    if lam > 0.5:
-        raise ValueError("small-lambda moment requires lam <= 1/2")
-    one = 1.0 - lam
-    return 2.0 * one**3 / 3.0 + lam * one**2 + 7.0 * lam / 8.0 - 5.0 / 8.0
-
-
-def weighted_moment_small_lambda_mirror_exact(lam) -> Fraction:
-    lf = Fraction(lam)
-    if not 0 <= lf <= Fraction(1, 2):
-        raise ValueError("small-lambda moment requires 0 <= lam <= 1/2")
-    one = 1 - lf
-    return 2 * one**3 / 3 + lf * one**2 + 7 * lf / 8 - Fraction(5, 8)
-
-
-def weighted_moment_large_lambda(lam: float) -> float:
+def weighted_moment_large_lambda(lam):
     """Closed form lam/8 - 1/24 for one kernel half, valid for lam >= 1/2.
 
     The sum over both halves is lam/4 - 1/12.
     """
     _check_lam(lam)
-    if lam < 0.5:
+    if 2 * lam < 1:
         raise ValueError("large-lambda moment requires lam >= 1/2")
-    return lam / 8.0 - 1.0 / 24.0
+    return lam / 8 - type(lam)(1) / 24
 
 
 def weighted_moment_large_lambda_exact(lam) -> Fraction:
-    lf = Fraction(lam)
-    if not Fraction(1, 2) <= lf <= 1:
-        raise ValueError("large-lambda moment requires 1/2 <= lam <= 1")
-    return lf / 8 - Fraction(1, 24)
+    return weighted_moment_large_lambda(Fraction(lam))
 
 
-def weighted_moment(lam: float) -> float:
+def weighted_moment(lam):
     """One-half kernel moment with the seam assigned to the small branch."""
     _check_lam(lam)
-    if lam <= 0.5:
+    if 2 * lam <= 1:
         return weighted_moment_small_lambda(lam)
     return weighted_moment_large_lambda(lam)
 
 
 def weighted_moment_exact(lam) -> Fraction:
-    lf = Fraction(lam)
-    if lf <= Fraction(1, 2):
-        return weighted_moment_small_lambda_exact(lf)
-    return weighted_moment_large_lambda_exact(lf)
-
-
-def moment_abs(lam: float) -> MomentPair:
-    """Both half-moments of the absolute kernel factors (always equal)."""
-    m = weighted_moment(lam)
-    return MomentPair(first_half=m, second_half=m)
-
-
-def moment_abs_exact(lam) -> tuple[Fraction, Fraction]:
-    m = weighted_moment_exact(lam)
-    return (m, m)
-
-
-def _split_points(lo: float, hi: float, *interior: float) -> list[float]:
-    pts = sorted({lo, hi, *(p for p in interior if lo < p < hi)})
-    return pts
-
-
-def verify_moments_numeric(lam: float, tol: float = 1e-14) -> float:
-    """Cross-check every closed-form moment against adaptive integration.
-
-    The absolute-value integrands have kinks where t(t-lam) changes sign
-    (t = lam on the first half, t = 1-lam on the second), so integration is
-    split there before calling the oracle.  Returns the maximum absolute
-    discrepancy over all implemented formulas.
-    """
-    _check_lam(lam)
-
-    def first(t):
-        return np.abs(t * (t - lam))
-
-    def second(t):
-        return np.abs((1.0 - t) * (1.0 - lam - t))
-
-    def piecewise(fn, lo, hi, *interior):
-        total = 0.0
-        pts = _split_points(lo, hi, *interior)
-        for a, b in zip(pts[:-1], pts[1:]):
-            total += oracle.integrate(fn, (a, b), tol).value
-        return total
-
-    first_num = piecewise(first, 0.0, 0.5, lam)
-    second_num = piecewise(second, 0.5, 1.0, 1.0 - lam)
-
-    pairs = [
-        (moment_abs(lam).first_half, first_num),
-        (moment_abs(lam).second_half, second_num),
-    ]
-    if lam <= 0.5:
-        pairs.append((weighted_moment_small_lambda(lam), first_num))
-        pairs.append((weighted_moment_small_lambda_mirror(lam), second_num))
-    if lam >= 0.5:
-        pairs.append((weighted_moment_large_lambda(lam), first_num))
-        pairs.append((lam / 4.0 - 1.0 / 12.0, first_num + second_num))
-    return max(abs(closed - numeric) for closed, numeric in pairs)
+    return weighted_moment(Fraction(lam))

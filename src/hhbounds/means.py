@@ -5,7 +5,9 @@ which turns the rule bounds at lam in {0, 1, 1/3} into closed-form
 inequalities between the arithmetic mean, the generalized log-mean, and
 powers thereof.  Those are checked as claims (never asserted blindly): the
 stated constant family is suspect at q > 1 and the checker reproduces its
-counterexamples in exact arithmetic.
+counterexamples in exact arithmetic.  A check is the corollary rule bound
+for x^n, evaluated through the same functional and bound formulas and the
+same status classifier as the campaign claims.
 """
 
 from __future__ import annotations
@@ -15,26 +17,20 @@ from fractions import Fraction
 
 import mpmath
 
-from .oracle import to_mpf
-from .records import VerificationRecord
+from . import bounds, functionals
+from .corpus import Interval
+from .records import VerificationRecord, classify
 
 __all__ = [
     "mean_arithmetic",
     "mean_logarithmic",
     "mean_generalized_log",
     "generalized_log_pow_exact",
-    "PROP_DENOMINATORS",
     "check_proposition",
 ]
 
-# Per-proposition power-sum denominators: stated as printed, derived from
-# the kernel-moment chain (half denominators).
-PROP_DENOMINATORS = {
-    "stated": {1: 48, 2: 24, 3: 162},
-    "derived": {1: 24, 2: 12, 3: 81},
-}
-
-_PROP_LAMBDA = {1: 0.0, 2: 1.0, 3: 1.0 / 3.0}
+# Propositions 1, 2 and 3 are the midpoint, trapezoid and Simpson rules.
+_PROP_RULES = ("midpoint", "trapezoid", "simpson")
 
 
 def _check_positive_pair(alpha: float, beta: float) -> None:
@@ -80,19 +76,6 @@ def generalized_log_pow_exact(a, b, n: int) -> Fraction:
     return (bf ** (n + 1) - af ** (n + 1)) / ((n + 1) * (bf - af))
 
 
-def _proposition_lhs_exact(idx: int, a: Fraction, b: Fraction, n: int) -> Fraction:
-    ln_pow = generalized_log_pow_exact(a, b, n)
-    a_pow_n = ((a + b) / 2) ** n
-    a_of_pows = (a**n + b**n) / 2
-    if idx == 1:
-        return abs(ln_pow - a_pow_n)
-    if idx == 2:
-        return abs(a_of_pows - ln_pow)
-    if idx == 3:
-        return abs(a_of_pows / 3 + 2 * a_pow_n / 3 - ln_pow)
-    raise ValueError("proposition index must be 1, 2 or 3")
-
-
 def check_proposition(
     idx: int,
     a,
@@ -106,16 +89,20 @@ def check_proposition(
 ) -> VerificationRecord:
     """Check one special-means inequality for f(x) = x^n on [a, b].
 
-    lhs (exact rational): the mean combination for the given index;
-    rhs: |n(n-1)| (b-a)^2 / C * (a^(q(n-2)) + b^(q(n-2)))^(1/q), with C per
-    ``PROP_DENOMINATORS``.  The rhs is rational at q = 1 and evaluated at
-    ``dps`` decimal digits otherwise, so a reported violation never rests on
-    double rounding.  The guard |n(n-1)| >= 3 is not enforced here; callers
-    that treat it as a hypothesis filter on n do so themselves.
+    It is the corollary bound of the proposition's rule (1 midpoint,
+    2 trapezoid, 3 Simpson) for x^n, in exact rationals.  lhs = |F(lam)|
+    with avg(x^n) = L_n^n(a, b): |L_n^n - A^n|, |A(a^n, b^n) - L_n^n| and
+    |A(a^n, b^n)/3 + 2 A^n/3 - L_n^n|.  rhs: the power-mean bound with
+    |f''(x)| = |n(n-1)| x^(n-2), i.e. |n(n-1)| (b-a)^2 / C *
+    (a^(q(n-2)) + b^(q(n-2)))^(1/q) with C = 48, 24, 162 (stated) or 24,
+    12, 81 (derived).  The rhs is rational at q = 1 and evaluated at
+    ``dps`` decimal digits otherwise, so a reported violation never rests
+    on double rounding.  The guard |n(n-1)| >= 3 is not enforced here;
+    callers that treat it as a hypothesis filter on n do so themselves.
     """
     if idx not in (1, 2, 3):
         raise ValueError("proposition index must be 1, 2 or 3")
-    if variant not in PROP_DENOMINATORS:
+    if variant not in ("stated", "derived"):
         raise ValueError(f"variant must be 'stated' or 'derived', got {variant!r}")
     _check_order(n)
     if not q >= 1.0:
@@ -124,39 +111,22 @@ def check_proposition(
     if not 0 < af < bf:
         raise ValueError("requires 0 < a < b")
 
-    denom = PROP_DENOMINATORS[variant][idx]
-    lhs = _proposition_lhs_exact(idx, af, bf, n)
-    coeff = abs(n * (n - 1)) * (bf - af) ** 2 / denom
-    qf = Fraction(q)
-
-    if qf == 1:
-        rhs_exact = coeff * (af ** (n - 2) + bf ** (n - 2))
-        margin_exact = rhs_exact - lhs
-        lhs_f, rhs_f = float(lhs), float(rhs_exact)
-        margin_f = float(margin_exact)
-        scale = max(1.0, abs(lhs_f), abs(rhs_f))
-        if margin_f < -tol * scale:
-            status = "violated"
-        elif margin_exact == 0:
-            status = "equality"
-        else:
-            status = "holds"
-    else:
-        with mpmath.workdps(dps):
-            qm = to_mpf(qf)
-            e = to_mpf(qf * (n - 2))
-            power_sum = to_mpf(af) ** e + to_mpf(bf) ** e
-            rhs_mp = to_mpf(coeff) * power_sum ** (1 / qm)
-            margin_mp = rhs_mp - to_mpf(lhs)
-            lhs_f, rhs_f = float(lhs), float(rhs_mp)
-            margin_f = float(margin_mp)
-        scale = max(1.0, abs(lhs_f), abs(rhs_f))
-        if margin_f < -tol * scale:
-            status = "violated"
-        elif abs(margin_f) <= eq_tol * scale:
-            status = "equality"
-        else:
-            status = "holds"
+    rule = _PROP_RULES[idx - 1]
+    samples = (
+        af**n,
+        ((af + bf) / 2) ** n,
+        bf**n,
+        generalized_log_pow_exact(af, bf, n),
+    )
+    k = abs(n * (n - 1))
+    ends = bounds.EndpointData(k * af ** (n - 2), k * bf ** (n - 2))
+    with mpmath.workdps(dps):
+        status, lhs, rhs, margin = classify(
+            abs(functionals._lambda_value(samples, bounds.RULE_LAMBDA_EXACT[rule])),
+            bounds.bound_corollary(rule, Interval(af, bf), q, ends, variant),
+            tol,
+            eq_tol,
+        )
 
     fid = f"poly{n}" if 2 <= n <= 5 else f"x^{n}"
     return VerificationRecord(
@@ -164,11 +134,11 @@ def check_proposition(
         function=fid,
         a=float(af),
         b=float(bf),
-        lam=_PROP_LAMBDA[idx],
+        lam=float(bounds.RULE_LAMBDA_EXACT[rule]),
         q=float(q),
-        lhs=lhs_f,
-        rhs=rhs_f,
-        margin=margin_f,
+        lhs=lhs,
+        rhs=rhs,
+        margin=margin,
         status=status,
         exact=True,
     )

@@ -33,16 +33,18 @@ from hhbounds.functionals import (
 )
 from hhbounds.harness import CampaignConfig, run_campaign
 from hhbounds.kernel import (
-    moment_abs_exact,
-    verify_moments_numeric,
     weighted_moment_large_lambda_exact,
     weighted_moment_small_lambda,
     weighted_moment_small_lambda_exact,
-    weighted_moment_small_lambda_mirror,
-    weighted_moment_small_lambda_mirror_exact,
 )
 from hhbounds.means import check_proposition
 from hhbounds.oracle import to_mpf
+from moment_reference import (
+    moment_abs_exact,
+    verify_moments_numeric,
+    weighted_moment_small_lambda_mirror,
+    weighted_moment_small_lambda_mirror_exact,
+)
 
 LAMBDA_GRID_21 = tuple(i / 20 for i in range(21))
 P_CONVEX_CORPUS = ("poly2", "poly3", "poly4", "poly5", "const1", "expx")

@@ -94,6 +94,24 @@ class TestBoundCommand:
         code, _ = run_cli("bound", "--rule", "simpson", "--a", "0", "--b", "1")
         assert code == USAGE_ERROR
 
+    @pytest.mark.parametrize(
+        "flags",
+        [
+            ("--rule", "midpoint", "--ma", "-1", "--mb", "1"),
+            ("--rule", "midpoint", "--q", "2", "--ma", "-1", "--mb", "1"),
+            ("--rule", "midpoint", "--big-m", "-1", "--form", "relaxed"),
+            ("--rule", "trapezoid", "--k-lo", "3", "--k-hi", "1"),
+            ("--rule", "simpson", "--d4-sup", "-1"),
+        ],
+        ids=["negative-ma", "negative-ma-mp", "negative-m", "k-lo-above-k-hi",
+             "negative-d4"],
+    )
+    def test_invalid_derivative_data_usage_error(self, flags, capsys):
+        code, out = run_cli("bound", "--a", "0", "--b", "1", *flags)
+        assert code == USAGE_ERROR
+        assert out == ""
+        assert "error:" in capsys.readouterr().err
+
 
 class TestVerifyCommand:
     def test_proof_backed_exit_zero(self):
@@ -202,13 +220,17 @@ class TestVerifyCommand:
         assert doc["summary"]["violated_proof_backed"] == ["thm5"]
 
     def test_exact_confirmation_rescues_float_glitch(self, monkeypatch):
-        # a float-path undershoot alone is rejected by the exact re-check
+        # a float-path undershoot alone is rejected by the exact re-check:
+        # the one bound formula undershoots only when it receives floats
         from hhbounds import bounds as bmod
 
         orig_f = bmod.bound_theorem5
-        monkeypatch.setattr(
-            bmod, "bound_theorem5", lambda dom, lam, e: orig_f(dom, lam, e) * 1e-3
-        )
+
+        def glitched(dom, lam, e):
+            value = orig_f(dom, lam, e)
+            return value * 1e-3 if isinstance(lam, float) else value
+
+        monkeypatch.setattr(bmod, "bound_theorem5", glitched)
         code, out = run_cli(
             "verify", "--claims", "thm5", "--functions", "poly3",
             "--lambda-grid", "0.5",
@@ -216,6 +238,8 @@ class TestVerifyCommand:
         assert code == 0
         doc = json.loads(out)
         assert doc["summary"]["by_status"]["violated"] == 0
+        # the glitch reached the float path and the exact path decided
+        assert [r["exact"] for r in doc["records"]] == [True]
 
     def test_seed_env_override(self, monkeypatch):
         monkeypatch.setenv("HHBOUNDS_SEED", "99")
@@ -324,6 +348,15 @@ class TestOtherCommands:
         assert code == USAGE_ERROR
         assert out == ""
         assert "error:" in capsys.readouterr().err
+
+    def test_pconvex_grid_over_lattice_cap_is_usage_error(self, capsys):
+        code, out = run_cli(
+            "pconvex", "--function", "poly2", "--a", "0", "--b", "1",
+            "--grid", "1000,1001,1000",
+        )
+        assert code == USAGE_ERROR
+        assert out == ""
+        assert "exceeds the cap" in capsys.readouterr().err
 
     def test_search_finds_stated_counterexample(self):
         code, out = run_cli(

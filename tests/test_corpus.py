@@ -253,6 +253,15 @@ class TestCheckPConvex:
         with pytest.raises(ValueError):
             GridSpec(nx=2)
 
+    def test_grid_lattice_cap(self):
+        # constructing a GridSpec allocates nothing; the cap is on
+        # n = (nlam - 1) * lcm(nx - 1, ny - 1) + 1
+        with pytest.raises(ValueError, match="998001001"):
+            GridSpec(1000, 1001, 1000)
+        with pytest.raises(ValueError, match="10000001"):
+            GridSpec(3, 3, 5_000_001)
+        assert GridSpec(3, 3, 5_000_000).nlam == 5_000_000  # n = 9,999,999
+
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_abs_d2_of_monomials_is_p_convex_on_positive_domain(self, n):
         fn = get_function(f"poly{n}")

@@ -4,10 +4,11 @@ import json
 from fractions import Fraction
 
 import mpmath
+import numpy as np
 import pytest
 
 from hhbounds import bounds, functionals
-from hhbounds.corpus import Interval, TestFunction, corpus_standard
+from hhbounds.corpus import GridSpec, Interval, TestFunction, corpus_standard
 from hhbounds.harness import (
     PROOF_BACKED,
     STATED_ONLY,
@@ -22,6 +23,65 @@ from hhbounds.harness import (
 from hhbounds.oracle import to_mpf
 
 LEDGER = ledger_standard()
+
+PB, SO, THIRD = "proof-backed", "stated-only", 1 / 3
+PIN_FIELDS = (
+    "id", "provenance", "family", "rule", "variant", "form", "prop_idx", "p",
+    "uses_lambda", "fixed_lambda", "uses_q",
+)
+# The whole ledger, field by field: provenances never change, and every
+# rule lambda comes from one table.
+LEDGER_PIN = (
+    ("thm5", PB, "thm5", None, None, None, None, None, True, None, False),
+    ("thm6-stated", SO, "thm6", None, "stated", None, None, None, True, None, True),
+    ("thm6-derived", PB, "thm6", None, "derived", None, None, None, True, None, True),
+    ("cor1-stated", SO, "cor", "midpoint", "stated", None, None, None, False, 0.0, True),
+    ("cor1-derived", PB, "cor", "midpoint", "derived", None, None, None, False, 0.0, True),
+    ("cor2-stated", SO, "cor", "trapezoid", "stated", None, None, None, False, 1.0, True),
+    ("cor2-derived", PB, "cor", "trapezoid", "derived", None, None, None, False, 1.0, True),
+    ("cor3-stated", SO, "cor", "simpson", "stated", None, None, None, False, THIRD, True),
+    ("cor3-derived", PB, "cor", "simpson", "derived", None, None, None, False, THIRD, True),
+    ("cor4-stated", SO, "corm", "midpoint", "stated", "with_q", None, None, False, 0.0, True),
+    ("cor4-derived", PB, "corm", "midpoint", "derived", "with_q", None, None, False, 0.0, True),
+    ("cor4-relaxed", PB, "corm", "midpoint", "stated", "relaxed", None, None, False, 0.0, False),
+    ("cor5-stated", SO, "corm", "trapezoid", "stated", "with_q", None, None, False, 1.0, True),
+    ("cor5-derived", PB, "corm", "trapezoid", "derived", "with_q", None, None, False, 1.0, True),
+    ("cor5-relaxed", PB, "corm", "trapezoid", "stated", "relaxed", None, None, False, 1.0, False),
+    ("cor8-stated", SO, "corm", "simpson", "stated", "with_q", None, None, False, THIRD, True),
+    ("cor8-derived", PB, "corm", "simpson", "derived", "with_q", None, None, False, THIRD, True),
+    ("cor8-relaxed", PB, "corm", "simpson", "stated", "relaxed", None, None, False, THIRD, False),
+    ("hh", PB, "hh", None, None, None, None, None, False, None, False),
+    ("hh-p", PB, "hh-p", None, None, None, None, None, False, None, False),
+    ("mid-envelope", PB, "envelope", "midpoint", None, None, None, None, False, None, False),
+    ("trap-envelope", PB, "envelope", "trapezoid", None, None, None, None, False, None, False),
+    ("simpson-4th-p4", PB, "simpson4", "simpson", None, None, None, 4, False, None, False),
+    ("simpson-4th-p2", SO, "simpson4", "simpson", None, None, None, 2, False, None, False),
+    ("prop1-stated", SO, "prop", None, "stated", None, 1, None, False, 0.0, True),
+    ("prop1-derived", PB, "prop", None, "derived", None, 1, None, False, 0.0, True),
+    ("prop2-stated", SO, "prop", None, "stated", None, 2, None, False, 1.0, True),
+    ("prop2-derived", PB, "prop", None, "derived", None, 2, None, False, 1.0, True),
+    ("prop3-stated", SO, "prop", None, "stated", None, 3, None, False, THIRD, True),
+    ("prop3-derived", PB, "prop", None, "derived", None, 3, None, False, THIRD, True),
+)
+
+
+def _finite_only_at_samples() -> TestFunction:
+    """f(x) = 2x at 1, 1.5 and 2 (the points the float sides read on
+    [1, 2]), with a closed-form integral, and NaN everywhere else."""
+
+    def f(x):
+        x = np.asarray(x, dtype=float)
+        out = np.where(np.isin(x, (1.0, 1.5, 2.0)), 2.0 * x, np.nan)
+        return out if out.ndim else float(out)
+
+    return TestFunction(
+        id="spiky",
+        f=f,
+        d1=lambda x: 2.0 + 0.0 * x,
+        d2=lambda x: 0.0 * x,
+        domain=Interval(0.0, 10.0),
+        exact_integral=lambda a, b: b * b - a * a,
+    )
 
 
 class TestLedger:
@@ -65,6 +125,13 @@ class TestLedger:
         with pytest.raises(KeyError):
             get_claim("thm99")
 
+    def test_ledger_pinned(self):
+        rows = tuple(tuple(getattr(c, f) for f in PIN_FIELDS) for c in LEDGER)
+        assert rows == LEDGER_PIN
+        for c in LEDGER:
+            if c.fixed_lambda is not None:
+                assert type(c.fixed_lambda) is float
+
 
 class TestSampler:
     def test_bounds_and_width(self):
@@ -72,6 +139,10 @@ class TestSampler:
         for a, b in sample_intervals(cfg):
             assert 0.1 <= a < b <= 10.0
             assert b - a >= 0.05
+
+    def test_oversized_pconvex_grid_rejected(self):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            CampaignConfig(pconvex_grid=GridSpec(1000, 1001, 1000))
 
     def test_seed_determinism_and_grid_independence(self):
         base = CampaignConfig(trials=50, seed=3)
@@ -188,6 +259,19 @@ class TestRunCampaign:
         res = run_campaign(cfg, registry=registry)
         assert len(res.records) == 1
         assert res.records[0].status == "undefined"
+
+    def test_confirmation_failure_is_undefined(self):
+        # the hh margin on [1, 2] is 0, inside the equality band, so it is
+        # confirmed by re-integrating f, which meets NaN: that failure must
+        # become a record, in campaigns and in searches alike
+        registry = {"spiky": _finite_only_at_samples()}
+        cfg = CampaignConfig(claims=("hh",), functions=("spiky",))
+        res = run_campaign(cfg, registry=registry)
+        assert [r.status for r in res.records] == ["undefined"]
+        assert res.records[0].lhs is None
+        search = CampaignConfig(functions=("spiky",), trials=5, seed=3)
+        out = find_counterexample("hh", search, registry)
+        assert out.record is None and out.trials == 5
 
     def test_interval_outside_function_domain_is_hypothesis_failed(self):
         cfg = CampaignConfig(
