@@ -143,10 +143,23 @@ def _power_sum(m_a, m_b, q):
 
 
 def _times(c, s):
-    """c * s, with an exact c converted to mpf once when s is an mpf root."""
-    if isinstance(s, mpmath.mpf):
+    """c * s, with an exact c converted to mpf once when s is an mpf root
+    (a c that is already an mpf is used as it is)."""
+    if isinstance(s, mpmath.mpf) and not isinstance(c, mpmath.mpf):
         return to_mpf(c) * s
     return c * s
+
+
+def _coefficient(domain, lam):
+    """(b-a)^2 * moment(lam), the lam factor of theorems 5 and 6."""
+    return domain.width**2 * kernel.weighted_moment(lam)
+
+
+def _combine(c, s, variant: Variant):
+    """The power-mean bound from its lam factor ``c`` and power sum ``s``:
+    c * s for the derived constant, half of it for the stated one."""
+    bound = _times(c, s)
+    return bound if variant == "derived" else bound / 2
 
 
 def bound_theorem5(domain: Interval, lam, e: EndpointData):
@@ -157,7 +170,7 @@ def bound_theorem5(domain: Interval, lam, e: EndpointData):
 
     The two branches agree at the seam (both give (b-a)^2/48 there).
     """
-    return domain.width**2 * kernel.weighted_moment(lam) * (e.m_a + e.m_b)
+    return _coefficient(domain, lam) * (e.m_a + e.m_b)
 
 
 def bound_theorem5_exact(domain, lam, m_a, m_b) -> Fraction:
@@ -172,13 +185,13 @@ def bound_theorem6(domain: Interval, lam, q, e: EndpointData, variant: Variant):
     (b-a)^2/48 * (8 lam^3 - 3 lam + 1) * S (small lam) and
     (b-a)^2/48 * (3 lam - 1) * S (large lam); the derived family replaces
     /48 by /24 and reduces to :func:`bound_theorem5` at q = 1.  Exact
-    inputs give a Fraction at q = 1 and an mpf otherwise.
+    inputs give a Fraction at q = 1 and an mpf otherwise.  It is the
+    combination of its lam factor and its power sum, which campaigns cache
+    per panel and combine themselves.
     """
     _check_q(q)
     _check_variant(variant)
-    s = _power_sum(e.m_a, e.m_b, q)
-    bound = _times(domain.width**2 * kernel.weighted_moment(lam), s)
-    return bound if variant == "derived" else bound / 2
+    return _combine(_coefficient(domain, lam), _power_sum(e.m_a, e.m_b, q), variant)
 
 
 def bound_theorem6_exact(domain, lam, q, m_a, m_b, variant: Variant) -> Fraction:

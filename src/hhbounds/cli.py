@@ -18,12 +18,12 @@ from __future__ import annotations
 import argparse
 import csv
 import io
-import json
 import os
 import sys
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Sequence
+from json.encoder import encode_basestring_ascii
+from typing import Optional, Sequence, TextIO
 
 from . import __version__, bounds, functionals, harness, means
 from .corpus import GridSpec, Interval, check_p_convex, function_ids, get_function
@@ -110,8 +110,89 @@ def report_document(result: harness.CampaignResult) -> dict:
     }
 
 
-def to_json(doc: dict) -> str:
-    return json.dumps(doc, indent=2)
+def to_json(doc: dict, out: Optional[TextIO] = None) -> Optional[str]:
+    """``doc`` exactly as ``json.dumps(doc, indent=2)`` writes it.
+
+    Returned as a string, or, given ``out``, written to that stream with a
+    final newline (the layout of a report) and None returned.  Records (the
+    dicts of :meth:`VerificationRecord.as_dict`) are written through one
+    fixed template instead of a generic encoder.
+    """
+    if out is not None:
+        _write_json(out.write, doc, "\n")
+        out.write("\n")
+        return None
+    chunks: list[str] = []
+    _write_json(chunks.append, doc, "\n")
+    return "".join(chunks)
+
+
+_repr = float.__repr__
+
+
+def _json_scalar(v) -> str:
+    """``v`` as :mod:`json` encodes a scalar, tested in its order."""
+    if isinstance(v, str):
+        return encode_basestring_ascii(v)
+    if v is None:
+        return "null"
+    if v is True or v is False:
+        return "true" if v else "false"
+    if isinstance(v, int):
+        return int.__repr__(v)
+    if isinstance(v, float):
+        if v - v == 0:  # finite
+            return _repr(v)
+        return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
+    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
+
+
+def _write_json(write, value, nl: str) -> None:
+    """Write ``value`` in the ``indent=2`` layout; ``nl`` is a newline plus
+    the indentation of the enclosing level."""
+    inner = nl + "  "
+    if isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
+        sep = "{" + inner
+        for key, item in value.items():
+            if not isinstance(key, str):
+                key = _json_scalar(key)
+            write(sep + encode_basestring_ascii(key) + ": ")
+            _write_json(write, item, inner)
+            sep = "," + inner
+        write(nl + "}")
+    elif isinstance(value, (list, tuple)):
+        if not value:
+            write("[]")
+            return
+        template = _record_template(inner)
+        sep = "[" + inner
+        for item in value:
+            if type(item) is dict and tuple(item) == _RECORD_FIELDS:
+                write(sep + template % tuple([
+                    _repr(v) if type(v) is float and v - v == 0
+                    else encode_basestring_ascii(v) if type(v) is str
+                    else "null" if v is None
+                    else _json_scalar(v)
+                    for v in item.values()
+                ]))
+            else:
+                write(sep)
+                _write_json(write, item, inner)
+            sep = "," + inner
+        write(nl + "]")
+    else:
+        write(_json_scalar(value))
+
+
+def _record_template(nl: str) -> str:
+    """The ``indent=2`` layout of one record dict at the level of ``nl``,
+    with a %s for each field value."""
+    inner = nl + "  "
+    fields = ("," + inner).join(f'"{k}": %s' for k in _RECORD_FIELDS)
+    return "{" + inner + fields + nl + "}"
 
 
 def to_csv(records: Sequence[VerificationRecord]) -> str:
@@ -290,20 +371,22 @@ def _validate_ids(config, parser) -> None:
         parser.error(str(exc.args[0]))
 
 
+def _write_report(result: harness.CampaignResult, fmt: str, out: TextIO) -> None:
+    if fmt == "json":
+        to_json(report_document(result), out)
+    elif fmt == "csv":
+        out.write(to_csv(result.records))
+    else:
+        out.write(to_table(report_document(result)))
+
+
 def _cmd_verify(args, parser) -> int:
     config = _campaign_config(args, parser)
     _validate_ids(config, parser)
     result = harness.run_campaign(config)
-    doc = report_document(result)
-    if args.format == "json":
-        payload = to_json(doc) + "\n"
-    elif args.format == "csv":
-        payload = to_csv(result.records)
-    else:
-        payload = to_table(doc)
     if args.out:
         with open(args.out, "w") as fh:
-            fh.write(payload)
+            _write_report(result, args.format, fh)
         s = result.summary
         print(
             f"wrote {s['total']} records to {args.out} "
@@ -311,7 +394,7 @@ def _cmd_verify(args, parser) -> int:
             file=sys.stderr,
         )
     else:
-        sys.stdout.write(payload)
+        _write_report(result, args.format, sys.stdout)
 
     if result.summary["violated_proof_backed"]:
         return 2

@@ -21,6 +21,7 @@ one exists in closed form.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -28,7 +29,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .oracle import integrate_exact_poly
+from .oracle import _poly_terms, integrate_exact_poly
 
 __all__ = [
     "Interval",
@@ -92,6 +93,11 @@ class TestFunction:
 
     def __repr__(self) -> str:  # keep campaign reprs small
         return f"TestFunction({self.id!r})"
+
+    @functools.cached_property
+    def _terms(self) -> Optional[tuple[tuple[int, Fraction], ...]]:
+        """The nonzero terms (k, c_k) of ``poly_coeffs``, computed once."""
+        return None if self.poly_coeffs is None else _poly_terms(self.poly_coeffs)
 
 
 @dataclass(frozen=True)

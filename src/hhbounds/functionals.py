@@ -29,7 +29,7 @@ from typing import Optional
 
 from . import kernel, oracle
 from .corpus import Interval, TestFunction
-from .oracle import integrate_exact_poly, poly_eval_exact
+from .oracle import _as_fraction, _terms_at, _terms_integral
 
 __all__ = [
     "DeviationValue",
@@ -86,8 +86,7 @@ def average_value_exact(f: TestFunction, domain) -> Fraction:
     """Exact average value; requires the polynomial coefficient path."""
     if f.poly_coeffs is None:
         raise ValueError(f"{f.id} has no exact rational path")
-    lo, hi = Fraction(domain.lo), Fraction(domain.hi)
-    return integrate_exact_poly(f.poly_coeffs, (lo, hi)) / (hi - lo)
+    return _terms_integral(f._terms, domain.lo, domain.hi, average=True)
 
 
 def _samples(f: TestFunction, domain: Interval, avg=None) -> tuple:
@@ -104,14 +103,9 @@ def _samples_exact(f: TestFunction, domain, avg=None) -> tuple:
     computed when not given."""
     if avg is None:
         avg = average_value_exact(f, domain)
-    lo, hi = Fraction(domain.lo), Fraction(domain.hi)
-    c = f.poly_coeffs
-    return (
-        poly_eval_exact(c, lo),
-        poly_eval_exact(c, (lo + hi) / 2),
-        poly_eval_exact(c, hi),
-        avg,
-    )
+    lo, hi = _as_fraction(domain.lo), _as_fraction(domain.hi)
+    t = f._terms
+    return _terms_at(t, lo), _terms_at(t, (lo + hi) / 2), _terms_at(t, hi), avg
 
 
 def _lambda_value(s: tuple, lam):

@@ -12,20 +12,29 @@ provenance tag:
 
 A campaign sweeps (claim, function, interval, lambda, q) combinations,
 records one :class:`VerificationRecord` per combination, and aggregates a
-per-claim summary.  Each claim family has one side function that states
-its inequality on a panel: the values of one (function, interval) cached
-per run in floats, in floats with a refined average, or in exact
-rationals.  The float sides come first; any margin that is not a
-comfortable 'holds' is re-derived by the same side function on the exact
-panel (polynomials; 50 digits where a q-th root is irrational) or on the
+per-claim summary.  It evaluates one block at a time: a claim on one
+(function, interval) over the whole lambda x q grid.  The hypothesis is
+checked once per q.  Each claim family has one side function that states
+its inequality on a panel: the values of one (function, interval) in
+floats, in floats with a refined average, or in exact rationals.  A panel
+also caches the statistics the lambda-family sides factor into, each
+computed once by the formulas of :mod:`bounds` and shared by every claim
+that reads it: |F(lam)| and the bound's lam factor (b-a)^2 moment(lam) per
+lam, the power sum (|f''(a)|^q + |f''(b)|^q)^(1/q) per q, and on an exact
+panel their 50-digit forms.  The float sides come first; any margin that is
+not a comfortable 'holds' is re-derived by the same side function, inside
+one 50-digit context per block, on the exact panel (polynomials) or on the
 refined one, and :func:`~hhbounds.records.classify` decides every status.
-An oracle failure anywhere, confirmation included, yields an 'undefined'
-record.  Runs are deterministic for a fixed config.
+The special-means propositions are the corollary sides of their rule,
+evaluated on the exact panel of x^n.  An oracle failure anywhere,
+confirmation included, yields an 'undefined' record.  Runs are
+deterministic for a fixed config.
 """
 
 from __future__ import annotations
 
 import random
+from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Mapping, Optional
@@ -42,7 +51,13 @@ from .corpus import (
     corpus_standard,
     _sample,
 )
-from .oracle import OracleError, poly_derivative_coeffs, poly_eval_exact
+from .oracle import (
+    OracleError,
+    _poly_terms,
+    _terms_at,
+    poly_derivative_coeffs,
+    to_mpf,
+)
 from .records import STATUSES, VerificationRecord, classify
 
 __all__ = [
@@ -224,6 +239,10 @@ class CampaignConfig:
     def __post_init__(self) -> None:
         if not self.lambda_grid or not self.q_grid:
             raise ValueError("lambda and q grids must be nonempty")
+        if not all(0 <= lam <= 1 for lam in self.lambda_grid):
+            raise ValueError("lambda grid values must lie in [0, 1]")
+        if not all(q >= 1 for q in self.q_grid):
+            raise ValueError("q grid values must be >= 1")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
 
@@ -266,8 +285,8 @@ def sample_intervals(config: CampaignConfig) -> list[tuple[float, float]]:
 
 
 class _Panel:
-    """One (function, interval) in one number type, as the side functions
-    read it.
+    """One (function, interval) in one number type, and the statistics the
+    side functions read from it.
 
     ``kind`` is 'float', 'refined' (floats, with the average re-integrated
     by the oracle at a tenth of the tolerance, bypassing any closed form)
@@ -275,16 +294,30 @@ class _Panel:
     that type and ``samples`` is (f(a), f(m), f(b), avg(f)).  The endpoint
     data |f''(a)|, |f''(b)| and the sampled envelope are computed on first
     use, since only some claim families read them.
+
+    The lambda-family sides factor into one value per lam and one per q:
+    |F(lam)|, the bound's lam factor (b-a)^2 moment(lam), and the power sum
+    (|f''(a)|^q + |f''(b)|^q)^(1/q).  Each is computed once per panel, by
+    the same formulas :func:`bounds.bound_theorem6` combines, and shared by
+    every claim that reads it.  An exact panel also keeps the mpf forms of
+    the lam values; it meets mpfs only inside the 50-digit confirmation
+    context, so they are all taken at that precision.
     """
+
+    __slots__ = (
+        "_ctx", "_fn", "_interval", "_ends", "_env", "_memo", "exact", "domain",
+        "samples",
+    )
 
     def __init__(self, ctx: "_Context", fn: TestFunction, domain: Interval, kind: str):
         self._ctx, self._fn, self._interval = ctx, fn, domain
         self._ends = self._env = None
+        self._memo = defaultdict(dict)  # statistic -> {lam or q: value}
         self.exact = kind == "exact"
         if self.exact:
             self.domain = bounds._exact(domain)
             avg = ctx.average_exact(fn, domain)
-            self.samples = functionals._samples_exact(fn, domain, avg)
+            self.samples = functionals._samples_exact(fn, self.domain, avg)
             return
         self.domain = domain
         if kind == "refined":
@@ -301,8 +334,8 @@ class _Panel:
         if self._ends is None:
             lo, hi = self.domain.lo, self.domain.hi
             if self.exact:
-                d2c = poly_derivative_coeffs(self._fn.poly_coeffs, 2)
-                m_a, m_b = poly_eval_exact(d2c, lo), poly_eval_exact(d2c, hi)
+                d2 = self._ctx.d2_terms(self._fn)
+                m_a, m_b = _terms_at(d2, lo), _terms_at(d2, hi)
             else:
                 m_a, m_b = float(self._fn.d2(lo)), float(self._fn.d2(hi))
             self._ends = bounds.EndpointData(abs(m_a), abs(m_b))
@@ -323,6 +356,40 @@ class _Panel:
             self._env = env
         return self._env
 
+    def lhs(self, lam, mp: bool = False):
+        """|F(lam)|; its mpf when ``mp``."""
+        key = lam.as_integer_ratio() if self.exact else lam  # Fractions hash slowly
+        memo = self._memo["lhs"]
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = abs(functionals._lambda_value(self.samples, lam))
+        return self._mpf("lhs_mp", key, v) if mp else v
+
+    def theorem6(self, lam, q, variant: str):
+        """:func:`bounds.bound_theorem6` from the cached lam factor and
+        power sum."""
+        memo = self._memo["power_sum"]
+        s = memo.get(q)
+        if s is None:
+            e = self.ends
+            s = memo[q] = bounds._power_sum(e.m_a, e.m_b, q)
+        key = lam.as_integer_ratio() if self.exact else lam
+        memo = self._memo["lam_factor"]
+        c = memo.get(key)
+        if c is None:
+            c = memo[key] = bounds._coefficient(self.domain, lam)
+        if isinstance(s, mpmath.mpf):
+            c = self._mpf("lam_factor_mp", key, c)
+        return bounds._combine(c, s, variant)
+
+    def _mpf(self, stat: str, key, value):
+        """``value`` as an mpf, cached as ``stat`` at ``key``."""
+        memo = self._memo[stat]
+        v = memo.get(key)
+        if v is None:
+            v = memo[key] = to_mpf(value)
+        return v
+
 
 class _Context:
     """Per-run caches: panels, exact averages, envelopes, P-checks."""
@@ -331,6 +398,7 @@ class _Context:
         self.config = config
         self._panel: dict = {}
         self._average_exact: dict = {}
+        self._d2_terms: dict = {}
         self._pcheck: dict = {}
         self._envelope: dict = {}
 
@@ -341,6 +409,13 @@ class _Context:
         if key not in self._average_exact:
             self._average_exact[key] = functionals.average_value_exact(fn, domain)
         return self._average_exact[key]
+
+    def d2_terms(self, fn: TestFunction):
+        """The nonzero terms of f'' for a polynomial."""
+        if fn.id not in self._d2_terms:
+            d2 = poly_derivative_coeffs(fn.poly_coeffs, 2)
+            self._d2_terms[fn.id] = _poly_terms(d2)
+        return self._d2_terms[fn.id]
 
     def panel(self, fn: TestFunction, domain: Interval, kind: str) -> _Panel:
         key = (kind, fn.id, domain.lo, domain.hi)
@@ -390,16 +465,17 @@ class _Context:
 
 
 def _monomial_order(fn: TestFunction) -> Optional[int]:
+    """n when f is exactly x^n, else None."""
     if fn.poly_coeffs is None:
         return None
     nz = [k for k, c in enumerate(fn.poly_coeffs) if c != 0]
-    if len(nz) != 1:
+    if len(nz) != 1 or fn.poly_coeffs[nz[0]] != 1:
         return None
     return nz[0]
 
 
 # ---------------------------------------------------------------------------
-# Per-combination evaluation
+# Block evaluation
 # ---------------------------------------------------------------------------
 #
 # A side function returns the candidate inequalities (lhs, rhs) of one claim
@@ -408,10 +484,10 @@ def _monomial_order(fn: TestFunction) -> Optional[int]:
 
 
 def _lambda_sides(claim: BoundClaim, p: _Panel, lam, q):
-    """|F(lam)| against the theorem 5/6, corollary or uniform-M bound."""
+    """|F(lam)| against the theorem 5/6, corollary or uniform-M bound; a
+    special-means proposition is the corollary bound of its rule for x^n."""
     if p.exact:
-        lam = bounds.RULE_LAMBDA_EXACT[claim.rule] if claim.rule else Fraction(lam)
-    lhs = abs(functionals._lambda_value(p.samples, lam))
+        lam = _EXACT_LAMBDA[claim.id] if claim.id in _EXACT_LAMBDA else Fraction(lam)
     fam = claim.family
     if fam == "thm5":
         rhs = bounds.bound_theorem5(p.domain, lam, p.ends)
@@ -420,9 +496,9 @@ def _lambda_sides(claim: BoundClaim, p: _Panel, lam, q):
         rhs = bounds.bound_bounded_m(
             claim.rule, p.domain, q, p.env, claim.form, claim.variant
         )
-    else:  # thm6, and the corollaries at their rule's lam
-        rhs = bounds.bound_theorem6(p.domain, lam, q, p.ends, claim.variant)
-    return ((lhs, rhs),)
+    else:  # thm6, and the corollaries and propositions at their rule's lam
+        rhs = p.theorem6(lam, q, claim.variant)
+    return ((p.lhs(lam, isinstance(rhs, mpmath.mpf)), rhs),)
 
 
 def _hh_sides(claim: BoundClaim, p: _Panel, lam, q):
@@ -454,85 +530,101 @@ _SIDES = {
     "thm6": _lambda_sides,
     "cor": _lambda_sides,
     "corm": _lambda_sides,
+    "prop": _lambda_sides,
     "hh": _hh_sides,
     "hh-p": _hh_sides,
     "envelope": _envelope_sides,
     "simpson4": _simpson4_sides,
 }
 
-
-def _verdict(claim, fn, domain, lam, q, ctx) -> tuple[str, float, float, float, bool]:
-    """(status, lhs, rhs, margin, exact) of one claim instance.
-
-    The sides are evaluated in floats first, and a comfortable 'holds' is
-    accepted there.  Any other margin is re-derived by the same side
-    function on the panel's exact values (polynomials; 50 digits where a
-    q-th root is irrational) or, otherwise, on the refined average.
-    """
-    sides = _SIDES[claim.family]
-    tol, eq_tol = ctx.config.tol, ctx.config.eq_tol
-    pairs = sides(claim, ctx.panel(fn, domain, "float"), lam, q)
-    margins = [rhs - lhs for lhs, rhs in pairs]
-    i = 0 if margins[0] <= margins[-1] else len(pairs) - 1
-    verdict = classify(*pairs[i], tol, eq_tol)
-    if verdict[0] == "holds":
-        return (*verdict, False)
-    exact = fn.poly_coeffs is not None
-    with mpmath.workdps(50):
-        p = ctx.panel(fn, domain, "exact" if exact else "refined")
-        return (*classify(*sides(claim, p, lam, q)[i], tol, eq_tol), exact)
+# The exact lam of each claim that fixes lam at its rule's value.
+_EXACT_LAMBDA = {
+    c.id: bounds.RULE_LAMBDA_EXACT[c.rule or means._PROP_RULES[c.prop_idx - 1]]
+    for c in _LEDGER.values()
+    if c.fixed_lambda is not None
+}
 
 
-def _evaluate_combo(
+def _evaluate_block(
     claim: BoundClaim,
     fn: TestFunction,
     domain: Interval,
-    lam: Optional[float],
-    q: Optional[float],
+    lams,
+    qs,
     ctx: _Context,
-) -> VerificationRecord:
-    cfg = ctx.config
+) -> list[VerificationRecord]:
+    """The records of one claim on one (function, interval) over ``lams``
+    x ``qs``, lam-major.
 
-    def rec(status, lhs=None, rhs=None, margin=None, exact=False):
+    The hypothesis is checked once per q.  The sides are evaluated in
+    floats first, and a comfortable 'holds' is accepted there.  Every other
+    margin is re-derived by the same side function, inside one 50-digit
+    context per block, on the panel's exact values (polynomials) or else
+    on the refined average.  The propositions, stated for x^n, go to the
+    exact panel directly.  An oracle failure makes the record it meets
+    'undefined'.
+    """
+    def rec(lam, q, status, lhs=None, rhs=None, margin=None, exact=False):
         return VerificationRecord(
-            claim=claim.id,
-            function=fn.id,
-            a=domain.lo,
-            b=domain.hi,
-            lam=lam,
-            q=q,
-            lhs=lhs,
-            rhs=rhs,
-            margin=margin,
-            status=status,
-            exact=exact,
+            claim.id, fn.id, domain.lo, domain.hi, lam, q,
+            lhs, rhs, margin, status, exact,
         )
 
     if not fn.domain.contains(domain):
-        return rec("hypothesis_failed")
-
-    try:
-        ok = _hypothesis(claim, fn, domain, q, ctx)
-        if ok is None:
-            return rec("undefined")
+        return [rec(lam, q, "hypothesis_failed") for lam in lams for q in qs]
+    unmet = {}
+    for q in qs:
+        try:
+            ok = _hypothesis(claim, fn, domain, q, ctx)
+        except OracleError:
+            ok = None
         if not ok:
-            return rec("hypothesis_failed")
-        if claim.family != "prop":
-            verdict = _verdict(claim, fn, domain, lam, q, ctx)
-            return rec("undefined") if verdict[0] == "undefined" else rec(*verdict)
-        inner = means.check_proposition(
-            claim.prop_idx,
-            Fraction(domain.lo),
-            Fraction(domain.hi),
-            _monomial_order(fn),
-            q if q is not None else 1.0,
-            claim.variant,
-            tol=cfg.tol,
-            eq_tol=cfg.eq_tol,
-        )
-        return rec(inner.status, inner.lhs, inner.rhs, inner.margin, inner.exact)
-    except OracleError:
-        return rec("undefined")
+            unmet[q] = "undefined" if ok is None else "hypothesis_failed"
+
+    sides = _SIDES[claim.family]
+    tol, eq_tol = ctx.config.tol, ctx.config.eq_tol
+    float_first = claim.family != "prop"
+    out: list = []
+    pending = []  # (record index, lam, q, side index) left to confirm
+    p = None
+    for lam in lams:
+        for q in qs:
+            if q in unmet:
+                out.append(rec(lam, q, unmet[q]))
+                continue
+            i = 0
+            if float_first:
+                try:
+                    p = p or ctx.panel(fn, domain, "float")
+                    pairs = sides(claim, p, lam, q)
+                except OracleError:
+                    out.append(rec(lam, q, "undefined"))
+                    continue
+                if len(pairs) > 1:
+                    m0, m1 = (rhs - lhs for lhs, rhs in pairs)
+                    i = 0 if m0 <= m1 else 1
+                verdict = classify(*pairs[i], tol, eq_tol)
+                if verdict[0] == "holds":
+                    out.append(rec(lam, q, *verdict))
+                    continue
+            pending.append((len(out), lam, q, i))
+            out.append(None)
+
+    if pending:
+        exact = fn.poly_coeffs is not None
+        p = None
+        with mpmath.workdps(50):
+            for k, lam, q, i in pending:
+                try:
+                    p = p or ctx.panel(fn, domain, "exact" if exact else "refined")
+                    verdict = classify(*sides(claim, p, lam, q)[i], tol, eq_tol)
+                except OracleError:
+                    verdict = ("undefined",)
+                if verdict[0] == "undefined":
+                    out[k] = rec(lam, q, "undefined")
+                else:
+                    out[k] = rec(lam, q, *verdict, exact)
+    return out
 
 
 def _hypothesis(
@@ -625,12 +717,7 @@ def run_campaign(
         qs = list(config.q_grid) if claim.uses_q else [None]
         for fn in fns:
             for a, b in intervals:
-                domain = Interval(a, b)
-                for lam in lams:
-                    for q in qs:
-                        records.append(
-                            _evaluate_combo(claim, fn, domain, lam, q, ctx)
-                        )
+                records += _evaluate_block(claim, fn, Interval(a, b), lams, qs, ctx)
 
     records.sort(key=VerificationRecord.sort_key)
     summary = summarize(records, claims)
@@ -711,8 +798,7 @@ def find_counterexample(
     ctx = _Context(search)
 
     def attempt(fn, a, b, lam, q) -> Optional[VerificationRecord]:
-        domain = Interval(a, b)
-        r = _evaluate_combo(claim, fn, domain, lam, q, ctx)
+        (r,) = _evaluate_block(claim, fn, Interval(a, b), (lam,), (q,), ctx)
         return r if r.status == "violated" else None
 
     for t in range(1, trials + 1):

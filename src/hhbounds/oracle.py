@@ -271,11 +271,28 @@ def to_mpf(x):
 
 def poly_eval_exact(coeffs: Sequence, x) -> Fraction:
     """Evaluate a polynomial (ascending coefficients) at a rational point."""
+    return _terms_at(_poly_terms(coeffs), x)
+
+
+def _poly_terms(coeffs: Sequence) -> tuple[tuple[int, Fraction], ...]:
+    """The nonzero terms (k, c_k) of a polynomial given by ascending
+    coefficients, each c_k exact: an int where it is integral, else a
+    Fraction.  Evaluated term by term, x^n takes one power where Horner's
+    rule takes n steps."""
+    cs = ((k, _as_fraction(c)) for k, c in enumerate(coeffs) if c)
+    return tuple((k, c.numerator if c.denominator == 1 else c) for k, c in cs)
+
+
+def _terms_at(terms, x) -> Fraction:
+    """The polynomial with nonzero ``terms`` (see :func:`_poly_terms`) at a
+    rational point."""
     xf = _as_fraction(x)
-    acc = Fraction(0)
-    for c in reversed(list(coeffs)):
-        acc = acc * xf + _as_fraction(c)
-    return acc
+    return _sum([xf**k if c == 1 else c * xf**k for k, c in terms])
+
+
+def _sum(values: list) -> Fraction:
+    """The sum of Fraction ``values``, without first adding them to 0."""
+    return sum(values[1:], values[0]) if values else Fraction(0)
 
 
 def poly_derivative_coeffs(coeffs: Sequence, order: int = 1) -> tuple[Fraction, ...]:
@@ -294,15 +311,25 @@ def integrate_exact_poly(coeffs: Sequence, domain) -> Fraction:
     ``coeffs`` are ascending (constant term first) and may be ints, Fractions
     or floats (floats convert exactly to their binary rational value).
     """
-    cs = [_as_fraction(c) for c in coeffs]
+    cs = list(coeffs)
     if not cs:
         raise ValueError("coefficient list must be nonempty")
-    if hasattr(domain, "lo"):
-        lo, hi = _as_fraction(domain.lo), _as_fraction(domain.hi)
-    else:
-        lo, hi = _as_fraction(domain[0]), _as_fraction(domain[1])
-    total = Fraction(0)
-    for k, c in enumerate(cs):
-        if c:  # a zero term adds nothing, and its powers are the costly part
-            total += c * (hi ** (k + 1) - lo ** (k + 1)) / (k + 1)
-    return total
+    lo, hi = (domain.lo, domain.hi) if hasattr(domain, "lo") else (domain[0], domain[1])
+    return _terms_integral(_poly_terms(cs), lo, hi)
+
+
+def _terms_integral(terms, lo, hi, average: bool = False) -> Fraction:
+    """Exact integral over [lo, hi] of the polynomial with nonzero
+    ``terms`` (see :func:`_poly_terms`); with ``average``, that integral
+    over hi - lo."""
+    lo, hi = _as_fraction(lo), _as_fraction(hi)
+    # Over a common denominator d, lo = a/d and hi = b/d, so each term is
+    # one integer ratio: one reduction instead of a Fraction step per power.
+    d = math.lcm(lo.denominator, hi.denominator)
+    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
+    values = []
+    for k, c in terms:
+        den = (k + 1) * d**k * (b - a if average else d)
+        v = Fraction(b ** (k + 1) - a ** (k + 1), den)
+        values.append(v if c == 1 else c * v)
+    return _sum(values)

@@ -1,0 +1,126 @@
+"""Block evaluation over cached panel statistics gives, record for record,
+what evaluating each record on its own gives (tests/harness_reference.py)."""
+
+from fractions import Fraction
+
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hhbounds.corpus import Interval, TestFunction, corpus_standard, function_ids
+from hhbounds.harness import CampaignConfig, claim_ids, find_counterexample, run_campaign
+
+from harness_reference import reference_records, reference_search
+
+
+def test_all_claims_all_functions_match_reference():
+    cfg = CampaignConfig(claims=("all",), functions=("all",), trials=3, seed=17)
+    records = run_campaign(cfg).records
+    assert list(records) == reference_records(cfg)
+    # the campaign reaches every path the reference has
+    assert {r.status for r in records} == {
+        "holds", "equality", "violated", "hypothesis_failed"
+    }
+    assert any(r.exact for r in records) and not all(r.exact for r in records)
+
+
+GRID_LAMBDAS = st.sampled_from([0.0, 0.05, 0.25, 1 / 3, 0.5, 0.65, 0.95, 1.0])
+GRID_QS = st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 10.0])
+
+
+@settings(max_examples=12, deadline=None, derandomize=True)
+@given(
+    lams=st.lists(st.one_of(GRID_LAMBDAS, st.floats(0, 1)), min_size=1, max_size=4),
+    qs=st.lists(st.one_of(GRID_QS, st.floats(1, 12)), min_size=1, max_size=3),
+    fns=st.lists(st.sampled_from(function_ids()), min_size=1, max_size=3, unique=True),
+    seed=st.integers(0, 2**31 - 1),
+    trials=st.integers(0, 2),
+)
+def test_drawn_configs_match_reference(lams, qs, fns, seed, trials):
+    cfg = CampaignConfig(
+        claims=("all",),
+        functions=tuple(fns),
+        trials=trials,
+        seed=seed,
+        lambda_grid=tuple(lams),
+        q_grid=tuple(qs),
+    )
+    assert list(run_campaign(cfg).records) == reference_records(cfg)
+
+
+@pytest.mark.parametrize(
+    "claim", ["thm6-stated", "cor1-stated", "cor5-stated", "prop2-stated", "hh", "thm5"]
+)
+@pytest.mark.parametrize("seed", [3, 11])
+def test_search_matches_reference(claim, seed):
+    cfg = CampaignConfig(functions=("all",), trials=15, seed=seed)
+    out = find_counterexample(claim, cfg)
+    assert (out.record, out.trials) == reference_search(claim, cfg)
+
+
+def test_scaled_monomial_is_not_a_proposition_case():
+    # the propositions are stated for f = x^n; 3x^3 is evaluated by the
+    # other claims but fails the propositions' hypothesis
+    poly3 = {f.id: f for f in corpus_standard()}["poly3"]
+    scaled = TestFunction(
+        id="3x3",
+        f=lambda x: 3 * x**3,
+        d1=lambda x: 9 * x**2,
+        d2=lambda x: 18 * x,
+        domain=Interval(0.0, 10.0),
+        d4=lambda x: 0.0 * x,
+        poly_coeffs=(Fraction(0), Fraction(0), Fraction(0), Fraction(3)),
+    )
+    cfg = CampaignConfig(claims=("prop1-stated", "cor1-stated"), functions=("3x3",))
+    registry = {"3x3": scaled, "poly3": poly3}
+    records = run_campaign(cfg, registry).records
+    assert list(records) == reference_records(cfg, registry)
+    assert {r.status for r in records if r.claim == "prop1-stated"} == {
+        "hypothesis_failed"
+    }
+    assert {r.status for r in records if r.claim == "cor1-stated"} != {
+        "hypothesis_failed"
+    }
+
+
+def _flat_quartic() -> TestFunction:
+    """f = eps (6x^2 - x^4): f'' = eps (12 - 12x^2) is concave, so on
+    [-1, 1] the trapezoid gap lies nearer the top of its f''-range
+    enclosure, and every margin is inside the equality band."""
+    eps = Fraction(1, 10**12)
+    e = float(eps)
+    return TestFunction(
+        id="flat4",
+        f=lambda x: e * (6 * x**2 - x**4),
+        d1=lambda x: e * (12 * x - 4 * x**3),
+        d2=lambda x: e * (12 - 12 * x**2),
+        d4=lambda x: -24 * e + 0.0 * x,
+        domain=Interval(-2.0, 2.0),
+        poly_coeffs=(Fraction(0), Fraction(0), 6 * eps, Fraction(0), -eps),
+    )
+
+
+def test_upper_half_of_an_enclosure_is_confirmed():
+    registry = {"flat4": _flat_quartic()}
+    cfg = CampaignConfig(
+        claims=("trap-envelope", "mid-envelope", "simpson-4th-p4"),
+        functions=("flat4",),
+        intervals=((-1.0, 1.0), (-1.0, 0.5)),
+    )
+    records = run_campaign(cfg, registry).records
+    assert list(records) == reference_records(cfg, registry)
+    assert all(r.exact for r in records)
+
+
+def test_non_polynomials_on_unit_subintervals_match_reference():
+    # the refined-average confirmation and the non-P-convex bump
+    cfg = CampaignConfig(
+        claims=("all",), functions=("expx", "bump"), trials=12, seed=4242,
+        interval_range=(0.0, 1.0),
+    )
+    assert list(run_campaign(cfg).records) == reference_records(cfg)
+
+
+def test_every_claim_is_covered():
+    cfg = CampaignConfig(claims=("all",), functions=("poly3",))
+    assert {r.claim for r in run_campaign(cfg).records} == set(claim_ids())

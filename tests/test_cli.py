@@ -332,6 +332,13 @@ class TestOtherCommands:
             ("identity", "--function", "bump", "--a", "0", "--b", "2", "--lambda", "1"),
             ("verify", "--claims", "thm5", "--functions", "poly2", "--trials", "-1"),
             ("search", "--claim", "thm5", "--functions", "poly2", "--trials", "-1"),
+            ("verify", "--claims", "thm5", "--functions", "poly3",
+             "--lambda-grid", "1.5"),
+            ("verify", "--claims", "thm5", "--functions", "poly3",
+             "--lambda-grid", "0,-1/4"),
+            ("verify", "--claims", "thm6-stated", "--functions", "poly3",
+             "--q-grid", "0.5"),
+            ("search", "--claim", "thm6-stated", "--q-grid", "0.5", "--trials", "3"),
         ],
         ids=[
             "pconvex-grid-below-3",
@@ -341,6 +348,10 @@ class TestOtherCommands:
             "identity-outside-domain",
             "verify-negative-trials",
             "search-negative-trials",
+            "verify-lambda-above-1",
+            "verify-lambda-below-0",
+            "verify-q-below-1",
+            "search-q-below-1",
         ],
     )
     def test_invalid_input_is_usage_error(self, argv, capsys):
