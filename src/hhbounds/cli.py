@@ -9,8 +9,13 @@ Subcommands:
 * ``pconvex`` -- lattice P-convexity check of a corpus function.
 * ``search``  -- randomized counterexample search for one claim.
 
-All real-valued inputs also accept exact fraction syntax ``p/q``.  The
-environment variable ``HHBOUNDS_SEED`` overrides ``--seed`` when set.
+All real-valued inputs also accept exact fraction syntax ``p/q``; a value
+too large for a float, or input a formula rejects, is a usage error (exit
+64).  ``bound`` evaluates the generic bound formulas on exact rationals,
+with a q-th root at 50 digits, and prints the float of that value.  JSON
+reports come from ``json.dumps`` except for their records, which go
+through one fixed template (:func:`to_json`).  The environment variable
+``HHBOUNDS_SEED`` overrides ``--seed`` when set.
 """
 
 from __future__ import annotations
@@ -18,12 +23,15 @@ from __future__ import annotations
 import argparse
 import csv
 import io
+import json
+import math
 import os
 import sys
-from dataclasses import dataclass
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, TextIO
+
+import mpmath
 
 from . import __version__, bounds, functionals, harness, means
 from .corpus import GridSpec, Interval, check_p_convex, function_ids, get_function
@@ -39,21 +47,31 @@ class _Parser(argparse.ArgumentParser):
 
 
 def parse_real(text: str) -> Fraction:
-    """Parse a real-valued flag: decimal, integer, or exact 'p/q'."""
+    """Parse a real-valued flag: decimal, integer, or exact 'p/q', within
+    the range of a float."""
     try:
-        return Fraction(text.strip())
+        value = Fraction(text.strip())
     except (ValueError, ZeroDivisionError) as exc:
         raise argparse.ArgumentTypeError(f"not a number: {text!r}") from exc
+    try:
+        float(value)
+    except OverflowError as exc:
+        raise argparse.ArgumentTypeError(f"too large for a float: {text!r}") from exc
+    return value
+
+
+def _parse_lambda(text: str) -> Fraction:
+    lam = parse_real(text)
+    if not 0 <= lam <= 1:
+        raise argparse.ArgumentTypeError("lambda must lie in [0, 1]")
+    return lam
 
 
 def _parse_rule(text: str):
     if text in ("midpoint", "trapezoid", "simpson"):
         return text
     if text.startswith("lambda="):
-        lam = parse_real(text.split("=", 1)[1])
-        if not 0 <= lam <= 1:
-            raise argparse.ArgumentTypeError("lambda must lie in [0, 1]")
-        return lam
+        return _parse_lambda(text.split("=", 1)[1])
     raise argparse.ArgumentTypeError(
         "rule must be midpoint, trapezoid, simpson or lambda=<x>"
     )
@@ -70,12 +88,6 @@ def _parse_grid(text: str) -> tuple[float, ...]:
     if not values:
         raise argparse.ArgumentTypeError("grid must contain at least one value")
     return values
-
-
-@dataclass(frozen=True)
-class _FracDomain:
-    lo: Fraction
-    hi: Fraction
 
 
 def _fmt(value: float) -> str:
@@ -114,85 +126,52 @@ def to_json(doc: dict, out: Optional[TextIO] = None) -> Optional[str]:
     """``doc`` exactly as ``json.dumps(doc, indent=2)`` writes it.
 
     Returned as a string, or, given ``out``, written to that stream with a
-    final newline (the layout of a report) and None returned.  Records (the
-    dicts of :meth:`VerificationRecord.as_dict`) are written through one
-    fixed template instead of a generic encoder.
+    final newline (the layout of a report) and None returned.
+    ``json.dumps`` writes everything but a report's top-level ``records``
+    list; each record (a dict of :meth:`VerificationRecord.as_dict`) goes
+    through one fixed template, and any other item through ``json.dumps``.
     """
-    if out is not None:
-        _write_json(out.write, doc, "\n")
-        out.write("\n")
-        return None
-    chunks: list[str] = []
-    _write_json(chunks.append, doc, "\n")
-    return "".join(chunks)
+    parts = _json_parts(doc)
+    if out is None:
+        return "".join(parts)
+    out.writelines(parts)
+    out.write("\n")
+    return None
 
 
+# The indent=2 layout of a record as an item of the top-level records list.
+_RECORD_TEMPLATE = (
+    "{\n      " + ",\n      ".join(f'"{k}": %s' for k in _RECORD_FIELDS) + "\n    }"
+)
 _repr = float.__repr__
 
 
-def _json_scalar(v) -> str:
-    """``v`` as :mod:`json` encodes a scalar, tested in its order."""
-    if isinstance(v, str):
-        return encode_basestring_ascii(v)
-    if v is None:
-        return "null"
-    if v is True or v is False:
-        return "true" if v else "false"
-    if isinstance(v, int):
-        return int.__repr__(v)
-    if isinstance(v, float):
-        if v - v == 0:  # finite
-            return _repr(v)
-        return "NaN" if v != v else ("Infinity" if v > 0 else "-Infinity")
-    raise TypeError(f"Object of type {type(v).__name__} is not JSON serializable")
-
-
-def _write_json(write, value, nl: str) -> None:
-    """Write ``value`` in the ``indent=2`` layout; ``nl`` is a newline plus
-    the indentation of the enclosing level."""
-    inner = nl + "  "
-    if isinstance(value, dict):
-        if not value:
-            write("{}")
-            return
-        sep = "{" + inner
-        for key, item in value.items():
-            if not isinstance(key, str):
-                key = _json_scalar(key)
-            write(sep + encode_basestring_ascii(key) + ": ")
-            _write_json(write, item, inner)
-            sep = "," + inner
-        write(nl + "}")
-    elif isinstance(value, (list, tuple)):
-        if not value:
-            write("[]")
-            return
-        template = _record_template(inner)
-        sep = "[" + inner
-        for item in value:
-            if type(item) is dict and tuple(item) == _RECORD_FIELDS:
-                write(sep + template % tuple([
-                    _repr(v) if type(v) is float and v - v == 0
-                    else encode_basestring_ascii(v) if type(v) is str
-                    else "null" if v is None
-                    else _json_scalar(v)
-                    for v in item.values()
-                ]))
-            else:
-                write(sep)
-                _write_json(write, item, inner)
-            sep = "," + inner
-        write(nl + "]")
-    else:
-        write(_json_scalar(value))
-
-
-def _record_template(nl: str) -> str:
-    """The ``indent=2`` layout of one record dict at the level of ``nl``,
-    with a %s for each field value."""
-    inner = nl + "  "
-    fields = ("," + inner).join(f'"{k}": %s' for k in _RECORD_FIELDS)
-    return "{" + inner + fields + nl + "}"
+def _json_parts(doc):
+    """The text of ``json.dumps(doc, indent=2)`` in pieces, one per record."""
+    records = doc.get("records") if isinstance(doc, dict) else None
+    if not records or not isinstance(records, (list, tuple)):
+        yield json.dumps(doc, indent=2)
+        return
+    # At the top level, '\n  "' only starts one of doc's own keys.
+    head, tail = json.dumps({**doc, "records": []}, indent=2).split(
+        '\n  "records": []'
+    )
+    sep = head + '\n  "records": [\n    '
+    for item in records:
+        if type(item) is dict and tuple(item) == _RECORD_FIELDS:
+            yield sep + _RECORD_TEMPLATE % tuple([
+                _repr(v) if type(v) is float and v - v == 0
+                else encode_basestring_ascii(v) if type(v) is str
+                else "null" if v is None
+                else "true" if v is True
+                else "false" if v is False
+                else json.dumps(v, indent=2).replace("\n", "\n      ")
+                for v in item.values()
+            ])
+        else:
+            yield sep + json.dumps(item, indent=2).replace("\n", "\n    ")
+        sep = ",\n    "
+    yield "\n  ]" + tail
 
 
 def to_csv(records: Sequence[VerificationRecord]) -> str:
@@ -253,89 +232,61 @@ def to_table(doc: dict) -> str:
 def _cmd_bound(args, parser) -> int:
     try:
         return _print_bound(args, parser)
-    except ValueError as exc:  # derivative data the bounds reject
+    except (ValueError, OverflowError) as exc:  # data the bounds reject
         parser.error(str(exc))
 
 
 def _print_bound(args, parser) -> int:
-    a, b = args.a, args.b
-    if not a < b:
-        parser.error("--a must be less than --b")
-    domain = Interval(float(a), float(b))
-    frac_domain = _FracDomain(a, b)
-    rule = args.rule
+    """The bound in exact rationals, with a q-th root taken at 50 digits,
+    printed as the float of that value."""
+    rule, variant = args.rule, args.variant
     q = args.q if args.q is not None else Fraction(1)
     if q < 1:
         parser.error("--q must be >= 1")
-    variant = args.variant
-
-    if args.ma is not None or args.mb is not None:
-        if args.ma is None or args.mb is None:
-            parser.error("--ma and --mb must be given together")
-        if isinstance(rule, str):
-            claim = {"midpoint": "cor1", "trapezoid": "cor2", "simpson": "cor3"}[rule]
-            claim = f"{claim}-{variant}"
-            lam = bounds.RULE_LAMBDA_EXACT[rule]
-        else:
-            claim = f"thm6-{variant}"
-            lam = rule
-        if q == 1:
-            value = float(
-                bounds.bound_theorem6_exact(frac_domain, lam, 1, args.ma, args.mb, variant)
-            )
-        else:
-            value = float(
-                bounds.bound_theorem6_mp(
-                    frac_domain, lam, q, args.ma, args.mb, variant
+    domain = Interval(args.a, args.b)
+    with mpmath.workdps(50):
+        if args.ma is not None or args.mb is not None:
+            if args.ma is None or args.mb is None:
+                parser.error("--ma and --mb must be given together")
+            if isinstance(rule, str):
+                num = {"midpoint": 1, "trapezoid": 2, "simpson": 3}[rule]
+                claim, lam = f"cor{num}-{variant}", bounds.RULE_LAMBDA_EXACT[rule]
+            else:
+                claim, lam = f"thm6-{variant}", rule
+            ends = bounds.EndpointData(args.ma, args.mb)
+            values = [bounds.bound_theorem6(domain, lam, q, ends, variant)]
+        elif args.big_m is not None:
+            if not isinstance(rule, str):
+                parser.error(
+                    "--big-m requires a named rule (midpoint/trapezoid/simpson)"
                 )
-            )
-        print(f"{claim} {_fmt(value)}")
-        return 0
-
-    if args.big_m is not None:
-        if not isinstance(rule, str):
-            parser.error("--big-m requires a named rule (midpoint/trapezoid/simpson)")
-        num = {"midpoint": 4, "trapezoid": 5, "simpson": 8}[rule]
-        claim = f"cor{num}-relaxed" if args.form == "relaxed" else f"cor{num}-{variant}"
-        if args.form == "relaxed" or q == 1:
-            value = float(
-                bounds.bound_bounded_m_exact(
-                    rule, frac_domain, q, args.big_m, args.form, variant
-                )
-            )
+            num = {"midpoint": 4, "trapezoid": 5, "simpson": 8}[rule]
+            claim = f"cor{num}-{'relaxed' if args.form == 'relaxed' else variant}"
+            env = bounds.DerivativeEnvelope(sup_abs_d2=args.big_m)
+            values = [
+                bounds.bound_bounded_m(rule, domain, q, env, args.form, variant)
+            ]
+        elif args.k_lo is not None or args.k_hi is not None:
+            if args.k_lo is None or args.k_hi is None:
+                parser.error("--k-lo and --k-hi must be given together")
+            if rule not in ("midpoint", "trapezoid"):
+                parser.error("--k-lo/--k-hi apply to the midpoint or trapezoid rule")
+            claim = "mid-envelope" if rule == "midpoint" else "trap-envelope"
+            env = bounds.DerivativeEnvelope(lower_d2=args.k_lo, upper_d2=args.k_hi)
+            values = bounds.bound_classical(rule, domain, env)
+        elif args.d4_sup is not None:
+            if rule != "simpson":
+                parser.error("--d4-sup applies to the simpson rule")
+            claim = f"simpson-4th-p{args.p}"
+            env = bounds.DerivativeEnvelope(sup_abs_d4=args.d4_sup)
+            values = [bounds.bound_classical("simpson", domain, env, args.p)]
         else:
-            env = bounds.DerivativeEnvelope(sup_abs_d2=float(args.big_m))
-            value = bounds.bound_bounded_m(
-                rule, domain, float(q), env, args.form, variant
-            )
-        print(f"{claim} {_fmt(value)}")
-        return 0
-
-    if args.k_lo is not None or args.k_hi is not None:
-        if args.k_lo is None or args.k_hi is None:
-            parser.error("--k-lo and --k-hi must be given together")
-        if rule not in ("midpoint", "trapezoid"):
-            parser.error("--k-lo/--k-hi apply to the midpoint or trapezoid rule")
-        lo_b, hi_b = bounds.bound_classical_exact(
-            rule, frac_domain, lower_d2=args.k_lo, upper_d2=args.k_hi
-        )
-        claim = "mid-envelope" if rule == "midpoint" else "trap-envelope"
-        print(f"{claim} {_fmt(float(lo_b))} {_fmt(float(hi_b))}")
-        return 0
-
-    if args.d4_sup is not None:
-        if rule != "simpson":
-            parser.error("--d4-sup applies to the simpson rule")
-        value = float(
-            bounds.bound_classical_exact(
-                "simpson", frac_domain, sup_abs_d4=args.d4_sup, p=args.p
-            )
-        )
-        print(f"simpson-4th-p{args.p} {_fmt(value)}")
-        return 0
-
-    parser.error("provide endpoint data (--ma/--mb) or an envelope flag")
-    return USAGE_ERROR
+            parser.error("provide endpoint data (--ma/--mb) or an envelope flag")
+    floats = [float(v) for v in values]  # a Fraction too large raises here
+    if not all(math.isfinite(v) for v in floats):  # an mpf too large is inf
+        raise OverflowError("the bound is too large for a float")
+    print(claim, *map(_fmt, floats))
+    return 0
 
 
 def _campaign_config(args, parser) -> harness.CampaignConfig:
@@ -404,29 +355,36 @@ def _cmd_verify(args, parser) -> int:
 
 
 def _cmd_means(args, parser) -> int:
+    try:
+        return _print_means(args, parser)
+    except (ValueError, OverflowError) as exc:  # arguments the means reject
+        parser.error(str(exc))
+
+
+def _print_means(args, parser) -> int:
     if args.prop is None:
-        if args.a is None or args.b is None:
-            parser.error("--a and --b are required")
         a, b = float(args.a), float(args.b)
-        print(f"A {_fmt(means.mean_arithmetic(a, b))}")
+        lines = [f"A {_fmt(means.mean_arithmetic(a, b))}"]
         if a != b:
-            print(f"L {_fmt(means.mean_logarithmic(a, b))}")
+            lines.append(f"L {_fmt(means.mean_logarithmic(a, b))}")
         if args.n is not None:
-            print(f"L{args.n} {_fmt(means.mean_generalized_log(a, b, args.n))}")
+            ln = means.mean_generalized_log(a, b, args.n)
+            lines.append(f"L{args.n} {_fmt(ln)}")
+        print("\n".join(lines))
         return 0
 
     if args.n is None:
         parser.error("--n is required with --prop")
+    q = float(args.q) if args.q is not None else 1.0
+    rec = means.check_proposition(
+        args.prop, args.a, args.b, args.n, q, args.variant
+    )
     if abs(args.n * (args.n - 1)) < 3:
         print(
             f"note: |n(n-1)| = {abs(args.n * (args.n - 1))} < 3 is outside the "
             "stated hypothesis",
             file=sys.stderr,
         )
-    q = float(args.q) if args.q is not None else 1.0
-    rec = means.check_proposition(
-        args.prop, args.a, args.b, args.n, q, args.variant
-    )
     print(
         f"{rec.claim} n={args.n} a={_fmt(rec.a)} b={_fmt(rec.b)} q={_fmt(rec.q)} "
         f"lhs={_fmt(rec.lhs)} rhs={_fmt(rec.rhs)} margin={_fmt(rec.margin)} "
@@ -558,7 +516,7 @@ def build_parser() -> _Parser:
     p_id.add_argument("--function", required=True, help=f"one of {', '.join(function_ids())}")
     p_id.add_argument("--a", type=parse_real, required=True)
     p_id.add_argument("--b", type=parse_real, required=True)
-    p_id.add_argument("--lambda", dest="lam", type=parse_real, required=True)
+    p_id.add_argument("--lambda", dest="lam", type=_parse_lambda, required=True)
 
     p_pc = sub.add_parser("pconvex", help="lattice P-convexity check")
     p_pc.add_argument("--function", required=True)

@@ -11,7 +11,8 @@ spaced points, which holds every x, y and lam*x + (1-lam)*y point of the
 (x, y, lam) grid named by :class:`GridSpec`.  For z between x and y the
 worst choice of x and y is the smallest value on each side of z, so one
 pass with a running minimum from each end decides every lattice triple,
-with g evaluated only n times.
+with g evaluated only n times, through the oracle's array sampler, so a
+point where g raises is non-finite and makes the check 'undefined'.
 
 The corpus is compiled in; functions are referenced by short id from the
 CLI (``poly3``, ``expx``, ``bump``, ...).  Every member carries analytic
@@ -29,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .oracle import _poly_terms, integrate_exact_poly
+from .oracle import _poly_terms, _sample, integrate_exact_poly
 
 __all__ = [
     "Interval",
@@ -162,30 +163,6 @@ class PConvexityReport:
         return self.status == "passed"
 
 
-def _sample(g, x: np.ndarray) -> np.ndarray:
-    try:
-        y = np.asarray(g(x), dtype=float)
-        if y.shape != x.shape:
-            raise TypeError
-    except Exception:
-        y = np.array([float(g(float(xi))) for xi in x.ravel()]).reshape(x.shape)
-    return y
-
-
-def _sample_safe(g, x: np.ndarray) -> np.ndarray:
-    """Like :func:`_sample`, but a raising integrand becomes NaN at that point."""
-    try:
-        return _sample(g, x)
-    except Exception:
-        flat = np.empty(x.size)
-        for i, xi in enumerate(x.ravel()):
-            try:
-                flat[i] = float(g(float(xi)))
-            except Exception:
-                flat[i] = math.nan
-        return flat.reshape(x.shape)
-
-
 def check_p_convex(
     g: Callable[[float], float],
     domain: Interval,
@@ -212,7 +189,7 @@ def check_p_convex(
     """
     n = _lattice_size(grid)
     zs = np.linspace(domain.lo, domain.hi, n)
-    gz = _sample_safe(g, zs)
+    gz = _sample(g, zs)
 
     bad = ~np.isfinite(gz)
     if np.any(bad):

@@ -29,7 +29,7 @@ from typing import Optional
 
 from . import kernel, oracle
 from .corpus import Interval, TestFunction
-from .oracle import _as_fraction, _terms_at, _terms_integral
+from .oracle import _as_fraction, _terms_at, _terms_integral, _value_at
 
 __all__ = [
     "DeviationValue",
@@ -91,11 +91,11 @@ def average_value_exact(f: TestFunction, domain) -> Fraction:
 
 def _samples(f: TestFunction, domain: Interval, avg=None) -> tuple:
     """The panel tuple (f(a), f(m), f(b), avg(f)) in floats; ``avg`` is
-    computed when not given."""
+    computed when not given.  An f that raises gives EvaluationError."""
     if avg is None:
         avg = average_value(f, domain)
-    fm = float(f.f(domain.midpoint))
-    return float(f.f(domain.lo)), fm, float(f.f(domain.hi)), avg
+    fm = _value_at(f.f, domain.midpoint)
+    return _value_at(f.f, domain.lo), fm, _value_at(f.f, domain.hi), avg
 
 
 def _samples_exact(f: TestFunction, domain, avg=None) -> tuple:

@@ -27,8 +27,9 @@ one 50-digit context per block, on the exact panel (polynomials) or on the
 refined one, and :func:`~hhbounds.records.classify` decides every status.
 The special-means propositions are the corollary sides of their rule,
 evaluated on the exact panel of x^n.  An oracle failure anywhere,
-confirmation included, yields an 'undefined' record.  Runs are
-deterministic for a fixed config.
+confirmation included, yields an 'undefined' record, and so does an f,
+f'' or f'''' that raises where it is sampled.  Runs are deterministic for
+a fixed config.
 """
 
 from __future__ import annotations
@@ -49,12 +50,13 @@ from .corpus import (
     TestFunction,
     check_p_convex,
     corpus_standard,
-    _sample,
 )
 from .oracle import (
     OracleError,
     _poly_terms,
+    _sample,
     _terms_at,
+    _value_at,
     poly_derivative_coeffs,
     to_mpf,
 )
@@ -337,7 +339,7 @@ class _Panel:
                 d2 = self._ctx.d2_terms(self._fn)
                 m_a, m_b = _terms_at(d2, lo), _terms_at(d2, hi)
             else:
-                m_a, m_b = float(self._fn.d2(lo)), float(self._fn.d2(hi))
+                m_a, m_b = _value_at(self._fn.d2, lo), _value_at(self._fn.d2, hi)
             self._ends = bounds.EndpointData(abs(m_a), abs(m_b))
         return self._ends
 
@@ -429,12 +431,12 @@ class _Context:
             xs = np.linspace(domain.lo, domain.hi, 257)
             d2v = _sample(fn.d2, xs)
             if not np.all(np.isfinite(d2v)):
-                raise OracleError(f"non-finite d2 while profiling {fn.id}")
+                raise OracleError(f"d2 of {fn.id} is non-finite or raised")
             sup_d4 = None
             if fn.d4 is not None:
                 d4v = _sample(fn.d4, xs)
                 if not np.all(np.isfinite(d4v)):
-                    raise OracleError(f"non-finite d4 while profiling {fn.id}")
+                    raise OracleError(f"d4 of {fn.id} is non-finite or raised")
                 sup_d4 = float(np.max(np.abs(d4v)))
             self._envelope[key] = bounds.DerivativeEnvelope(
                 sup_abs_d2=float(np.max(np.abs(d2v))),

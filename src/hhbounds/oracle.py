@@ -10,6 +10,15 @@ Two independent integration routes are provided:
   equality-case checks rely on.
 
 Both routes are pure functions of their inputs and safe to call concurrently.
+
+Every array evaluation of a function in the package goes through
+:func:`_sample`: one call on the whole array, else one call per point with
+NaN where the function raises.  :func:`integrate` turns any non-finite
+sample into :class:`EvaluationError`, the P-convexity check into its
+'undefined' status, and the campaign's derivative envelope into an
+'undefined' record.  The point values the float sides read, f(a), f(m),
+f(b), f''(a) and f''(b), go through :func:`_value_at`, which turns an
+exception the function raises into :class:`EvaluationError`.
 """
 
 from __future__ import annotations
@@ -122,23 +131,35 @@ def _bounds_of(domain) -> tuple[float, float]:
     return float(lo), float(hi)
 
 
-def _eval_integrand(g: Callable[[float], float], x: np.ndarray) -> np.ndarray:
-    """Evaluate g on an array, falling back to a scalar loop."""
+def _sample(g: Callable, x: np.ndarray) -> np.ndarray:
+    """g at every point of the array ``x``, as floats of its shape.
+
+    g is called once on the whole array.  If that raises or gives another
+    shape, it is called at one point at a time, and a point where g raises
+    gets NaN, so a caller decides what a non-finite sample means.
+    """
     try:
         y = np.asarray(g(x), dtype=float)
-        if y.shape != x.shape:
-            raise TypeError("integrand is not vectorized")
-    except EvaluationError:
-        raise
-    except Exception:
+        if y.shape == x.shape:
+            return y
+    except Exception:  # noqa: BLE001 - retried point by point below
+        pass
+    flat = np.empty(x.size)
+    for i, xi in enumerate(x.ravel()):
         try:
-            y = np.array([float(g(float(xi))) for xi in x])
-        except Exception as exc:  # noqa: BLE001 - report as oracle failure
-            raise EvaluationError(f"integrand raised {exc!r}") from exc
-    if not np.all(np.isfinite(y)):
-        bad = x[~np.isfinite(y)][0]
-        raise EvaluationError(f"integrand non-finite at x={bad!r}")
-    return y
+            flat[i] = float(g(float(xi)))
+        except Exception:  # noqa: BLE001 - a failing point is NaN
+            flat[i] = math.nan
+    return flat.reshape(x.shape)
+
+
+def _value_at(g: Callable, x) -> float:
+    """float(g(x)) at one point; an exception raised by g becomes
+    :class:`EvaluationError`."""
+    try:
+        return float(g(x))
+    except Exception as exc:  # noqa: BLE001 - report as oracle failure
+        raise EvaluationError(f"function raised {exc!r} at x={x!r}") from exc
 
 
 def _panel_estimates(
@@ -155,7 +176,10 @@ def _panel_estimates(
     c = 0.5 * (a + b)
     h = 0.5 * (b - a)
     x = c[:, None] + h[:, None] * _NODES[None, :]
-    vals = _eval_integrand(g, x.ravel()).reshape(x.shape)
+    vals = _sample(g, x.ravel()).reshape(x.shape)
+    if not np.all(np.isfinite(vals)):
+        bad = x[~np.isfinite(vals)][0]
+        raise EvaluationError(f"integrand non-finite or raised at x={bad!r}")
 
     k15 = h * (vals @ _WGK)
     g7 = h * (vals @ _WG)

@@ -22,14 +22,19 @@ import mpmath
 import numpy as np
 
 from hhbounds import bounds, functionals, means, oracle
-from hhbounds.corpus import Interval, _sample, check_p_convex
+from hhbounds.corpus import Interval, check_p_convex
 from hhbounds.harness import (
     get_claim,
     resolve_claims,
     resolve_functions,
     sample_intervals,
 )
-from hhbounds.oracle import OracleError, poly_derivative_coeffs, poly_eval_exact
+from hhbounds.oracle import (
+    OracleError,
+    _sample,
+    poly_derivative_coeffs,
+    poly_eval_exact,
+)
 from hhbounds.records import VerificationRecord, classify
 
 PROP_RULES = ("midpoint", "trapezoid", "simpson")

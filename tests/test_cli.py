@@ -5,7 +5,9 @@ import io
 import json
 import subprocess
 import sys
+from fractions import Fraction
 
+import mpmath
 import pytest
 
 from hhbounds.cli import USAGE_ERROR, main
@@ -24,6 +26,52 @@ def run_cli(*argv):
     finally:
         sys.stdout = old
     return code, buf.getvalue()
+
+
+def _mp(x):
+    x = Fraction(x)
+    return mpmath.mpf(x.numerator) / x.denominator
+
+
+def _moment(lam):
+    lam = Fraction(lam)
+    if 2 * lam <= 1:
+        return lam**3 / 3 - lam / 8 + Fraction(1, 24)
+    return lam / 8 - Fraction(1, 24)
+
+
+def _power_sum(m_a, m_b, q):
+    q = _mp(q)
+    return (_mp(m_a) ** q + _mp(m_b) ** q) ** (1 / q)
+
+
+# Every flag path of `bound` on [1/3, 7/5] (width 16/15), with the values
+# its closed form gives at 50 digits; M = 17/9 is a uniform bound on |f''|.
+_W2 = Fraction(16, 15) ** 2
+_M = Fraction(17, 9)
+_ENDS = ("--ma", "2/7", "--mb", "13/3")
+BOUND_PATHS = [
+    (("--rule", "simpson", "--q", "1", *_ENDS),
+     lambda: [_mp(_W2 * _moment(Fraction(1, 3)) * Fraction(97, 21) / 2)]),
+    (("--rule", "lambda=0.77", "--q", "3/2", "--variant", "derived", *_ENDS),
+     lambda: [_mp(_W2 * _moment("0.77")) * _power_sum("2/7", "13/3", "3/2")]),
+    (("--rule", "midpoint", "--q", "10", *_ENDS),
+     lambda: [_mp(_W2 * _moment(0) / 2) * _power_sum("2/7", "13/3", 10)]),
+    (("--rule", "simpson", "--q", "3/2", "--big-m", "17/9", "--form", "with_q"),
+     lambda: [_mp(_M * _W2 / 162) * _power_sum(1, 1, "3/2")]),
+    (("--rule", "trapezoid", "--q", "2", "--big-m", "17/9", "--variant", "derived"),
+     lambda: [_mp(_M * _W2 / 12) * _power_sum(1, 1, 2)]),
+    (("--rule", "midpoint", "--q", "3/2", "--big-m", "17/9", "--form", "relaxed"),
+     lambda: [_mp(_M * _W2 / 24)]),
+    (("--rule", "trapezoid", "--k-lo=-2/3", "--k-hi", "11/7"),
+     lambda: [_mp(Fraction(k) / 3 * _W2 / 4) for k in ("-2/3", "11/7")]),
+    (("--rule", "midpoint", "--k-lo=-2/3", "--k-hi", "11/7"),
+     lambda: [_mp(Fraction(k) * _W2 / 24) for k in ("-2/3", "11/7")]),
+    (("--rule", "simpson", "--d4-sup", "19/11", "--p", "2"),
+     lambda: [_mp(Fraction(19, 11) * _W2 / 2880)]),
+    (("--rule", "simpson", "--d4-sup", "19/11"),
+     lambda: [_mp(Fraction(19, 11) * _W2**2 / 2880)]),
+]
 
 
 class TestBoundCommand:
@@ -111,6 +159,20 @@ class TestBoundCommand:
         assert code == USAGE_ERROR
         assert out == ""
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "flags, expected",
+        BOUND_PATHS,
+        ids=["cor-q1", "thm6-mp", "cor-mp", "big-m-with-q-mp", "big-m-derived-mp",
+             "big-m-relaxed", "trap-envelope", "mid-envelope", "simpson-p2",
+             "simpson-p4"],
+    )
+    def test_bound_prints_float_of_50_digit_value(self, flags, expected):
+        code, out = run_cli("bound", "--a", "1/3", "--b", "7/5", *flags)
+        assert code == 0
+        with mpmath.workdps(50):
+            values = [f"{float(v):.17g}" for v in expected()]
+        assert out.split()[1:] == values
 
 
 class TestVerifyCommand:
@@ -339,6 +401,21 @@ class TestOtherCommands:
             ("verify", "--claims", "thm6-stated", "--functions", "poly3",
              "--q-grid", "0.5"),
             ("search", "--claim", "thm6-stated", "--q-grid", "0.5", "--trials", "3"),
+            ("means", "--a", "1", "--b", "2", "--n", "0"),
+            ("means", "--a", "1", "--b", "2", "--n", "-1"),
+            ("means", "--prop", "1", "--n", "3", "--a", "0", "--b", "2"),
+            ("means", "--prop", "1", "--n", "3", "--a", "2", "--b", "2"),
+            ("means", "--prop", "1", "--n", "3", "--a", "1", "--b", "2", "--q", "1/2"),
+            ("means", "--a", "-1", "--b", "2"),
+            ("identity", "--function", "poly2", "--a", "0", "--b", "1", "--lambda", "2"),
+            ("bound", "--rule", "midpoint", "--a", "0", "--b", "1e400", "--ma", "1",
+             "--mb", "1"),
+            ("bound", "--rule", "midpoint", "--a", "0", "--b", "1e300", "--ma",
+             "1e300", "--mb", "1"),
+            ("bound", "--rule", "midpoint", "--a", "0", "--b", "1e300", "--ma",
+             "1e300", "--mb", "1", "--q", "2"),
+            ("means", "--a", "1", "--b", "1e400"),
+            ("pconvex", "--function", "poly2", "--a", "0", "--b", "1e400"),
         ],
         ids=[
             "pconvex-grid-below-3",
@@ -352,6 +429,18 @@ class TestOtherCommands:
             "verify-lambda-below-0",
             "verify-q-below-1",
             "search-q-below-1",
+            "means-n-zero",
+            "means-n-minus-one",
+            "means-prop-a-not-positive",
+            "means-prop-a-not-below-b",
+            "means-prop-q-below-1",
+            "means-negative-a",
+            "identity-lambda-above-1",
+            "bound-b-overflows-float",
+            "bound-value-overflows-float",
+            "bound-mp-value-overflows-float",
+            "means-b-overflows-float",
+            "pconvex-b-overflows-float",
         ],
     )
     def test_invalid_input_is_usage_error(self, argv, capsys):

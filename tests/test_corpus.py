@@ -12,13 +12,12 @@ from hhbounds.corpus import (
     Interval,
     PConvexityReport,
     PViolation,
-    _sample_safe,
     check_p_convex,
     corpus_standard,
     function_ids,
     get_function,
 )
-from hhbounds.oracle import integrate
+from hhbounds.oracle import _sample, integrate
 
 CORPUS = corpus_standard()
 IDS = [f.id for f in CORPUS]
@@ -35,8 +34,8 @@ def reference_grid_scan(g, domain, grid=GridSpec(), tol_abs=1e-12):
     lams = np.linspace(0.0, 1.0, grid.nlam)
     n_samples = grid.nx * grid.ny * grid.nlam
 
-    gx = _sample_safe(g, xs)
-    gy = _sample_safe(g, ys)
+    gx = _sample(g, xs)
+    gy = _sample(g, ys)
     for arr, pts in ((gx, xs), (gy, ys)):
         if not np.all(np.isfinite(arr)):
             bad = float(pts[~np.isfinite(arr)][0])
@@ -45,7 +44,7 @@ def reference_grid_scan(g, domain, grid=GridSpec(), tol_abs=1e-12):
     mix = lams[None, None, :] * xs[:, None, None] + (1.0 - lams[None, None, :]) * ys[
         None, :, None
     ]
-    gmix = _sample_safe(g, mix)
+    gmix = _sample(g, mix)
     if not np.all(np.isfinite(gmix)):
         bad = float(mix[~np.isfinite(gmix)][0])
         return PConvexityReport("undefined", n_samples, undefined_at=bad)

@@ -1,6 +1,7 @@
 """Harness tests: ledger contents, campaign semantics, search, determinism."""
 
 import json
+import math
 from fractions import Fraction
 
 import mpmath
@@ -272,6 +273,45 @@ class TestRunCampaign:
         search = CampaignConfig(functions=("spiky",), trials=5, seed=3)
         out = find_counterexample("hh", search, registry)
         assert out.record is None and out.trials == 5
+
+    def test_raising_function_is_undefined(self):
+        # f'' raising below 1.5 reaches the sampled envelope (hh,
+        # mid-envelope); f raising at 2 reaches the scalar endpoint values
+        # of the float sides (thm5, mid-envelope, simpson-4th-p4)
+        def f_edge(x):
+            if np.any(np.asarray(x) >= 2.0):
+                raise ValueError("f is undefined from 2 on")
+            return x * x
+
+        # f'' = 1/sqrt(x - 1.5) above 1.5, where f is finite everywhere
+        def f_root(x):
+            return 4.0 / 3.0 * np.maximum(x - 1.5, 0.0) ** 1.5
+
+        registry = {
+            "rootd2": TestFunction(
+                id="rootd2", f=f_root,
+                d1=lambda x: 2.0 * np.maximum(x - 1.5, 0.0) ** 0.5,
+                d2=lambda x: 1.0 / math.sqrt(x - 1.5), domain=Interval(0.0, 10.0),
+            ),
+            "edge": TestFunction(
+                id="edge", f=f_edge, d1=lambda x: 2.0 * x,
+                d2=lambda x: 2.0 + 0.0 * x, d4=lambda x: 0.0 * x,
+                domain=Interval(0.0, 10.0),
+            ),
+        }
+        for fid, claims in (
+            ("rootd2", ("hh", "mid-envelope")),
+            ("edge", ("thm5", "mid-envelope", "simpson-4th-p4")),
+        ):
+            cfg = CampaignConfig(claims=claims, functions=(fid,), lambda_grid=(0.5,))
+            res = run_campaign(cfg, registry=registry)
+            assert [r.status for r in res.records] == ["undefined"] * len(claims)
+            search = CampaignConfig(
+                functions=(fid,), interval_range=(1.0, 3.0), trials=5, seed=3
+            )
+            for claim in claims:
+                out = find_counterexample(claim, search, registry)
+                assert out.record is None and out.trials == 5
 
     def test_interval_outside_function_domain_is_hypothesis_failed(self):
         cfg = CampaignConfig(

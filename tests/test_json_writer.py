@@ -1,8 +1,8 @@
 """The report writer equals ``json.dumps(doc, indent=2)`` byte for byte.
 
-``json.dumps`` is the reference here and nowhere else: ``cli.to_json``
-writes records through a fixed template and everything else through a
-small encoder of its own.
+``cli.to_json`` lets ``json.dumps`` write everything but a report's
+top-level ``records`` list, and writes each record through a fixed
+template.  The reference is one ``json.dumps`` call on the whole document.
 """
 
 import io
@@ -49,11 +49,18 @@ NESTED = st.recursive(
     | st.dictionaries(TEXT, inner, max_size=3),
     max_leaves=12,
 )
+# Template records whose field holds a nonempty container.
+CONTAINER = st.lists(NESTED, min_size=1, max_size=3) | st.dictionaries(
+    TEXT, NESTED, min_size=1, max_size=3
+)
+NESTED_FIELD_RECORD = st.tuples(RECORD, CONTAINER, NESTED).map(
+    lambda t: {**t[0], "lambda": t[1], "status": t[2]}
+)
 DOC = st.fixed_dictionaries(
     {
         "version": TEXT,
         "config": st.dictionaries(TEXT, NESTED, max_size=4),
-        "records": st.lists(RECORD | OTHER_RECORD, max_size=5),
+        "records": st.lists(RECORD | OTHER_RECORD | NESTED_FIELD_RECORD, max_size=5),
         "summary": st.dictionaries(TEXT, NESTED, max_size=4),
     }
 )
