@@ -12,23 +12,32 @@ Subcommands:
 All real-valued inputs also accept exact fraction syntax ``p/q``; a value
 too large for a float, or input a formula rejects, is a usage error (exit
 64).  ``bound`` evaluates the generic bound formulas on exact rationals,
-with a q-th root at 50 digits, and prints the float of that value.  JSON
-reports come from ``json.dumps`` except for their records, which go
-through one fixed template (:func:`to_json`).  The environment variable
-``HHBOUNDS_SEED`` overrides ``--seed`` when set.
+with a q-th root at 50 digits, and prints the float of that value.
+``verify`` writes its report while the campaign is evaluated, block by
+block in canonical order (:class:`~hhbounds.harness.CampaignStream`), with
+the summary after the last record; ``--out`` is written beside its target
+and renamed onto it once the report is complete.  JSON reports come from
+``json.dumps`` except for their records, which go through one record
+encoder (:func:`to_json`).  The environment variable ``HHBOUNDS_SEED``
+overrides ``--seed`` when set.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import io
+import itertools
 import json
 import math
 import os
+import stat
 import sys
+from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
+from operator import attrgetter
 from typing import Optional, Sequence, TextIO
 
 import mpmath
@@ -113,12 +122,39 @@ _RECORD_FIELDS = (
 )
 
 
-def report_document(result: harness.CampaignResult) -> dict:
+_record_values = attrgetter(
+    "claim", "function", "a", "b", "lam", "q", "lhs", "rhs", "margin", "status", "exact"
+)
+
+
+def _fields(item) -> Optional[tuple]:
+    """The field values of a record, or of a dict with exactly its keys in
+    order; None for anything else."""
+    if type(item) is VerificationRecord:
+        return _record_values(item)
+    if type(item) is dict and tuple(item) == _RECORD_FIELDS:
+        return tuple(item.values())
+    return None
+
+
+def report_document(campaign) -> dict:
+    """The report of a campaign.
+
+    For a :class:`~hhbounds.harness.CampaignResult` the records are dicts
+    (:meth:`VerificationRecord.as_dict`), so that ``json.dumps`` can write
+    the document.  For a :class:`~hhbounds.harness.CampaignStream` they are
+    its records, evaluated as a writer reads them, and the summary is
+    complete once the last one has been read.
+    """
+    if isinstance(campaign, harness.CampaignStream):
+        records = itertools.chain.from_iterable(campaign)
+    else:
+        records = [r.as_dict() for r in campaign.records]
     return {
         "version": __version__,
-        "config": result.config.as_dict(),
-        "records": [r.as_dict() for r in result.records],
-        "summary": result.summary,
+        "config": campaign.config.as_dict(),
+        "records": records,
+        "summary": campaign.summary,
     }
 
 
@@ -127,9 +163,13 @@ def to_json(doc: dict, out: Optional[TextIO] = None) -> Optional[str]:
 
     Returned as a string, or, given ``out``, written to that stream with a
     final newline (the layout of a report) and None returned.
-    ``json.dumps`` writes everything but a report's top-level ``records``
-    list; each record (a dict of :meth:`VerificationRecord.as_dict`) goes
-    through one fixed template, and any other item through ``json.dumps``.
+    ``json.dumps`` writes everything but a report's top-level ``records``;
+    each record (a :class:`VerificationRecord`, written as its
+    ``as_dict()``, or a dict of that shape) goes through one encoder, and
+    any other item through ``json.dumps``.  ``records`` may be an iterator,
+    read as it is written.  The keys after it are written once it is
+    exhausted, so it may fill in a value that follows it, as the summary of
+    a streamed campaign.
     """
     parts = _json_parts(doc)
     if out is None:
@@ -139,81 +179,136 @@ def to_json(doc: dict, out: Optional[TextIO] = None) -> Optional[str]:
     return None
 
 
-# The indent=2 layout of a record as an item of the top-level records list.
-_RECORD_TEMPLATE = (
-    "{\n      " + ",\n      ".join(f'"{k}": %s' for k in _RECORD_FIELDS) + "\n    }"
-)
 _repr = float.__repr__
+_ascii = encode_basestring_ascii
+# How a report's top level writes an empty records list.
+_NO_RECORDS = '\n  "records": []'
 
 
 def _json_parts(doc):
     """The text of ``json.dumps(doc, indent=2)`` in pieces, one per record."""
     records = doc.get("records") if isinstance(doc, dict) else None
-    if not records or not isinstance(records, (list, tuple)):
+    if not isinstance(records, (list, tuple, Iterator)):
         yield json.dumps(doc, indent=2)
         return
-    # At the top level, '\n  "' only starts one of doc's own keys.
-    head, tail = json.dumps({**doc, "records": []}, indent=2).split(
-        '\n  "records": []'
-    )
-    sep = head + '\n  "records": [\n    '
+    keys = list(doc)
+    at = keys.index("records")
+    head = json.dumps({**{k: doc[k] for k in keys[:at]}, "records": []}, indent=2)
+    head = head[: -len(_NO_RECORDS + "\n}")]
+    sep, empty = head + '\n  "records": [\n    ', True
+    for item in _json_items(records):
+        yield sep + item
+        sep, empty = ",\n    ", False
+    tail = json.dumps({"records": [], **{k: doc[k] for k in keys[at + 1 :]}}, indent=2)
+    tail = tail[len("{" + _NO_RECORDS) :]
+    yield (head + _NO_RECORDS if empty else "\n  ]") + tail
+
+
+def _json_items(records):
+    """Each item of a report's records list as ``json.dumps(report,
+    indent=2)`` writes it.
+
+    The records of a block hold the same claim, function, a and b objects,
+    so that prefix is formatted once per block.  The (lambda, q) fragment
+    is cached by the identity of its two values, which a campaign takes
+    from its grids.  Per record only lhs, rhs, margin, status and exact are
+    formatted.
+    """
+    block, prefix, grids = (object(),) * 4, "", {}
     for item in records:
-        if type(item) is dict and tuple(item) == _RECORD_FIELDS:
-            yield sep + _RECORD_TEMPLATE % tuple([
-                _repr(v) if type(v) is float and v - v == 0
-                else encode_basestring_ascii(v) if type(v) is str
-                else "null" if v is None
-                else "true" if v is True
-                else "false" if v is False
-                else json.dumps(v, indent=2).replace("\n", "\n      ")
-                for v in item.values()
-            ])
-        else:
-            yield sep + json.dumps(item, indent=2).replace("\n", "\n    ")
-        sep = ",\n    "
-    yield "\n  ]" + tail
+        values = _fields(item)
+        if values is None:
+            yield json.dumps(item, indent=2).replace("\n", "\n    ")
+            continue
+        claim, function, a, b, lam, q, lhs, rhs, margin, status, exact = values
+        if not (
+            claim is block[0] and function is block[1] and a is block[2] and b is block[3]
+        ):
+            block = claim, function, a, b
+            prefix = (
+                f'{{\n      "claim": {_json_field(claim)},'
+                f'\n      "function": {_json_field(function)},'
+                f'\n      "a": {_json_field(a)},\n      "b": {_json_field(b)},'
+                '\n      "lambda": '
+            )
+        grid = grids.get((id(lam), id(q)))
+        if grid is None:
+            if len(grids) >= 4096:  # records with fresh lam and q objects
+                grids.clear()
+            # the entry holds lam and q, so their ids are not reused while cached
+            grid = grids[id(lam), id(q)] = (
+                lam, q, f'{_json_field(lam)},\n      "q": {_json_field(q)},\n      "lhs": '
+            )
+        yield (
+            f"{prefix}{grid[2]}"
+            f"{_repr(lhs) if type(lhs) is float and lhs - lhs == 0 else _json_field(lhs)}"
+            ',\n      "rhs": '
+            f"{_repr(rhs) if type(rhs) is float and rhs - rhs == 0 else _json_field(rhs)}"
+            ',\n      "margin": '
+            f"{_repr(margin) if type(margin) is float and margin - margin == 0 else _json_field(margin)}"
+            ',\n      "status": '
+            f"{_ascii(status) if type(status) is str else _json_field(status)}"
+            ',\n      "exact": '
+            f'{"true" if exact is True else "false" if exact is False else _json_field(exact)}'
+            "\n    }"
+        )
 
 
-def to_csv(records: Sequence[VerificationRecord]) -> str:
-    buf = io.StringIO()
+def _json_field(v) -> str:
+    """One field of a record as ``json.dumps`` writes it in a report."""
+    if type(v) is float and v - v == 0:
+        return _repr(v)
+    if type(v) is str:
+        return _ascii(v)
+    if v is None:
+        return "null"
+    return json.dumps(v, indent=2).replace("\n", "\n      ")
+
+
+def to_csv(records, out: Optional[TextIO] = None) -> Optional[str]:
+    """The records as CSV, a header row of the field names and one row per
+    :class:`VerificationRecord`: returned as a string, or written to ``out``
+    and None returned.  ``records`` may be an iterator, read as it is
+    written."""
+    buf = io.StringIO() if out is None else out
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(_RECORD_FIELDS)
-    for r in records:
-        d = r.as_dict()
-        row = []
-        for k in _RECORD_FIELDS:
-            v = d[k]
-            if v is None:
-                row.append("")
-            elif isinstance(v, bool):
-                row.append("true" if v else "false")
-            elif isinstance(v, float):
-                row.append(repr(v))
-            else:
-                row.append(str(v))
-        writer.writerow(row)
-    return buf.getvalue()
+    writer.writerows([_csv_cell(v) for v in _record_values(r)] for r in records)
+    return buf.getvalue() if out is None else None
 
 
-def to_table(doc: dict) -> str:
-    lines = []
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, bool):
+        return "true" if v else "false"
+    if isinstance(v, float):
+        return repr(v)
+    return str(v)
+
+
+def to_table(doc: dict, out: Optional[TextIO] = None) -> Optional[str]:
+    """A report document as a fixed-width table with a summary footer:
+    returned as a string, or written to ``out`` and None returned.  Its
+    records (:class:`VerificationRecord` objects or their dicts) may be an
+    iterator; the summary is read after the last of them."""
+    buf = io.StringIO() if out is None else out
     header = f"{'claim':<18} {'function':<8} {'a':>9} {'b':>9} {'lambda':>8} {'q':>6} {'lhs':>13} {'rhs':>13} {'margin':>13} {'status':<17} exact"
-    lines.append(header)
-    lines.append("-" * len(header))
+    buf.write(f"{header}\n{'-' * len(header)}\n")
 
     def num(v, width, digits=6):
         return ("" if v is None else f"{v:.{digits}g}").rjust(width)
 
-    for r in doc["records"]:
-        lines.append(
-            f"{r['claim']:<18} {r['function']:<8} {num(r['a'], 9)} {num(r['b'], 9)}"
-            f" {num(r['lambda'], 8, 4)} {num(r['q'], 6, 4)} {num(r['lhs'], 13)}"
-            f" {num(r['rhs'], 13)} {num(r['margin'], 13)} {r['status']:<17}"
-            f" {'yes' if r['exact'] else 'no'}"
+    for item in doc["records"]:
+        claim, function, a, b, lam, q, lhs, rhs, margin, status, exact = _fields(item)
+        buf.write(
+            f"{claim:<18} {function:<8} {num(a, 9)} {num(b, 9)}"
+            f" {num(lam, 8, 4)} {num(q, 6, 4)} {num(lhs, 13)}"
+            f" {num(rhs, 13)} {num(margin, 13)} {status:<17}"
+            f" {'yes' if exact else 'no'}\n"
         )
     s = doc["summary"]
-    lines.append("")
-    lines.append(f"records: {s['total']}  " + "  ".join(f"{k}={v}" for k, v in s["by_status"].items()))
+    lines = ["", f"records: {s['total']}  " + "  ".join(f"{k}={v}" for k, v in s["by_status"].items())]
     if s["violated_stated_only"]:
         lines.append("violated (stated-only): " + ", ".join(s["violated_stated_only"]))
     if s["violated_proof_backed"]:
@@ -221,7 +316,8 @@ def to_table(doc: dict) -> str:
             "violated (proof-backed, implementation bug): "
             + ", ".join(s["violated_proof_backed"])
         )
-    return "\n".join(lines) + "\n"
+    buf.write("\n".join(lines) + "\n")
+    return buf.getvalue() if out is None else None
 
 
 # ---------------------------------------------------------------------------
@@ -322,34 +418,61 @@ def _validate_ids(config, parser) -> None:
         parser.error(str(exc.args[0]))
 
 
-def _write_report(result: harness.CampaignResult, fmt: str, out: TextIO) -> None:
+def _write_report(doc: dict, fmt: str, out: TextIO) -> None:
     if fmt == "json":
-        to_json(report_document(result), out)
+        to_json(doc, out)
     elif fmt == "csv":
-        out.write(to_csv(result.records))
+        to_csv(doc["records"], out)
     else:
-        out.write(to_table(report_document(result)))
+        to_table(doc, out)
+
+
+@contextlib.contextmanager
+def _replaced_when_done(path: str):
+    """A text stream whose content replaces the file at ``path`` when the
+    block exits without raising.  Until then it is a file beside the target;
+    if the block raises, that file is removed and the target left as it
+    was.  A path that exists but is not a regular file (a device or a pipe)
+    is written directly."""
+    if os.path.exists(path) and not os.path.isfile(path):
+        with open(path, "w") as fh:
+            yield fh
+        return
+    target = os.path.realpath(path)
+    directory, name = os.path.split(target)
+    part = os.path.join(directory, f".{name}.{os.getpid()}.part")
+    try:
+        with open(part, "w") as fh:
+            yield fh
+        if os.path.exists(target):
+            os.chmod(part, stat.S_IMODE(os.stat(target).st_mode))
+        os.replace(part, target)
+    except BaseException:
+        if os.path.exists(part):
+            os.unlink(part)
+        raise
 
 
 def _cmd_verify(args, parser) -> int:
     config = _campaign_config(args, parser)
     _validate_ids(config, parser)
-    result = harness.run_campaign(config)
+    campaign = harness.CampaignStream(config)
+    doc = report_document(campaign)
     if args.out:
-        with open(args.out, "w") as fh:
-            _write_report(result, args.format, fh)
-        s = result.summary
+        with _replaced_when_done(args.out) as fh:
+            _write_report(doc, args.format, fh)
+        s = campaign.summary
         print(
             f"wrote {s['total']} records to {args.out} "
             f"(violated: {s['by_status']['violated']})",
             file=sys.stderr,
         )
     else:
-        _write_report(result, args.format, sys.stdout)
+        _write_report(doc, args.format, sys.stdout)
 
-    if result.summary["violated_proof_backed"]:
+    if campaign.summary["violated_proof_backed"]:
         return 2
-    if result.summary["violated_stated_only"]:
+    if campaign.summary["violated_stated_only"]:
         return 1
     return 0
 

@@ -29,7 +29,13 @@ from typing import Optional
 
 from . import kernel, oracle
 from .corpus import Interval, TestFunction
-from .oracle import _as_fraction, _terms_at, _terms_integral, _value_at
+from .oracle import (
+    _as_fraction,
+    _terms_at,
+    _terms_integral,
+    _terms_integral_ratio,
+    _value_at,
+)
 
 __all__ = [
     "DeviationValue",
@@ -75,8 +81,9 @@ def average_value(f: TestFunction, domain: Interval, tol: float = 1e-12) -> floa
     closed-form antiderivative difference, then the adaptive oracle.
     """
     _require_subdomain(f, domain)
-    if f.poly_coeffs is not None:
-        return float(average_value_exact(f, domain))
+    if f.poly_coeffs is not None:  # the exact average, correctly rounded
+        num, den = _terms_integral_ratio(f._terms, domain.lo, domain.hi, average=True)
+        return num / den
     if f.exact_integral is not None:
         return f.exact_integral(domain.lo, domain.hi) / domain.width
     return oracle.integrate(f.f, domain, tol).value / domain.width

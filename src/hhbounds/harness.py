@@ -13,10 +13,15 @@ provenance tag:
 A campaign sweeps (claim, function, interval, lambda, q) combinations,
 records one :class:`VerificationRecord` per combination, and aggregates a
 per-claim summary.  It evaluates one block at a time: a claim on one
-(function, interval) over the whole lambda x q grid.  The hypothesis is
-checked once per q.  Each claim family has one side function that states
-its inequality on a panel: the values of one (function, interval) in
-floats, in floats with a refined average, or in exact rationals.  A panel
+(function, interval) over the whole lambda x q grid.  Claims and functions
+are taken by id, intervals in sorted order and each block's grid sorted,
+so :class:`CampaignStream` yields the blocks already in the canonical
+record order and summarizes them as they pass; nothing is sorted
+afterwards, and a writer holds one block of records at a time.  The
+hypothesis is checked once per q.  Each claim family has one side
+function that states its inequality on a panel: the values of one
+(function, interval) in floats, in floats with a refined average, or in
+exact rationals.  A panel
 also caches the statistics the lambda-family sides factor into, each
 computed once by the formulas of :mod:`bounds` and shared by every claim
 that reads it: |F(lam)| and the bound's lam factor (b-a)^2 moment(lam) per
@@ -28,17 +33,20 @@ refined one, and :func:`~hhbounds.records.classify` decides every status.
 The special-means propositions are the corollary sides of their rule,
 evaluated on the exact panel of x^n.  An oracle failure anywhere,
 confirmation included, yields an 'undefined' record, and so does an f,
-f'' or f'''' that raises where it is sampled.  Runs are deterministic for
-a fixed config.
+f'' or f'''' that raises where it is sampled; a panel whose build failed is
+not built again.  Runs are deterministic for a fixed config.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import random
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Mapping, Optional
+from operator import attrgetter
+from typing import Iterator, Mapping, Optional
 
 import mpmath
 import numpy as np
@@ -66,6 +74,7 @@ __all__ = [
     "BoundClaim",
     "CampaignConfig",
     "CampaignResult",
+    "CampaignStream",
     "CounterexampleSearch",
     "ledger_standard",
     "claim_ids",
@@ -318,15 +327,12 @@ class _Panel:
         self.exact = kind == "exact"
         if self.exact:
             self.domain = bounds._exact(domain)
-            avg = ctx.average_exact(fn, domain)
-            self.samples = functionals._samples_exact(fn, self.domain, avg)
+            self.samples = functionals._samples_exact(fn, self.domain)
             return
         self.domain = domain
         if kind == "refined":
             tol = ctx.config.oracle_tol / 10.0
             avg = oracle.integrate(fn.f, domain, tol).value / domain.width
-        elif fn.poly_coeffs is not None:
-            avg = float(ctx.average_exact(fn, domain))
         else:
             avg = functionals.average_value(fn, domain, ctx.config.oracle_tol)
         self.samples = functionals._samples(fn, domain, avg)
@@ -394,23 +400,15 @@ class _Panel:
 
 
 class _Context:
-    """Per-run caches: panels, exact averages, envelopes, P-checks."""
+    """Per-run caches: panels (or the failure building one), envelopes,
+    P-checks."""
 
     def __init__(self, config: CampaignConfig):
         self.config = config
         self._panel: dict = {}
-        self._average_exact: dict = {}
         self._d2_terms: dict = {}
         self._pcheck: dict = {}
         self._envelope: dict = {}
-
-    def average_exact(self, fn: TestFunction, domain: Interval) -> Fraction:
-        """The exact average of a polynomial; its float panel uses it
-        rounded, as :func:`functionals.average_value` would."""
-        key = (fn.id, domain.lo, domain.hi)
-        if key not in self._average_exact:
-            self._average_exact[key] = functionals.average_value_exact(fn, domain)
-        return self._average_exact[key]
 
     def d2_terms(self, fn: TestFunction):
         """The nonzero terms of f'' for a polynomial."""
@@ -420,10 +418,19 @@ class _Context:
         return self._d2_terms[fn.id]
 
     def panel(self, fn: TestFunction, domain: Interval, kind: str) -> _Panel:
+        """The cached panel; a build that failed raises its OracleError
+        again, without building the panel anew."""
         key = (kind, fn.id, domain.lo, domain.hi)
-        if key not in self._panel:
-            self._panel[key] = _Panel(self, fn, domain, kind)
-        return self._panel[key]
+        p = self._panel.get(key)
+        if p is None:
+            try:
+                p = _Panel(self, fn, domain, kind)
+            except OracleError as exc:
+                p = exc
+            self._panel[key] = p
+        if isinstance(p, OracleError):
+            raise p.with_traceback(None)
+        return p
 
     def envelope(self, fn: TestFunction, domain: Interval) -> bounds.DerivativeEnvelope:
         key = (fn.id, domain.lo, domain.hi)
@@ -547,16 +554,33 @@ _EXACT_LAMBDA = {
 }
 
 
+def _order_value(v):
+    """A lam or q as the canonical record order compares it (None first)."""
+    return -1.0 if v is None else v
+
+
+@functools.lru_cache(maxsize=64)
+def _grid_order(lams: tuple, qs: tuple) -> tuple[tuple[int, int], ...]:
+    """The (lam, q) index pairs of a block in canonical record order: by
+    lam, then q, and equal values (repeated, or 0.0 and -0.0) in lam-major
+    grid order, as a stable sort of the records leaves them.  Indices, not
+    values, so that grids which compare equal share one entry."""
+    pairs = [(i, k) for i in range(len(lams)) for k in range(len(qs))]
+    return tuple(
+        sorted(pairs, key=lambda ik: (_order_value(lams[ik[0]]), _order_value(qs[ik[1]])))
+    )
+
+
 def _evaluate_block(
     claim: BoundClaim,
     fn: TestFunction,
     domain: Interval,
-    lams,
-    qs,
+    lams: tuple,
+    qs: tuple,
     ctx: _Context,
 ) -> list[VerificationRecord]:
     """The records of one claim on one (function, interval) over ``lams``
-    x ``qs``, lam-major.
+    x ``qs``, in canonical order (:func:`_grid_order`).
 
     The hypothesis is checked once per q.  The sides are evaluated in
     floats first, and a comfortable 'holds' is accepted there.  Every other
@@ -572,8 +596,9 @@ def _evaluate_block(
             lhs, rhs, margin, status, exact,
         )
 
+    order = _grid_order(lams, qs)
     if not fn.domain.contains(domain):
-        return [rec(lam, q, "hypothesis_failed") for lam in lams for q in qs]
+        return [rec(lams[j], qs[k], "hypothesis_failed") for j, k in order]
     unmet = {}
     for q in qs:
         try:
@@ -589,28 +614,28 @@ def _evaluate_block(
     out: list = []
     pending = []  # (record index, lam, q, side index) left to confirm
     p = None
-    for lam in lams:
-        for q in qs:
-            if q in unmet:
-                out.append(rec(lam, q, unmet[q]))
+    for j, k in order:
+        lam, q = lams[j], qs[k]
+        if q in unmet:
+            out.append(rec(lam, q, unmet[q]))
+            continue
+        i = 0
+        if float_first:
+            try:
+                p = p or ctx.panel(fn, domain, "float")
+                pairs = sides(claim, p, lam, q)
+            except OracleError:
+                out.append(rec(lam, q, "undefined"))
                 continue
-            i = 0
-            if float_first:
-                try:
-                    p = p or ctx.panel(fn, domain, "float")
-                    pairs = sides(claim, p, lam, q)
-                except OracleError:
-                    out.append(rec(lam, q, "undefined"))
-                    continue
-                if len(pairs) > 1:
-                    m0, m1 = (rhs - lhs for lhs, rhs in pairs)
-                    i = 0 if m0 <= m1 else 1
-                verdict = classify(*pairs[i], tol, eq_tol)
-                if verdict[0] == "holds":
-                    out.append(rec(lam, q, *verdict))
-                    continue
-            pending.append((len(out), lam, q, i))
-            out.append(None)
+            if len(pairs) > 1:
+                m0, m1 = (rhs - lhs for lhs, rhs in pairs)
+                i = 0 if m0 <= m1 else 1
+            verdict = classify(*pairs[i], tol, eq_tol)
+            if verdict[0] == "holds":
+                out.append(rec(lam, q, *verdict))
+                continue
+        pending.append((len(out), lam, q, i))
+        out.append(None)
 
     if pending:
         exact = fn.poly_coeffs is not None
@@ -692,72 +717,113 @@ def resolve_functions(ids, registry) -> list[TestFunction]:
     return out
 
 
+class CampaignStream:
+    """A campaign evaluated as it is read.
+
+    Iterating yields the records of every (claim, function, interval,
+    lambda, q) combination in canonical order (claim, function, a, b,
+    lambda, q): one block per claim on one (function, interval), with
+    claims and functions taken by id and intervals in sorted order.
+    ``summary`` is filled in once the last block has been yielded.  A
+    reader that writes each block as it comes holds one block of records
+    at a time, beside the per-panel caches.  Unmet hypotheses yield
+    'hypothesis_failed' records, oracle failures 'undefined' records;
+    neither aborts the run.
+    """
+
+    def __init__(
+        self,
+        config: CampaignConfig,
+        registry: Optional[Mapping[str, TestFunction]] = None,
+    ):
+        self.config = config
+        self.summary: dict = {}
+        self._claims = resolve_claims(config.claims)
+        self._fns = resolve_functions(config.functions, registry)
+
+    def __iter__(self) -> Iterator[list[VerificationRecord]]:
+        config = self.config
+        intervals = [tuple(map(float, iv)) for iv in config.intervals]
+        intervals += sample_intervals(config)
+        ctx = _Context(config)
+        entries = {}  # claim id -> its summary entry, in config order
+        for c in self._claims:
+            entries.setdefault(c.id, {
+                "provenance": c.provenance,
+                "records": 0,
+                "by_status": dict.fromkeys(STATUSES, 0),
+                "min_margin": None,
+            })
+        # Equal keys (a repeated id or interval) make one run, whose blocks
+        # are merged into the order a stable sort of their records gives.
+        fn_runs, interval_runs = _runs(self._fns, _BY_ID), _runs(intervals, None)
+        for claims in _runs(self._claims, _BY_ID):
+            claim = claims[0]
+            lams = tuple(config.lambda_grid) if claim.uses_lambda else (claim.fixed_lambda,)
+            qs = tuple(config.q_grid) if claim.uses_q else (None,)
+            for fns in fn_runs:
+                for ivs in interval_runs:
+                    blocks = [
+                        _evaluate_block(claim, fn, Interval(a, b), lams, qs, ctx)
+                        for _ in claims
+                        for fn in fns
+                        for a, b in ivs
+                    ]
+                    block = blocks[0] if len(blocks) == 1 else sorted(
+                        itertools.chain.from_iterable(blocks), key=_grid_key
+                    )
+                    _count(entries[claim.id], block)
+                    yield block
+        self.summary.update(_summary(entries))
+
+
+_BY_ID = attrgetter("id")
+
+
+def _grid_key(r: VerificationRecord):
+    return _order_value(r.lam), _order_value(r.q)
+
+
+def _runs(items, key) -> list[list]:
+    """``items`` stably sorted by ``key``, in runs of equal keys."""
+    return [list(run) for _, run in itertools.groupby(sorted(items, key=key), key)]
+
+
 def run_campaign(
     config: CampaignConfig,
     registry: Optional[Mapping[str, TestFunction]] = None,
 ) -> CampaignResult:
-    """Evaluate every (claim, function, interval, lambda, q) combination.
-
-    Unmet hypotheses yield 'hypothesis_failed' records, oracle failures
-    'undefined' records; neither aborts the run.  Records are merged in the
-    canonical sort order (claim, function, a, b, lambda, q) so any future
-    parallel evaluation cannot change the output.
-    """
-    claims = resolve_claims(config.claims)
-    fns = resolve_functions(config.functions, registry)
-    intervals = [tuple(map(float, iv)) for iv in config.intervals]
-    intervals += sample_intervals(config)
-
-    ctx = _Context(config)
-    records: list[VerificationRecord] = []
-    for claim in claims:
-        lams = (
-            list(config.lambda_grid)
-            if claim.uses_lambda
-            else [claim.fixed_lambda]
-        )
-        qs = list(config.q_grid) if claim.uses_q else [None]
-        for fn in fns:
-            for a, b in intervals:
-                records += _evaluate_block(claim, fn, Interval(a, b), lams, qs, ctx)
-
-    records.sort(key=VerificationRecord.sort_key)
-    summary = summarize(records, claims)
-    return CampaignResult(config=config, records=tuple(records), summary=summary)
+    """Every record of :class:`CampaignStream`, in its canonical order, and
+    the summary."""
+    stream = CampaignStream(config, registry)
+    records = tuple(itertools.chain.from_iterable(stream))
+    return CampaignResult(config=config, records=records, summary=stream.summary)
 
 
-def summarize(records, claims) -> dict:
-    def entry(claim: BoundClaim) -> dict:
-        return {
-            "provenance": claim.provenance,
-            "records": 0,
-            "by_status": dict.fromkeys(STATUSES, 0),
-            "min_margin": None,
-        }
-
-    by_status = dict.fromkeys(STATUSES, 0)
-    per_claim = {c.id: entry(c) for c in claims}
+def _count(entry: dict, records) -> None:
+    """Add ``records``, all of one claim, to its summary ``entry``, in
+    emitted order, so that the first of equal least margins is kept."""
+    counts, low = entry["by_status"], entry["min_margin"]
     for r in records:
-        by_status[r.status] += 1
-        if r.claim not in per_claim:
-            per_claim[r.claim] = entry(get_claim(r.claim))
-        e = per_claim[r.claim]
-        e["records"] += 1
-        e["by_status"][r.status] += 1
-        if r.margin is not None:
-            if e["min_margin"] is None or r.margin < e["min_margin"]:
-                e["min_margin"] = r.margin
+        counts[r.status] += 1
+        m = r.margin
+        if m is not None and (low is None or m < low):
+            low = m
+    entry["records"] += len(records)
+    entry["min_margin"] = low
 
-    violated = sorted(
-        {r.claim for r in records if r.status == "violated"}
-    )
-    prov = {cid: per_claim[cid]["provenance"] for cid in violated}
+
+def _summary(entries: dict) -> dict:
+    """The campaign summary from its per-claim entries."""
+    violated = sorted(c for c, e in entries.items() if e["by_status"]["violated"])
     return {
-        "total": len(records),
-        "by_status": by_status,
-        "claims": per_claim,
-        "violated_stated_only": [c for c in violated if prov[c] == STATED_ONLY],
-        "violated_proof_backed": [c for c in violated if prov[c] == PROOF_BACKED],
+        "total": sum(e["records"] for e in entries.values()),
+        "by_status": {s: sum(e["by_status"][s] for e in entries.values()) for s in STATUSES},
+        "claims": entries,
+        "violated_stated_only": [c for c in violated if entries[c]["provenance"] == STATED_ONLY],
+        "violated_proof_backed": [
+            c for c in violated if entries[c]["provenance"] == PROOF_BACKED
+        ],
     }
 
 

@@ -47,7 +47,10 @@ def mean_logarithmic(alpha: float, beta: float) -> float:
     _check_positive_pair(alpha, beta)
     if alpha == beta:
         raise ValueError("logarithmic mean requires alpha != beta")
-    return (alpha - beta) / (math.log(alpha) - math.log(beta))
+    # log(hi) - log(lo) cancels for close arguments (to 0 for neighbouring
+    # floats); log1p of the relative gap keeps its digits.
+    lo, hi = min(alpha, beta), max(alpha, beta)
+    return (hi - lo) / math.log1p((hi - lo) / lo)
 
 
 def _check_order(n: int) -> None:

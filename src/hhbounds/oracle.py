@@ -285,6 +285,11 @@ def _as_fraction(x) -> Fraction:
     return Fraction(x)
 
 
+def _integer_ratio(x) -> tuple[int, int]:
+    """``x`` as (numerator, denominator); a float without a Fraction."""
+    return x.as_integer_ratio() if type(x) is float else _as_fraction(x).as_integer_ratio()
+
+
 def to_mpf(x):
     """Convert an exact rational (or float/int) to mpf at working precision."""
     import mpmath
@@ -346,14 +351,26 @@ def _terms_integral(terms, lo, hi, average: bool = False) -> Fraction:
     """Exact integral over [lo, hi] of the polynomial with nonzero
     ``terms`` (see :func:`_poly_terms`); with ``average``, that integral
     over hi - lo."""
-    lo, hi = _as_fraction(lo), _as_fraction(hi)
-    # Over a common denominator d, lo = a/d and hi = b/d, so each term is
-    # one integer ratio: one reduction instead of a Fraction step per power.
-    d = math.lcm(lo.denominator, hi.denominator)
-    a, b = lo.numerator * (d // lo.denominator), hi.numerator * (d // hi.denominator)
-    values = []
-    for k, c in terms:
-        den = (k + 1) * d**k * (b - a if average else d)
-        v = Fraction(b ** (k + 1) - a ** (k + 1), den)
-        values.append(v if c == 1 else c * v)
-    return _sum(values)
+    return Fraction(*_terms_integral_ratio(terms, lo, hi, average))
+
+
+def _terms_integral_ratio(terms, lo, hi, average: bool = False) -> tuple[int, int]:
+    """:func:`_terms_integral` as one integer ratio (numerator,
+    denominator), not reduced; ``n / d`` is its correctly rounded float."""
+    if not terms:
+        return 0, 1
+    # Over a common denominator d, lo = a/d and hi = b/d, and the term
+    # c x^k = (p/q) x^k integrates to p (b^(k+1) - a^(k+1)) / (q (k+1) d^(k+1)).
+    # All terms go over w d^top L, with w = b - a for an average (else d),
+    # top the highest power and L the lcm of the q (k+1).
+    (a, lo_den), (b, hi_den) = _integer_ratio(lo), _integer_ratio(hi)
+    d = math.lcm(lo_den, hi_den)
+    a, b = a * (d // lo_den), b * (d // hi_den)
+    top = terms[-1][0]
+    dens = [(k + 1) * (c.denominator if type(c) is Fraction else 1) for k, c in terms]
+    lcm = math.lcm(*dens)
+    num = 0
+    for (k, c), den in zip(terms, dens):
+        p = c.numerator if type(c) is Fraction else c
+        num += p * (b ** (k + 1) - a ** (k + 1)) * d ** (top - k) * (lcm // den)
+    return num, (b - a if average else d) * d**top * lcm

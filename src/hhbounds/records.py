@@ -43,16 +43,6 @@ class VerificationRecord:
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
 
-    def sort_key(self):
-        return (
-            self.claim,
-            self.function,
-            self.a,
-            self.b,
-            -1.0 if self.lam is None else self.lam,
-            -1.0 if self.q is None else self.q,
-        )
-
     def as_dict(self) -> dict:
         return {
             "claim": self.claim,

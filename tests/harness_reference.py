@@ -10,7 +10,10 @@ average re-integrated at a tenth of the oracle tolerance.  The special-means
 propositions go through :func:`means.check_proposition`.
 
 ``reference_records`` and ``reference_search`` must give exactly what
-``run_campaign`` and ``find_counterexample`` give.
+``run_campaign`` and ``find_counterexample`` give, and
+``reference_summary`` the summary of ``run_campaign``: it summarizes all
+the records at once, after sorting them, as campaigns did before they
+were streamed.
 """
 
 from __future__ import annotations
@@ -24,6 +27,8 @@ import numpy as np
 from hhbounds import bounds, functionals, means, oracle
 from hhbounds.corpus import Interval, check_p_convex
 from hhbounds.harness import (
+    PROOF_BACKED,
+    STATED_ONLY,
     get_claim,
     resolve_claims,
     resolve_functions,
@@ -35,7 +40,7 @@ from hhbounds.oracle import (
     poly_derivative_coeffs,
     poly_eval_exact,
 )
-from hhbounds.records import VerificationRecord, classify
+from hhbounds.records import STATUSES, VerificationRecord, classify
 
 PROP_RULES = ("midpoint", "trapezoid", "simpson")
 
@@ -254,8 +259,54 @@ def reference_records(config, registry=None) -> list[VerificationRecord]:
                 for lam in lams:
                     for q in qs:
                         records.append(ref.record(claim, fn, Interval(a, b), lam, q))
-    records.sort(key=VerificationRecord.sort_key)
+    records.sort(key=sort_key)
     return records
+
+
+def sort_key(r: VerificationRecord) -> tuple:
+    """The canonical record order: claim, function, a, b, lambda, q, with
+    a missing lambda or q first."""
+    return (
+        r.claim,
+        r.function,
+        r.a,
+        r.b,
+        -1.0 if r.lam is None else r.lam,
+        -1.0 if r.q is None else r.q,
+    )
+
+
+def reference_summary(records, claims) -> dict:
+    """The summary of a campaign's sorted ``records``; ``claims`` are its
+    resolved claims, in config order."""
+
+    def entry(claim):
+        return {
+            "provenance": claim.provenance,
+            "records": 0,
+            "by_status": dict.fromkeys(STATUSES, 0),
+            "min_margin": None,
+        }
+
+    by_status = dict.fromkeys(STATUSES, 0)
+    per_claim = {c.id: entry(c) for c in claims}
+    for r in records:
+        by_status[r.status] += 1
+        e = per_claim[r.claim]
+        e["records"] += 1
+        e["by_status"][r.status] += 1
+        if r.margin is not None:
+            if e["min_margin"] is None or r.margin < e["min_margin"]:
+                e["min_margin"] = r.margin
+    violated = sorted({r.claim for r in records if r.status == "violated"})
+    prov = {cid: per_claim[cid]["provenance"] for cid in violated}
+    return {
+        "total": len(records),
+        "by_status": by_status,
+        "claims": per_claim,
+        "violated_stated_only": [c for c in violated if prov[c] == STATED_ONLY],
+        "violated_proof_backed": [c for c in violated if prov[c] == PROOF_BACKED],
+    }
 
 
 def reference_search(claim_id, search, registry=None):

@@ -81,6 +81,30 @@ class TestFunctionalLambda:
             average_value_exact(e, UNIT)
 
 
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(
+    coeffs=st.lists(
+        st.integers(-50, 50)
+        | st.fractions(-1000, 1000, max_denominator=1000)
+        | st.floats(-1e6, 1e6),
+        min_size=1,
+        max_size=7,
+    ),
+    lo=st.floats(-100, 100),
+    width=st.floats(1e-9, 100) | st.sampled_from([5e-324, 1e-300]),
+)
+def test_float_average_is_the_exact_one_rounded(coeffs, lo, width):
+    # the float average of a polynomial is one integer ratio, never reduced
+    # to a Fraction; true division rounds it correctly
+    domain = Interval(lo, lo + width) if lo < lo + width else Interval(lo, lo + 1.0)
+    fn = TestFunction(
+        id="p", f=lambda x: x, d1=lambda x: x, d2=lambda x: x,
+        domain=Interval(-1000.0, 1000.0),
+        poly_coeffs=tuple(Fraction(c) for c in coeffs),
+    )
+    assert average_value(fn, domain) == float(average_value_exact(fn, domain))
+
+
 class TestIdentity:
     def test_x_squared_lam_one_both_sides(self):
         p2 = get_function("poly2")

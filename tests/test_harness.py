@@ -8,7 +8,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hhbounds import bounds, functionals
+from hhbounds import bounds, functionals, oracle
 from hhbounds.corpus import GridSpec, Interval, TestFunction, corpus_standard
 from hhbounds.harness import (
     PROOF_BACKED,
@@ -22,6 +22,8 @@ from hhbounds.harness import (
     sample_intervals,
 )
 from hhbounds.oracle import to_mpf
+
+from harness_reference import sort_key
 
 LEDGER = ledger_standard()
 
@@ -189,7 +191,7 @@ class TestRunCampaign:
     def test_records_sorted_canonically(self):
         cfg = CampaignConfig(claims=("thm5", "hh"), functions=("all",), trials=3, seed=2)
         res = run_campaign(cfg)
-        keys = [r.sort_key() for r in res.records]
+        keys = [sort_key(r) for r in res.records]
         assert keys == sorted(keys)
 
     def test_status_partition(self):
@@ -312,6 +314,38 @@ class TestRunCampaign:
             for claim in claims:
                 out = find_counterexample(claim, search, registry)
                 assert out.record is None and out.trials == 5
+
+    def test_failed_panel_is_built_once(self, monkeypatch):
+        # every record of these blocks reads the float panel of f on
+        # [1, 2]; building it integrates f, then f(2) raises.  The failure
+        # is kept like a panel, so f is integrated once for the whole run,
+        # not once per record (105 for the thm6-stated block alone)
+        def f_edge(x):
+            if np.any(np.asarray(x) >= 2.0):
+                raise ValueError("f is undefined from 2 on")
+            return x * x
+
+        registry = {
+            "edge": TestFunction(
+                id="edge", f=f_edge, d1=lambda x: 2.0 * x,
+                d2=lambda x: 2.0 + 0.0 * x, d4=lambda x: 0.0 * x,
+                domain=Interval(0.0, 10.0),
+            )
+        }
+        integrate, calls = oracle.integrate, []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return integrate(*args, **kwargs)
+
+        monkeypatch.setattr(oracle, "integrate", counted)
+        cfg = CampaignConfig(
+            claims=("thm6-stated", "thm5", "hh", "simpson-4th-p4"), functions=("edge",)
+        )
+        res = run_campaign(cfg, registry=registry)
+        assert len(res.records) == 105 + 21 + 1 + 1
+        assert {r.status for r in res.records} == {"undefined"}
+        assert len(calls) == 1
 
     def test_interval_outside_function_domain_is_hypothesis_failed(self):
         cfg = CampaignConfig(

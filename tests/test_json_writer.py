@@ -1,8 +1,8 @@
 """The report writer equals ``json.dumps(doc, indent=2)`` byte for byte.
 
 ``cli.to_json`` lets ``json.dumps`` write everything but a report's
-top-level ``records`` list, and writes each record through a fixed
-template.  The reference is one ``json.dumps`` call on the whole document.
+top-level ``records`` list, and writes each record through one record
+encoder.  The reference is one ``json.dumps`` call on the whole document.
 """
 
 import io
@@ -89,6 +89,22 @@ def test_any_value_equals_json_dumps(value):
 def test_empty_records_and_containers():
     doc = {"version": "0.1.0", "config": {}, "records": [], "summary": {"x": []}}
     assert _written(doc) == json.dumps(doc, indent=2) + "\n"
+    assert _written({**doc, "records": iter([])}) == json.dumps(doc, indent=2) + "\n"
+
+
+@settings(max_examples=100, deadline=None, derandomize=True)
+@given(DOC)
+def test_records_read_from_an_iterator(doc):
+    # a value after the records is written once the records have been read
+    doc = {"version": doc["version"], "records": doc["records"], "summary": doc["summary"]}
+    summary = {}
+
+    def records():
+        yield from doc["records"]
+        summary.update(doc["summary"])
+
+    streamed = {**doc, "records": records(), "summary": summary}
+    assert _written(streamed) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_campaign_report_equals_json_dumps():

@@ -75,6 +75,12 @@ class TestMeans:
         amean = mean_arithmetic(a, b)
         assert lo < lmean < amean < hi or math.isclose(lmean, amean, rel_tol=1e-12)
 
+    @pytest.mark.parametrize("a, b", [(0.010000000000000002, 0.01), (1.0, 1.0000000000000002)])
+    def test_logarithmic_of_neighbouring_floats(self, a, b):
+        # log(a) - log(b) is 0 or one ulp of log here; the mean is a itself
+        assert mean_logarithmic(a, b) == pytest.approx(a, rel=1e-15)
+        assert mean_logarithmic(b, a) == mean_logarithmic(a, b)
+
     @given(pair=pos_pair)
     @settings(max_examples=60)
     def test_symmetry(self, pair):
