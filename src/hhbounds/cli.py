@@ -432,17 +432,24 @@ def _replaced_when_done(path: str):
     """A text stream whose content replaces the file at ``path`` when the
     block exits without raising.  Until then it is a file beside the target;
     if the block raises, that file is removed and the target left as it
-    was.  A path that exists but is not a regular file (a device or a pipe)
-    is written directly."""
-    if os.path.exists(path) and not os.path.isfile(path):
+    was.  A replaced target keeps its mode, not its owner or hard links.
+    A path that exists but is not a regular file (a device or a pipe), or
+    whose directory takes no new file, is written directly."""
+    fh = None
+    if not os.path.exists(path) or os.path.isfile(path):
+        target = os.path.realpath(path)
+        directory, name = os.path.split(target)
+        part = os.path.join(directory, f".{name}.{os.getpid()}.part")
+        try:
+            fh = open(part, "w")
+        except OSError:
+            pass
+    if fh is None:
         with open(path, "w") as fh:
             yield fh
         return
-    target = os.path.realpath(path)
-    directory, name = os.path.split(target)
-    part = os.path.join(directory, f".{name}.{os.getpid()}.part")
     try:
-        with open(part, "w") as fh:
+        with fh:
             yield fh
         if os.path.exists(target):
             os.chmod(part, stat.S_IMODE(os.stat(target).st_mode))

@@ -14,10 +14,11 @@ A campaign sweeps (claim, function, interval, lambda, q) combinations,
 records one :class:`VerificationRecord` per combination, and aggregates a
 per-claim summary.  It evaluates one block at a time: a claim on one
 (function, interval) over the whole lambda x q grid.  Claims and functions
-are taken by id, intervals in sorted order and each block's grid sorted,
-so :class:`CampaignStream` yields the blocks already in the canonical
-record order and summarizes them as they pass; nothing is sorted
-afterwards, and a writer holds one block of records at a time.  The
+are taken by id, intervals in sorted order and each block's records
+sorted by (lambda, q), so :class:`CampaignStream` yields the blocks
+already in the canonical record order and summarizes them as they pass;
+nothing is sorted across blocks, and a writer holds one block of records
+at a time.  The
 hypothesis is checked once per q.  Each claim family has one side
 function that states its inequality on a panel: the values of one
 (function, interval) in floats, in floats with a refined average, or in
@@ -39,7 +40,6 @@ not built again.  Runs are deterministic for a fixed config.
 
 from __future__ import annotations
 
-import functools
 import itertools
 import random
 from collections import defaultdict
@@ -559,28 +559,16 @@ def _order_value(v):
     return -1.0 if v is None else v
 
 
-@functools.lru_cache(maxsize=64)
-def _grid_order(lams: tuple, qs: tuple) -> tuple[tuple[int, int], ...]:
-    """The (lam, q) index pairs of a block in canonical record order: by
-    lam, then q, and equal values (repeated, or 0.0 and -0.0) in lam-major
-    grid order, as a stable sort of the records leaves them.  Indices, not
-    values, so that grids which compare equal share one entry."""
-    pairs = [(i, k) for i in range(len(lams)) for k in range(len(qs))]
-    return tuple(
-        sorted(pairs, key=lambda ik: (_order_value(lams[ik[0]]), _order_value(qs[ik[1]])))
-    )
-
-
 def _evaluate_block(
     claim: BoundClaim,
     fn: TestFunction,
     domain: Interval,
-    lams: tuple,
-    qs: tuple,
+    lams,
+    qs,
     ctx: _Context,
 ) -> list[VerificationRecord]:
     """The records of one claim on one (function, interval) over ``lams``
-    x ``qs``, in canonical order (:func:`_grid_order`).
+    x ``qs``, lam-major.
 
     The hypothesis is checked once per q.  The sides are evaluated in
     floats first, and a comfortable 'holds' is accepted there.  Every other
@@ -596,9 +584,8 @@ def _evaluate_block(
             lhs, rhs, margin, status, exact,
         )
 
-    order = _grid_order(lams, qs)
     if not fn.domain.contains(domain):
-        return [rec(lams[j], qs[k], "hypothesis_failed") for j, k in order]
+        return [rec(lam, q, "hypothesis_failed") for lam in lams for q in qs]
     unmet = {}
     for q in qs:
         try:
@@ -614,28 +601,28 @@ def _evaluate_block(
     out: list = []
     pending = []  # (record index, lam, q, side index) left to confirm
     p = None
-    for j, k in order:
-        lam, q = lams[j], qs[k]
-        if q in unmet:
-            out.append(rec(lam, q, unmet[q]))
-            continue
-        i = 0
-        if float_first:
-            try:
-                p = p or ctx.panel(fn, domain, "float")
-                pairs = sides(claim, p, lam, q)
-            except OracleError:
-                out.append(rec(lam, q, "undefined"))
+    for lam in lams:
+        for q in qs:
+            if q in unmet:
+                out.append(rec(lam, q, unmet[q]))
                 continue
-            if len(pairs) > 1:
-                m0, m1 = (rhs - lhs for lhs, rhs in pairs)
-                i = 0 if m0 <= m1 else 1
-            verdict = classify(*pairs[i], tol, eq_tol)
-            if verdict[0] == "holds":
-                out.append(rec(lam, q, *verdict))
-                continue
-        pending.append((len(out), lam, q, i))
-        out.append(None)
+            i = 0
+            if float_first:
+                try:
+                    p = p or ctx.panel(fn, domain, "float")
+                    pairs = sides(claim, p, lam, q)
+                except OracleError:
+                    out.append(rec(lam, q, "undefined"))
+                    continue
+                if len(pairs) > 1:
+                    m0, m1 = (rhs - lhs for lhs, rhs in pairs)
+                    i = 0 if m0 <= m1 else 1
+                verdict = classify(*pairs[i], tol, eq_tol)
+                if verdict[0] == "holds":
+                    out.append(rec(lam, q, *verdict))
+                    continue
+            pending.append((len(out), lam, q, i))
+            out.append(None)
 
     if pending:
         exact = fn.poly_coeffs is not None
@@ -754,8 +741,8 @@ class CampaignStream:
                 "by_status": dict.fromkeys(STATUSES, 0),
                 "min_margin": None,
             })
-        # Equal keys (a repeated id or interval) make one run, whose blocks
-        # are merged into the order a stable sort of their records gives.
+        # Equal keys (a repeated id or interval) make one run, whose
+        # lam-major blocks a stable sort on (lam, q) puts in canonical order.
         fn_runs, interval_runs = _runs(self._fns, _BY_ID), _runs(intervals, None)
         for claims in _runs(self._claims, _BY_ID):
             claim = claims[0]
@@ -763,14 +750,14 @@ class CampaignStream:
             qs = tuple(config.q_grid) if claim.uses_q else (None,)
             for fns in fn_runs:
                 for ivs in interval_runs:
-                    blocks = [
-                        _evaluate_block(claim, fn, Interval(a, b), lams, qs, ctx)
-                        for _ in claims
-                        for fn in fns
-                        for a, b in ivs
-                    ]
-                    block = blocks[0] if len(blocks) == 1 else sorted(
-                        itertools.chain.from_iterable(blocks), key=_grid_key
+                    block = sorted(
+                        itertools.chain.from_iterable(
+                            _evaluate_block(claim, fn, Interval(a, b), lams, qs, ctx)
+                            for _ in claims
+                            for fn in fns
+                            for a, b in ivs
+                        ),
+                        key=_grid_key,
                     )
                     _count(entries[claim.id], block)
                     yield block

@@ -47,10 +47,13 @@ def mean_logarithmic(alpha: float, beta: float) -> float:
     _check_positive_pair(alpha, beta)
     if alpha == beta:
         raise ValueError("logarithmic mean requires alpha != beta")
-    # log(hi) - log(lo) cancels for close arguments (to 0 for neighbouring
-    # floats); log1p of the relative gap keeps its digits.
     lo, hi = min(alpha, beta), max(alpha, beta)
-    return (hi - lo) / math.log1p((hi - lo) / lo)
+    if hi < 2 * lo:
+        # log(hi) - log(lo) cancels here (to 0 for neighbouring floats);
+        # log1p of the relative gap, below 1, keeps its digits.
+        return (hi - lo) / math.log1p((hi - lo) / lo)
+    # The relative gap may overflow (or lo be subnormal); no cancellation.
+    return (hi - lo) / (math.log(hi) - math.log(lo))
 
 
 def _check_order(n: int) -> None:

@@ -75,11 +75,22 @@ class TestMeans:
         amean = mean_arithmetic(a, b)
         assert lo < lmean < amean < hi or math.isclose(lmean, amean, rel_tol=1e-12)
 
-    @pytest.mark.parametrize("a, b", [(0.010000000000000002, 0.01), (1.0, 1.0000000000000002)])
-    def test_logarithmic_of_neighbouring_floats(self, a, b):
-        # log(a) - log(b) is 0 or one ulp of log here; the mean is a itself
-        assert mean_logarithmic(a, b) == pytest.approx(a, rel=1e-15)
+    @pytest.mark.parametrize(
+        "a, b, expected",
+        [
+            # log(a) - log(b) is 0 or one ulp of log here; the mean is a itself
+            (0.010000000000000002, 0.01, 0.01),
+            (1.0, 1.0000000000000002, 1.0),
+            # (b - a) / a overflows to inf; L = 1e200 / (400 ln 10)
+            (1e-200, 1e200, 1e200 / (400 * math.log(10))),
+            # a subnormal, where 1 / a overflows: L = 1 / -ln 5e-324
+            (5e-324, 1.0, -1.0 / math.log(5e-324)),
+        ],
+    )
+    def test_logarithmic_at_extremes(self, a, b, expected):
+        assert mean_logarithmic(a, b) == pytest.approx(expected, rel=1e-15)
         assert mean_logarithmic(b, a) == mean_logarithmic(a, b)
+        assert min(a, b) <= mean_logarithmic(a, b) <= max(a, b)
 
     @given(pair=pos_pair)
     @settings(max_examples=60)

@@ -189,6 +189,18 @@ def test_run_that_raises_leaves_no_report(fmt, monkeypatch, tmp_path):
     assert target.read_text() == "earlier report\n"
 
 
+def test_out_where_no_file_can_be_made_beside_it(monkeypatch, tmp_path):
+    # the file beside the target cannot be created (a directory holds its
+    # name): the target is written in place
+    monkeypatch.delenv("HHBOUNDS_SEED", raising=False)
+    target = tmp_path / "report.json"
+    target.write_text("earlier report\n")
+    (tmp_path / f".report.json.{os.getpid()}.part").mkdir()
+    code, out = _main((*PIN_ARGV, "--out", str(target)))
+    assert (code, out) == (1, "")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == PINS["json"]
+
+
 def test_out_to_a_device_is_written_in_place(monkeypatch):
     # a target that is not a regular file is never replaced
     monkeypatch.delenv("HHBOUNDS_SEED", raising=False)
