@@ -18,8 +18,10 @@ block in canonical order (:class:`~hhbounds.harness.CampaignStream`), with
 the summary after the last record; ``--out`` is written beside its target
 and renamed onto it once the report is complete.  JSON reports come from
 ``json.dumps`` except for their records, which go through one record
-encoder (:func:`to_json`).  The environment variable ``HHBOUNDS_SEED``
-overrides ``--seed`` when set.
+encoder (:func:`to_json`); CSV reports from ``csv.writer`` (:func:`to_csv`).
+Every format lays out the fields of :data:`hhbounds.records.FIELDS` in
+that order.  The environment variable ``HHBOUNDS_SEED`` overrides
+``--seed`` when set.
 """
 
 from __future__ import annotations
@@ -37,14 +39,13 @@ import sys
 from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
-from operator import attrgetter
 from typing import Optional, Sequence, TextIO
 
 import mpmath
 
 from . import __version__, bounds, functionals, harness, means
 from .corpus import GridSpec, Interval, check_p_convex, function_ids, get_function
-from .records import VerificationRecord
+from .records import FIELDS, VerificationRecord
 
 USAGE_ERROR = 64
 
@@ -107,32 +108,12 @@ def _fmt(value: float) -> str:
 # Report serialization
 # ---------------------------------------------------------------------------
 
-_RECORD_FIELDS = (
-    "claim",
-    "function",
-    "a",
-    "b",
-    "lambda",
-    "q",
-    "lhs",
-    "rhs",
-    "margin",
-    "status",
-    "exact",
-)
-
-
-_record_values = attrgetter(
-    "claim", "function", "a", "b", "lam", "q", "lhs", "rhs", "margin", "status", "exact"
-)
-
-
 def _fields(item) -> Optional[tuple]:
     """The field values of a record, or of a dict with exactly its keys in
     order; None for anything else."""
     if type(item) is VerificationRecord:
-        return _record_values(item)
-    if type(item) is dict and tuple(item) == _RECORD_FIELDS:
+        return item.values()
+    if type(item) is dict and tuple(item) == FIELDS:
         return tuple(item.values())
     return None
 
@@ -266,25 +247,20 @@ def _json_field(v) -> str:
 
 
 def to_csv(records, out: Optional[TextIO] = None) -> Optional[str]:
-    """The records as CSV, a header row of the field names and one row per
-    :class:`VerificationRecord`: returned as a string, or written to ``out``
-    and None returned.  ``records`` may be an iterator, read as it is
-    written."""
+    """The records as CSV, a header row of :data:`~hhbounds.records.FIELDS`
+    and one row per :class:`VerificationRecord`: returned as a string, or
+    written to ``out`` and None returned.  ``records`` may be an iterator,
+    read as it is written.  ``csv.writer`` writes None as an empty cell and
+    a float as its ``repr``; ``exact`` is written as ``true`` or
+    ``false``."""
     buf = io.StringIO() if out is None else out
     writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(_RECORD_FIELDS)
-    writer.writerows([_csv_cell(v) for v in _record_values(r)] for r in records)
+    writer.writerow(FIELDS)
+    # exact is the last field
+    writer.writerows(
+        (*r.values()[:-1], "true" if r.exact else "false") for r in records
+    )
     return buf.getvalue() if out is None else None
-
-
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, bool):
-        return "true" if v else "false"
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
 
 
 def to_table(doc: dict, out: Optional[TextIO] = None) -> Optional[str]:
@@ -385,7 +361,7 @@ def _print_bound(args, parser) -> int:
     return 0
 
 
-def _campaign_config(args, parser) -> harness.CampaignConfig:
+def _campaign_config(args, parser, claims=()) -> harness.CampaignConfig:
     seed = args.seed
     env_seed = os.environ.get("HHBOUNDS_SEED")
     if env_seed is not None:
@@ -400,7 +376,7 @@ def _campaign_config(args, parser) -> harness.CampaignConfig:
         kwargs["q_grid"] = args.q_grid
     try:
         return harness.CampaignConfig(
-            claims=args.claims,
+            claims=claims,
             functions=args.functions,
             trials=args.trials,
             seed=seed,
@@ -461,7 +437,7 @@ def _replaced_when_done(path: str):
 
 
 def _cmd_verify(args, parser) -> int:
-    config = _campaign_config(args, parser)
+    config = _campaign_config(args, parser, args.claims)
     _validate_ids(config, parser)
     campaign = harness.CampaignStream(config)
     doc = report_document(campaign)
@@ -657,9 +633,6 @@ def build_parser() -> _Parser:
     p_search = sub.add_parser("search", help="randomized counterexample search")
     p_search.add_argument("--claim", required=True)
     p_search.add_argument("--functions", type=_split_ids, default=("all",))
-    p_search.add_argument(
-        "--claims", type=_split_ids, default=("all",), help=argparse.SUPPRESS
-    )
     p_search.add_argument("--seed", type=int, default=0)
     p_search.add_argument("--trials", type=int, default=500)
     p_search.add_argument("--lambda-grid", type=_parse_grid, default=None)

@@ -30,7 +30,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .oracle import _poly_terms, _sample, integrate_exact_poly
+from .oracle import _poly_terms, _sample, integrate_exact_poly, poly_derivative_coeffs
 
 __all__ = [
     "Interval",
@@ -99,6 +99,13 @@ class TestFunction:
     def _terms(self) -> Optional[tuple[tuple[int, Fraction], ...]]:
         """The nonzero terms (k, c_k) of ``poly_coeffs``, computed once."""
         return None if self.poly_coeffs is None else _poly_terms(self.poly_coeffs)
+
+    @functools.cached_property
+    def _d2_terms(self) -> Optional[tuple[tuple[int, Fraction], ...]]:
+        """The nonzero terms of f'' for a polynomial, computed once."""
+        if self.poly_coeffs is None:
+            return None
+        return _poly_terms(poly_derivative_coeffs(self.poly_coeffs, 2))
 
 
 @dataclass(frozen=True)

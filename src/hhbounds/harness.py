@@ -34,7 +34,8 @@ refined one, and :func:`~hhbounds.records.classify` decides every status.
 The special-means propositions are the corollary sides of their rule,
 evaluated on the exact panel of x^n.  An oracle failure anywhere,
 confirmation included, yields an 'undefined' record, and so does an f,
-f'' or f'''' that raises where it is sampled; a panel whose build failed is
+f'' or f'''' that raises where it is sampled.  Every per-run value (a
+panel, an envelope, a P-check) is built once; one whose build failed is
 not built again.  Runs are deterministic for a fixed config.
 """
 
@@ -59,15 +60,7 @@ from .corpus import (
     check_p_convex,
     corpus_standard,
 )
-from .oracle import (
-    OracleError,
-    _poly_terms,
-    _sample,
-    _terms_at,
-    _value_at,
-    poly_derivative_coeffs,
-    to_mpf,
-)
+from .oracle import OracleError, _sample, _terms_at, _value_at, to_mpf
 from .records import STATUSES, VerificationRecord, classify
 
 __all__ = [
@@ -286,13 +279,14 @@ def sample_intervals(config: CampaignConfig) -> list[tuple[float, float]]:
     sampled intervals.
     """
     rng = random.Random(config.seed)
+    return [_random_interval(rng, config) for _ in range(config.trials)]
+
+
+def _random_interval(rng: random.Random, config: CampaignConfig) -> tuple[float, float]:
+    """(a, b) from two uniform draws: lo <= a < b <= hi, b - a >= min_width."""
     lo, hi = config.interval_range
-    out = []
-    for _ in range(config.trials):
-        a = rng.uniform(lo, hi - config.min_width)
-        b = rng.uniform(a + config.min_width, hi)
-        out.append((a, b))
-    return out
+    a = rng.uniform(lo, hi - config.min_width)
+    return a, rng.uniform(a + config.min_width, hi)
 
 
 class _Panel:
@@ -342,7 +336,7 @@ class _Panel:
         if self._ends is None:
             lo, hi = self.domain.lo, self.domain.hi
             if self.exact:
-                d2 = self._ctx.d2_terms(self._fn)
+                d2 = self._fn._d2_terms
                 m_a, m_b = _terms_at(d2, lo), _terms_at(d2, hi)
             else:
                 m_a, m_b = _value_at(self._fn.d2, lo), _value_at(self._fn.d2, hi)
@@ -399,74 +393,73 @@ class _Panel:
         return v
 
 
+def _envelope(fn: TestFunction, domain: Interval) -> bounds.DerivativeEnvelope:
+    """The sampled envelope of f'' (and the sup of |f''''|, where f has a
+    fourth derivative) at 257 equally spaced points of ``domain``."""
+    xs = np.linspace(domain.lo, domain.hi, 257)
+    d2v = _sample(fn.d2, xs)
+    if not np.all(np.isfinite(d2v)):
+        raise OracleError(f"d2 of {fn.id} is non-finite or raised")
+    sup_d4 = None
+    if fn.d4 is not None:
+        d4v = _sample(fn.d4, xs)
+        if not np.all(np.isfinite(d4v)):
+            raise OracleError(f"d4 of {fn.id} is non-finite or raised")
+        sup_d4 = float(np.max(np.abs(d4v)))
+    return bounds.DerivativeEnvelope(
+        sup_abs_d2=float(np.max(np.abs(d2v))),
+        lower_d2=float(np.min(d2v)),
+        upper_d2=float(np.max(d2v)),
+        sup_abs_d4=sup_d4,
+    )
+
+
+def _pconvex(fn: TestFunction, domain: Interval, q: float, of: str, grid: GridSpec):
+    """P-convexity of |d2|^q ('d2') or of f itself ('f'). Returns the
+    boolean outcome, or None when the scan was undefined."""
+    if of == "f":
+        g = fn.f
+    elif q == 1.0:
+        g = lambda x, _d2=fn.d2: np.abs(_d2(x))  # noqa: E731
+    else:
+        g = lambda x, _d2=fn.d2, _q=q: np.abs(_d2(x)) ** _q  # noqa: E731
+    rep = check_p_convex(g, domain, grid)
+    return None if rep.status == "undefined" else rep.passed
+
+
 class _Context:
-    """Per-run caches: panels (or the failure building one), envelopes,
-    P-checks."""
+    """Per-run caches of panels, envelopes and P-checks.  Each is built
+    once: a build that raised an OracleError keeps it, and every later
+    lookup raises it again without building anew."""
 
     def __init__(self, config: CampaignConfig):
         self.config = config
-        self._panel: dict = {}
-        self._d2_terms: dict = {}
-        self._pcheck: dict = {}
-        self._envelope: dict = {}
+        self._cache: dict = {}  # key -> value, or the OracleError building it
 
-    def d2_terms(self, fn: TestFunction):
-        """The nonzero terms of f'' for a polynomial."""
-        if fn.id not in self._d2_terms:
-            d2 = poly_derivative_coeffs(fn.poly_coeffs, 2)
-            self._d2_terms[fn.id] = _poly_terms(d2)
-        return self._d2_terms[fn.id]
+    def _get(self, key, build, *args):
+        try:
+            v = self._cache[key]
+        except KeyError:
+            try:
+                v = build(*args)
+            except OracleError as exc:
+                v = exc
+            self._cache[key] = v
+        if isinstance(v, OracleError):
+            raise v.with_traceback(None)
+        return v
 
     def panel(self, fn: TestFunction, domain: Interval, kind: str) -> _Panel:
-        """The cached panel; a build that failed raises its OracleError
-        again, without building the panel anew."""
         key = (kind, fn.id, domain.lo, domain.hi)
-        p = self._panel.get(key)
-        if p is None:
-            try:
-                p = _Panel(self, fn, domain, kind)
-            except OracleError as exc:
-                p = exc
-            self._panel[key] = p
-        if isinstance(p, OracleError):
-            raise p.with_traceback(None)
-        return p
+        return self._get(key, _Panel, self, fn, domain, kind)
 
     def envelope(self, fn: TestFunction, domain: Interval) -> bounds.DerivativeEnvelope:
-        key = (fn.id, domain.lo, domain.hi)
-        if key not in self._envelope:
-            xs = np.linspace(domain.lo, domain.hi, 257)
-            d2v = _sample(fn.d2, xs)
-            if not np.all(np.isfinite(d2v)):
-                raise OracleError(f"d2 of {fn.id} is non-finite or raised")
-            sup_d4 = None
-            if fn.d4 is not None:
-                d4v = _sample(fn.d4, xs)
-                if not np.all(np.isfinite(d4v)):
-                    raise OracleError(f"d4 of {fn.id} is non-finite or raised")
-                sup_d4 = float(np.max(np.abs(d4v)))
-            self._envelope[key] = bounds.DerivativeEnvelope(
-                sup_abs_d2=float(np.max(np.abs(d2v))),
-                lower_d2=float(np.min(d2v)),
-                upper_d2=float(np.max(d2v)),
-                sup_abs_d4=sup_d4,
-            )
-        return self._envelope[key]
+        key = ("envelope", fn.id, domain.lo, domain.hi)
+        return self._get(key, _envelope, fn, domain)
 
     def pconvex(self, fn: TestFunction, domain: Interval, q: float, of: str):
-        """P-convexity of |d2|^q ('d2') or of f itself ('f'). Returns the
-        boolean outcome, or None when the scan was undefined."""
-        key = (fn.id, of, float(q), domain.lo, domain.hi)
-        if key not in self._pcheck:
-            if of == "f":
-                g = fn.f
-            elif q == 1.0:
-                g = lambda x, _d2=fn.d2: np.abs(_d2(x))  # noqa: E731
-            else:
-                g = lambda x, _d2=fn.d2, _q=q: np.abs(_d2(x)) ** _q  # noqa: E731
-            rep = check_p_convex(g, domain, self.config.pconvex_grid)
-            self._pcheck[key] = None if rep.status == "undefined" else rep.passed
-        return self._pcheck[key]
+        key = ("pconvex", fn.id, of, float(q), domain.lo, domain.hi)
+        return self._get(key, _pconvex, fn, domain, q, of, self.config.pconvex_grid)
 
     def convex(self, fn: TestFunction, domain: Interval) -> bool:
         env = self.envelope(fn, domain)
@@ -849,7 +842,6 @@ def find_counterexample(
         return CounterexampleSearch(record=None, trials=0)
     rng = random.Random(search.seed)
     trials = search.trials if search.trials > 0 else 500
-    lo, hi = search.interval_range
     ctx = _Context(search)
 
     def attempt(fn, a, b, lam, q) -> Optional[VerificationRecord]:
@@ -858,8 +850,7 @@ def find_counterexample(
 
     for t in range(1, trials + 1):
         fn = rng.choice(fns)
-        a = rng.uniform(lo, hi - search.min_width)
-        b = rng.uniform(a + search.min_width, hi)
+        a, b = _random_interval(rng, search)
         lam = rng.choice(search.lambda_grid) if claim.uses_lambda else claim.fixed_lambda
         q = rng.choice(search.q_grid) if claim.uses_q else None
         hit = attempt(fn, a, b, lam, q)

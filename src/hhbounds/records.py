@@ -1,11 +1,17 @@
 """Verification record type and status classifier shared by the means
-checks and the harness."""
+checks and the harness.
+
+This module owns the record format: :data:`FIELDS` names the eleven report
+keys in order, and :meth:`VerificationRecord.values` gives a record's
+values in that order, for the JSON, CSV and table writers of :mod:`cli`.
+"""
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional
 
 import mpmath
@@ -15,6 +21,12 @@ from .oracle import to_mpf
 __all__ = ["STATUSES", "VerificationRecord"]
 
 STATUSES = ("holds", "equality", "violated", "hypothesis_failed", "undefined")
+
+# The report key of each field of a record, in field order.
+FIELDS = (
+    "claim", "function", "a", "b", "lambda", "q", "lhs", "rhs", "margin", "status",
+    "exact",
+)
 
 
 @dataclass(frozen=True)
@@ -43,20 +55,16 @@ class VerificationRecord:
         if self.status not in STATUSES:
             raise ValueError(f"unknown status {self.status!r}")
 
+    def values(self) -> tuple:
+        """The field values, in the order of :data:`FIELDS`."""
+        return _values(self)
+
     def as_dict(self) -> dict:
-        return {
-            "claim": self.claim,
-            "function": self.function,
-            "a": self.a,
-            "b": self.b,
-            "lambda": self.lam,
-            "q": self.q,
-            "lhs": self.lhs,
-            "rhs": self.rhs,
-            "margin": self.margin,
-            "status": self.status,
-            "exact": self.exact,
-        }
+        """The record as a report writes it, keyed by :data:`FIELDS`."""
+        return dict(zip(FIELDS, _values(self)))
+
+
+_values = attrgetter(*(f.name for f in fields(VerificationRecord)))
 
 
 def classify(lhs, rhs, tol: float, eq_tol: float) -> tuple[str, float, float, float]:

@@ -474,6 +474,13 @@ class TestOtherCommands:
         assert code == 0
         assert "no counterexample found" in out and "20 trials" in out
 
+    def test_search_takes_no_claims_flag(self, capsys):
+        # search tests the one claim of --claim; --claims is verify's
+        code, out = run_cli("search", "--claim", "thm5", "--claims", "x", "--trials", "1")
+        assert code == USAGE_ERROR
+        assert out == ""
+        assert "unrecognized arguments: --claims x" in capsys.readouterr().err
+
 
 class TestSubprocess:
     def test_byte_identical_reports(self):

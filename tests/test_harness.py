@@ -347,6 +347,34 @@ class TestRunCampaign:
         assert {r.status for r in res.records} == {"undefined"}
         assert len(calls) == 1
 
+    def test_failed_envelope_is_sampled_once(self):
+        # all four claims read the sampled envelope of f'' on [1, 2], where
+        # f'' = 1/sqrt(x - 1.5) raises.  Sampling calls f'' on the whole
+        # array, then at each of the 257 points; the failure is kept, so
+        # that happens once for the run, not once per claim block
+        calls = []
+
+        def d2(x):
+            calls.append(x)
+            x = np.asarray(x, dtype=float)
+            if np.any(x <= 1.5):
+                raise ValueError("f'' is undefined up to 1.5")
+            return 1.0 / np.sqrt(x - 1.5)
+
+        registry = {
+            "root": TestFunction(
+                id="root", f=lambda x: x * x, d1=lambda x: 2.0 * x, d2=d2,
+                d4=lambda x: 0.0 * x, domain=Interval(0.0, 10.0),
+            )
+        }
+        cfg = CampaignConfig(
+            claims=("mid-envelope", "trap-envelope", "simpson-4th-p4", "hh"),
+            functions=("root",),
+        )
+        res = run_campaign(cfg, registry=registry)
+        assert [r.status for r in res.records] == ["undefined"] * 4
+        assert len(calls) == 1 + 257
+
     def test_interval_outside_function_domain_is_hypothesis_failed(self):
         cfg = CampaignConfig(
             claims=("hh",), functions=("bump",), intervals=((1.0, 2.0),)
