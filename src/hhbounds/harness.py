@@ -437,14 +437,13 @@ class _Context:
         self._cache: dict = {}  # key -> value, or the OracleError building it
 
     def _get(self, key, build, *args):
-        try:
-            v = self._cache[key]
-        except KeyError:
+        cache = self._cache
+        if key not in cache:
             try:
-                v = build(*args)
+                cache[key] = build(*args)
             except OracleError as exc:
-                v = exc
-            self._cache[key] = v
+                cache[key] = exc
+        v = cache[key]
         if isinstance(v, OracleError):
             raise v.with_traceback(None)
         return v
