@@ -18,7 +18,8 @@ block in canonical order (:class:`~hhbounds.harness.CampaignStream`), with
 the summary after the last record; ``--out`` is written beside its target
 and renamed onto it once the report is complete.  JSON reports come from
 ``json.dumps`` except for their records, which go through one record
-encoder (:func:`to_json`); CSV reports from ``csv.writer`` (:func:`to_csv`).
+encoder (:func:`to_json`); CSV reports are written row by row with cells
+as ``csv.writer`` writes them (:func:`to_csv`).
 Every format lays out the fields of :data:`hhbounds.records.FIELDS` in
 that order.  The environment variable ``HHBOUNDS_SEED`` overrides
 ``--seed`` when set.
@@ -112,7 +113,7 @@ def _fields(item) -> Optional[tuple]:
     """The field values of a record, or of a dict with exactly its keys in
     order; None for anything else."""
     if type(item) is VerificationRecord:
-        return item.values()
+        return item
     if type(item) is dict and tuple(item) == FIELDS:
         return tuple(item.values())
     return None
@@ -190,12 +191,14 @@ def _json_items(records):
     indent=2)`` writes it.
 
     The records of a block hold the same claim, function, a and b objects,
-    so that prefix is formatted once per block.  The (lambda, q) fragment
-    is cached by the identity of its two values, which a campaign takes
-    from its grids.  Per record only lhs, rhs, margin, status and exact are
-    formatted.
+    so that prefix is formatted once per block, and the (lambda, q)
+    fragment once per grid point (:func:`_by_identity`).  Per record only
+    lhs, rhs, margin, status and exact are formatted.
     """
-    block, prefix, grids = (object(),) * 4, "", {}
+    block, prefix = (object(),) * 4, ""
+    grid = _by_identity(
+        lambda lam, q: f'{_json_field(lam)},\n      "q": {_json_field(q)},\n      "lhs": '
+    )
     for item in records:
         values = _fields(item)
         if values is None:
@@ -212,16 +215,8 @@ def _json_items(records):
                 f'\n      "a": {_json_field(a)},\n      "b": {_json_field(b)},'
                 '\n      "lambda": '
             )
-        grid = grids.get((id(lam), id(q)))
-        if grid is None:
-            if len(grids) >= 4096:  # records with fresh lam and q objects
-                grids.clear()
-            # the entry holds lam and q, so their ids are not reused while cached
-            grid = grids[id(lam), id(q)] = (
-                lam, q, f'{_json_field(lam)},\n      "q": {_json_field(q)},\n      "lhs": '
-            )
         yield (
-            f"{prefix}{grid[2]}"
+            f"{prefix}{grid(lam, q)}"
             f"{_repr(lhs) if type(lhs) is float and lhs - lhs == 0 else _json_field(lhs)}"
             ',\n      "rhs": '
             f"{_repr(rhs) if type(rhs) is float and rhs - rhs == 0 else _json_field(rhs)}"
@@ -233,6 +228,27 @@ def _json_items(records):
             f'{"true" if exact is True else "false" if exact is False else _json_field(exact)}'
             "\n    }"
         )
+
+
+def _by_identity(text):
+    """``text(lam, q)``, cached by the identity of ``lam`` and ``q``.
+
+    A campaign takes the two values from its grids, so a report holds few
+    distinct pairs; records with fresh objects refill the cache, which is
+    cleared when it holds 4096 entries.  An entry holds lam and q, so their
+    ids are not reused while it is cached.
+    """
+    cache = {}
+
+    def cached(lam, q):
+        hit = cache.get((id(lam), id(q)))
+        if hit is None:
+            if len(cache) >= 4096:
+                cache.clear()
+            hit = cache[id(lam), id(q)] = lam, q, text(lam, q)
+        return hit[2]
+
+    return cached
 
 
 def _json_field(v) -> str:
@@ -249,17 +265,52 @@ def _json_field(v) -> str:
 def to_csv(records, out: Optional[TextIO] = None) -> Optional[str]:
     """The records as CSV, a header row of :data:`~hhbounds.records.FIELDS`
     and one row per :class:`VerificationRecord`: returned as a string, or
-    written to ``out`` and None returned.  ``records`` may be an iterator,
-    read as it is written.  ``csv.writer`` writes None as an empty cell and
-    a float as its ``repr``; ``exact`` is written as ``true`` or
-    ``false``."""
+    written to ``out`` row by row and None returned.  ``records`` may be an
+    iterator, read as it is written.  Cells are written as ``csv.writer``
+    writes them: None as an empty cell, a float as its ``repr``; ``exact``
+    is written as ``true`` or ``false``.
+
+    As in :func:`_json_items`, the claim, function, a, b cells are
+    formatted once per block and the lambda, q cells once per grid point;
+    per record, float sides are written by ``float.__repr__`` and anything
+    else through ``csv.writer``.
+    """
     buf = io.StringIO() if out is None else out
-    writer = csv.writer(buf, lineterminator="\n")
-    writer.writerow(FIELDS)
-    # exact is the last field
-    writer.writerows(
-        (*r.values()[:-1], "true" if r.exact else "false") for r in records
-    )
+    write = buf.write
+    cells = io.StringIO()
+    writer = csv.writer(cells, lineterminator="\n")
+
+    def csv_cells(*values) -> str:
+        """``values`` as cells of one row, as ``csv.writer`` writes them,
+        without the line end."""
+        cells.seek(0)
+        cells.truncate()
+        writer.writerow(values)
+        return cells.getvalue()[:-1]
+
+    def cell(v) -> str:
+        # written beside an empty cell: alone, an empty value would be
+        # quoted, as csv.writer quotes a row of one empty cell
+        return csv_cells(v, None)[:-1]
+
+    write(csv_cells(*FIELDS) + "\n")
+    block, prefix = (object(),) * 4, ""
+    grid = _by_identity(lambda lam, q: csv_cells(lam, q) + ",")
+    for claim, function, a, b, lam, q, lhs, rhs, margin, status, exact in records:
+        if not (
+            claim is block[0] and function is block[1] and a is block[2] and b is block[3]
+        ):
+            block = claim, function, a, b
+            prefix = csv_cells(claim, function, a, b) + ","
+        # a record's status is one of STATUSES, which need no quoting
+        write(
+            f"{prefix}{grid(lam, q)}"
+            f"{_repr(lhs) if type(lhs) is float else '' if lhs is None else cell(lhs)},"
+            f"{_repr(rhs) if type(rhs) is float else '' if rhs is None else cell(rhs)},"
+            f"{_repr(margin) if type(margin) is float else '' if margin is None else cell(margin)},"
+            f"{status if type(status) is str else cell(status)},"
+            f"{'true' if exact else 'false'}\n"
+        )
     return buf.getvalue() if out is None else None
 
 

@@ -43,6 +43,7 @@ from __future__ import annotations
 
 import itertools
 import random
+import weakref
 from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -315,7 +316,9 @@ class _Panel:
     )
 
     def __init__(self, ctx: "_Context", fn: TestFunction, domain: Interval, kind: str):
-        self._ctx, self._fn, self._interval = ctx, fn, domain
+        # a weak reference, so that a run's caches are freed with its
+        # context rather than kept in a cycle until a full collection
+        self._ctx, self._fn, self._interval = weakref.proxy(ctx), fn, domain
         self._ends = self._env = None
         self._memo = defaultdict(dict)  # statistic -> {lam or q: value}
         self.exact = kind == "exact"
@@ -735,22 +738,28 @@ class CampaignStream:
             })
         # Equal keys (a repeated id or interval) make one run, whose
         # lam-major blocks a stable sort on (lam, q) puts in canonical order.
+        # One lam-major block on strictly ascending grids is in that order.
         fn_runs, interval_runs = _runs(self._fns, _BY_ID), _runs(intervals, None)
         for claims in _runs(self._claims, _BY_ID):
             claim = claims[0]
             lams = tuple(config.lambda_grid) if claim.uses_lambda else (claim.fixed_lambda,)
             qs = tuple(config.q_grid) if claim.uses_q else (None,)
+            ordered = len(claims) == 1 and _ascending(lams) and _ascending(qs)
             for fns in fn_runs:
                 for ivs in interval_runs:
-                    block = sorted(
-                        itertools.chain.from_iterable(
-                            _evaluate_block(claim, fn, Interval(a, b), lams, qs, ctx)
-                            for _ in claims
-                            for fn in fns
-                            for a, b in ivs
-                        ),
-                        key=_grid_key,
-                    )
+                    if ordered and len(fns) == 1 and len(ivs) == 1:
+                        (fn,), ((a, b),) = fns, ivs
+                        block = _evaluate_block(claim, fn, Interval(a, b), lams, qs, ctx)
+                    else:
+                        block = sorted(
+                            itertools.chain.from_iterable(
+                                _evaluate_block(claim, fn, Interval(a, b), lams, qs, ctx)
+                                for _ in claims
+                                for fn in fns
+                                for a, b in ivs
+                            ),
+                            key=_grid_key,
+                        )
                     _count(entries[claim.id], block)
                     yield block
         self.summary.update(_summary(entries))
@@ -761,6 +770,13 @@ _BY_ID = attrgetter("id")
 
 def _grid_key(r: VerificationRecord):
     return _order_value(r.lam), _order_value(r.q)
+
+
+def _ascending(grid) -> bool:
+    """Whether the grid values are strictly ascending in the canonical
+    record order (so no two are equal, -0.0 and 0.0 included)."""
+    keys = [_order_value(v) for v in grid]
+    return all(x < y for x, y in zip(keys, keys[1:]))
 
 
 def _runs(items, key) -> list[list]:

@@ -9,10 +9,8 @@ values in that order, for the JSON, CSV and table writers of :mod:`cli`.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, fields
 from fractions import Fraction
-from operator import attrgetter
-from typing import Optional
+from operator import itemgetter
 
 import mpmath
 
@@ -29,42 +27,62 @@ FIELDS = (
 )
 
 
-@dataclass(frozen=True)
-class VerificationRecord:
+class VerificationRecord(tuple):
     """One evaluated inequality instance: lhs <= rhs with margin = rhs - lhs.
 
     ``lam`` and ``q`` are None for claims without that parameter; lhs, rhs
     and margin are None when the hypothesis failed or evaluation was
     undefined.  ``exact`` is True when the status was decided in rational
     arithmetic or at 50-digit precision rather than in doubles.
+
+    A record is an immutable tuple of its values in the order of
+    :data:`FIELDS`, built by position or by keyword and read by field
+    name; equality, hashing and iteration are the tuple's.
     """
 
-    claim: str
-    function: str
-    a: float
-    b: float
-    lam: Optional[float]
-    q: Optional[float]
-    lhs: Optional[float]
-    rhs: Optional[float]
-    margin: Optional[float]
-    status: str
-    exact: bool
+    __slots__ = ()
+
+    def __new__(cls, claim, function, a, b, lam, q, lhs, rhs, margin, status, exact):
+        self = tuple.__new__(
+            cls, (claim, function, a, b, lam, q, lhs, rhs, margin, status, exact)
+        )
+        self.__post_init__()
+        return self
 
     def __post_init__(self) -> None:
-        if self.status not in STATUSES:
-            raise ValueError(f"unknown status {self.status!r}")
+        if self[9] not in STATUSES:  # the status
+            raise ValueError(f"unknown status {self[9]!r}")
 
-    def values(self) -> tuple:
-        """The field values, in the order of :data:`FIELDS`."""
-        return _values(self)
+    claim = property(itemgetter(0))
+    function = property(itemgetter(1))
+    a = property(itemgetter(2))
+    b = property(itemgetter(3))
+    lam = property(itemgetter(4))
+    q = property(itemgetter(5))
+    lhs = property(itemgetter(6))
+    rhs = property(itemgetter(7))
+    margin = property(itemgetter(8))
+    status = property(itemgetter(9))
+    exact = property(itemgetter(10))
+
+    def __getnewargs__(self) -> tuple:  # for copy and pickle
+        return tuple(self)
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{n}={v!r}" for n, v in zip(_NAMES, self))
+        return f"VerificationRecord({fields})"
+
+    def values(self) -> VerificationRecord:
+        """The field values, in the order of :data:`FIELDS`: the record itself."""
+        return self
 
     def as_dict(self) -> dict:
         """The record as a report writes it, keyed by :data:`FIELDS`."""
-        return dict(zip(FIELDS, _values(self)))
+        return dict(zip(FIELDS, self))
 
 
-_values = attrgetter(*(f.name for f in fields(VerificationRecord)))
+# The attribute name of each field, in field order.
+_NAMES = tuple("lam" if f == "lambda" else f for f in FIELDS)
 
 
 def classify(lhs, rhs, tol: float, eq_tol: float) -> tuple[str, float, float, float]:

@@ -1,5 +1,6 @@
 """Harness tests: ledger contents, campaign semantics, search, determinism."""
 
+import gc
 import json
 import math
 from fractions import Fraction
@@ -415,6 +416,27 @@ class TestRunCampaign:
                 assert r.rhs - lhs < -cfg.tol / 10 * scale, r
                 checked += 1
         assert checked > 0
+
+
+    def test_run_leaves_no_reference_cycle(self):
+        # a run's panels and caches are freed when it ends, not kept in a
+        # cycle until the next full collection
+        cfg = CampaignConfig(
+            claims=("all",),
+            functions=("poly3", "expx", "bump"),
+            intervals=((1.0, 2.0), (0.0, 1.0)),
+            lambda_grid=(0.0, 0.5),
+            q_grid=(1.0, 2.0),
+        )
+        search = CampaignConfig(functions=("poly3", "expx"), trials=5, seed=3)
+        gc.collect()
+        gc.disable()
+        try:
+            assert run_campaign(cfg).records
+            find_counterexample("thm6-stated", search)
+            assert gc.collect() == 0
+        finally:
+            gc.enable()
 
 
 class TestFindCounterexample:
