@@ -13,17 +13,16 @@ provenance tag:
 A campaign sweeps (claim, function, interval, lambda, q) combinations,
 records one :class:`VerificationRecord` per combination, and aggregates a
 per-claim summary.  It evaluates one block at a time: a claim on one
-(function, interval) over the whole lambda x q grid.  Claims and functions
-are taken by id, intervals in sorted order and each block's records
-sorted by (lambda, q), so :class:`CampaignStream` yields the blocks
-already in the canonical record order and summarizes them as they pass;
-nothing is sorted across blocks, and a writer holds one block of records
-at a time.  The
-hypothesis is checked once per q.  Each claim family has one side
-function that states its inequality on a panel: the values of one
-(function, interval) in floats, in floats with a refined average, or in
-exact rationals.  A panel
-also caches the statistics the lambda-family sides factor into, each
+(function, interval) over the whole lambda x q grid.  A config repeats no
+claim, function, interval or grid value, so the canonical record order is
+plain nested loops: claims and functions by id, intervals sorted, and each
+block lambda-major over the sorted grids.  :class:`CampaignStream` yields
+the blocks in that order and summarizes them as they pass; no record is
+sorted, and a writer holds one block of records at a time.  The
+hypothesis the ledger states is checked once per q.  Each claim family
+has one side function that states its inequality on a panel: the values
+of one (function, interval) in floats, in floats with a refined average,
+or in exact rationals.  A panel also caches the statistics the lambda-family sides factor into, each
 computed once by the formulas of :mod:`bounds` and shared by every claim
 that reads it: |F(lam)| and the bound's lam factor (b-a)^2 moment(lam) per
 lam, the power sum (|f''(a)|^q + |f''(b)|^q)^(1/q) per q, and on an exact
@@ -250,6 +249,17 @@ class CampaignConfig:
             raise ValueError("q grid values must be >= 1")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
+        # Floats compare with ==, so 0.0 and -0.0 are one value.  With no
+        # value repeated, no two records share a key of the canonical order.
+        for kind, values in (
+            ("claim id", self.claims),
+            ("function id", self.functions),
+            ("interval", [tuple(map(float, iv)) for iv in self.intervals]),
+            ("lambda value", self.lambda_grid),
+            ("q value", self.q_grid),
+        ):
+            if len(set(values)) < len(values):
+                raise ValueError(f"each {kind} may be given once, got {list(values)}")
 
     def as_dict(self) -> dict:
         return {
@@ -432,12 +442,12 @@ def _pconvex(fn: TestFunction, domain: Interval, q: float, of: str, grid: GridSp
 
 class _Context:
     """Per-run caches of panels, envelopes and P-checks.  Each is built
-    once: a build that raised an OracleError keeps it, and every later
-    lookup raises it again without building anew."""
+    once: a build that raised an OracleError keeps its message, and every
+    later lookup raises an OracleError with it without building anew."""
 
     def __init__(self, config: CampaignConfig):
         self.config = config
-        self._cache: dict = {}  # key -> value, or the OracleError building it
+        self._cache: dict = {}  # key -> value, or the message of its failed build
 
     def _get(self, key, build, *args):
         cache = self._cache
@@ -445,10 +455,12 @@ class _Context:
             try:
                 cache[key] = build(*args)
             except OracleError as exc:
-                cache[key] = exc
+                cache[key] = str(exc)
         v = cache[key]
-        if isinstance(v, OracleError):
-            raise v.with_traceback(None)
+        if type(v) is str:
+            # a new error each time: a raised error's traceback holds frames
+            # that hold this cache, so a cached one would keep it in a cycle
+            raise OracleError(v)
         return v
 
     def panel(self, fn: TestFunction, domain: Interval, kind: str) -> _Panel:
@@ -468,14 +480,26 @@ class _Context:
         return env.lower_d2 >= -1e-12 * (1.0 + abs(env.upper_d2))
 
 
-def _monomial_order(fn: TestFunction) -> Optional[int]:
-    """n when f is exactly x^n, else None."""
-    if fn.poly_coeffs is None:
-        return None
-    nz = [k for k, c in enumerate(fn.poly_coeffs) if c != 0]
-    if len(nz) != 1 or fn.poly_coeffs[nz[0]] != 1:
-        return None
-    return nz[0]
+def _monomial_case(fn: TestFunction, domain: Interval, q, ctx) -> bool:
+    """f is exactly x^n with |n(n-1)| >= 3, on an interval with 0 < a."""
+    terms = [(n, c) for n, c in enumerate(fn.poly_coeffs or ()) if c != 0]
+    if len(terms) != 1 or domain.lo <= 0:
+        return False
+    ((n, c),) = terms
+    return c == 1 and abs(n * (n - 1)) >= 3
+
+
+# The check of each hypothesis the ledger states, on (function, interval) at
+# the record's q: True, False, or None when it is undefined.
+_HYPOTHESES = {
+    "check_p_convex(|d2|)": lambda fn, dom, q, ctx: ctx.pconvex(fn, dom, 1.0, "d2"),
+    "check_p_convex(|d2|^q)": lambda fn, dom, q, ctx: ctx.pconvex(fn, dom, q, "d2"),
+    "check_p_convex(f)": lambda fn, dom, q, ctx: ctx.pconvex(fn, dom, 1.0, "f"),
+    "f convex on [a, b]": lambda fn, dom, q, ctx: ctx.convex(fn, dom),
+    "f twice differentiable": lambda fn, dom, q, ctx: True,
+    "f has d4": lambda fn, dom, q, ctx: fn.d4 is not None,
+    "f = x^n, |n(n-1)| >= 3, 0 < a < b": _monomial_case,
+}
 
 
 # ---------------------------------------------------------------------------
@@ -549,11 +573,6 @@ _EXACT_LAMBDA = {
 }
 
 
-def _order_value(v):
-    """A lam or q as the canonical record order compares it (None first)."""
-    return -1.0 if v is None else v
-
-
 def _evaluate_block(
     claim: BoundClaim,
     fn: TestFunction,
@@ -581,10 +600,10 @@ def _evaluate_block(
 
     if not fn.domain.contains(domain):
         return [rec(lam, q, "hypothesis_failed") for lam in lams for q in qs]
-    unmet = {}
+    hypothesis, unmet = _HYPOTHESES[claim.hypothesis], {}
     for q in qs:
         try:
-            ok = _hypothesis(claim, fn, domain, q, ctx)
+            ok = hypothesis(fn, domain, q, ctx)
         except OracleError:
             ok = None
         if not ok:
@@ -636,37 +655,6 @@ def _evaluate_block(
     return out
 
 
-def _hypothesis(
-    claim: BoundClaim,
-    fn: TestFunction,
-    domain: Interval,
-    q: Optional[float],
-    ctx: _Context,
-):
-    fam = claim.family
-    if fam == "thm5":
-        return ctx.pconvex(fn, domain, 1.0, "d2")
-    if fam in ("thm6", "cor", "corm"):
-        return ctx.pconvex(fn, domain, q if q is not None else 1.0, "d2")
-    if fam == "hh":
-        return ctx.convex(fn, domain)
-    if fam == "hh-p":
-        return ctx.pconvex(fn, domain, 1.0, "f")
-    if fam == "envelope":
-        return True
-    if fam == "simpson4":
-        return fn.d4 is not None
-    if fam == "prop":
-        n = _monomial_order(fn)
-        return (
-            n is not None
-            and n not in (-1, 0)
-            and abs(n * (n - 1)) >= 3
-            and domain.lo > 0
-        )
-    raise ValueError(f"unknown claim family {fam!r}")
-
-
 # ---------------------------------------------------------------------------
 # Campaign driver
 # ---------------------------------------------------------------------------
@@ -688,14 +676,17 @@ def resolve_claims(ids) -> list[BoundClaim]:
 def resolve_functions(ids, registry) -> list[TestFunction]:
     reg = registry if registry is not None else {f.id: f for f in corpus_standard()}
     if ids == ("all",) or ids == ["all"]:
-        return list(reg.values())
-    out = []
-    for fid in ids:
-        if fid not in reg:
-            raise KeyError(
-                f"unknown function id {fid!r}; known ids: {', '.join(reg)}"
-            )
-        out.append(reg[fid])
+        out = list(reg.values())
+    else:
+        for fid in ids:
+            if fid not in reg:
+                raise KeyError(
+                    f"unknown function id {fid!r}; known ids: {', '.join(reg)}"
+                )
+        out = [reg[fid] for fid in ids]
+    # every per-run cache is keyed on the function's id
+    if len({fn.id for fn in out}) < len(out):
+        raise ValueError(f"functions share an id: {[fn.id for fn in out]}")
     return out
 
 
@@ -705,7 +696,9 @@ class CampaignStream:
     Iterating yields the records of every (claim, function, interval,
     lambda, q) combination in canonical order (claim, function, a, b,
     lambda, q): one block per claim on one (function, interval), with
-    claims and functions taken by id and intervals in sorted order.
+    claims and functions taken by id, intervals in sorted order and each
+    block lambda-major over the sorted lambda and q grids.  The config
+    repeats no key, so nothing ties and no record is sorted.
     ``summary`` is filled in once the last block has been yielded.  A
     reader that writes each block as it comes holds one block of records
     at a time, beside the per-panel caches.  Unmet hypotheses yield
@@ -726,62 +719,31 @@ class CampaignStream:
     def __iter__(self) -> Iterator[list[VerificationRecord]]:
         config = self.config
         intervals = [tuple(map(float, iv)) for iv in config.intervals]
-        intervals += sample_intervals(config)
+        intervals = sorted(intervals + sample_intervals(config))
+        lam_grid, q_grid = sorted(config.lambda_grid), sorted(config.q_grid)
+        fns = sorted(self._fns, key=_BY_ID)
         ctx = _Context(config)
-        entries = {}  # claim id -> its summary entry, in config order
-        for c in self._claims:
-            entries.setdefault(c.id, {
+        entries = {  # claim id -> its summary entry, in config order
+            c.id: {
                 "provenance": c.provenance,
                 "records": 0,
                 "by_status": dict.fromkeys(STATUSES, 0),
                 "min_margin": None,
-            })
-        # Equal keys (a repeated id or interval) make one run, whose
-        # lam-major blocks a stable sort on (lam, q) puts in canonical order.
-        # One lam-major block on strictly ascending grids is in that order.
-        fn_runs, interval_runs = _runs(self._fns, _BY_ID), _runs(intervals, None)
-        for claims in _runs(self._claims, _BY_ID):
-            claim = claims[0]
-            lams = tuple(config.lambda_grid) if claim.uses_lambda else (claim.fixed_lambda,)
-            qs = tuple(config.q_grid) if claim.uses_q else (None,)
-            ordered = len(claims) == 1 and _ascending(lams) and _ascending(qs)
-            for fns in fn_runs:
-                for ivs in interval_runs:
-                    if ordered and len(fns) == 1 and len(ivs) == 1:
-                        (fn,), ((a, b),) = fns, ivs
-                        block = _evaluate_block(claim, fn, Interval(a, b), lams, qs, ctx)
-                    else:
-                        block = sorted(
-                            itertools.chain.from_iterable(
-                                _evaluate_block(claim, fn, Interval(a, b), lams, qs, ctx)
-                                for _ in claims
-                                for fn in fns
-                                for a, b in ivs
-                            ),
-                            key=_grid_key,
-                        )
+            }
+            for c in self._claims
+        }
+        for claim in sorted(self._claims, key=_BY_ID):
+            lams = lam_grid if claim.uses_lambda else (claim.fixed_lambda,)
+            qs = q_grid if claim.uses_q else (None,)
+            for fn in fns:
+                for a, b in intervals:
+                    block = _evaluate_block(claim, fn, Interval(a, b), lams, qs, ctx)
                     _count(entries[claim.id], block)
                     yield block
         self.summary.update(_summary(entries))
 
 
 _BY_ID = attrgetter("id")
-
-
-def _grid_key(r: VerificationRecord):
-    return _order_value(r.lam), _order_value(r.q)
-
-
-def _ascending(grid) -> bool:
-    """Whether the grid values are strictly ascending in the canonical
-    record order (so no two are equal, -0.0 and 0.0 included)."""
-    keys = [_order_value(v) for v in grid]
-    return all(x < y for x, y in zip(keys, keys[1:]))
-
-
-def _runs(items, key) -> list[list]:
-    """``items`` stably sorted by ``key``, in runs of equal keys."""
-    return [list(run) for _, run in itertools.groupby(sorted(items, key=key), key)]
 
 
 def run_campaign(

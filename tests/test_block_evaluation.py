@@ -30,8 +30,10 @@ GRID_QS = st.sampled_from([1.0, 1.25, 1.5, 2.0, 3.0, 4.0, 10.0])
 
 @settings(max_examples=12, deadline=None, derandomize=True)
 @given(
-    lams=st.lists(st.one_of(GRID_LAMBDAS, st.floats(0, 1)), min_size=1, max_size=4),
-    qs=st.lists(st.one_of(GRID_QS, st.floats(1, 12)), min_size=1, max_size=3),
+    lams=st.lists(
+        st.one_of(GRID_LAMBDAS, st.floats(0, 1)), min_size=1, max_size=4, unique=True
+    ),
+    qs=st.lists(st.one_of(GRID_QS, st.floats(1, 12)), min_size=1, max_size=3, unique=True),
     fns=st.lists(st.sampled_from(function_ids()), min_size=1, max_size=3, unique=True),
     seed=st.integers(0, 2**31 - 1),
     trials=st.integers(0, 2),

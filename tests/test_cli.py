@@ -401,6 +401,11 @@ class TestOtherCommands:
             ("verify", "--claims", "thm6-stated", "--functions", "poly3",
              "--q-grid", "0.5"),
             ("search", "--claim", "thm6-stated", "--q-grid", "0.5", "--trials", "3"),
+            ("verify", "--claims", "thm5,thm5", "--functions", "poly2"),
+            ("verify", "--claims", "hh", "--functions", "poly2,poly2"),
+            ("verify", "--claims", "thm5", "--functions", "poly2", "--lambda-grid", "0,-0"),
+            ("verify", "--claims", "thm6-stated", "--functions", "poly2", "--q-grid", "2,2"),
+            ("search", "--claim", "thm6-stated", "--q-grid", "2,2", "--trials", "3"),
             ("means", "--a", "1", "--b", "2", "--n", "0"),
             ("means", "--a", "1", "--b", "2", "--n", "-1"),
             ("means", "--prop", "1", "--n", "3", "--a", "0", "--b", "2"),
@@ -429,6 +434,11 @@ class TestOtherCommands:
             "verify-lambda-below-0",
             "verify-q-below-1",
             "search-q-below-1",
+            "verify-repeated-claim",
+            "verify-repeated-function",
+            "verify-repeated-lambda-zero",
+            "verify-repeated-q",
+            "search-repeated-q",
             "means-n-zero",
             "means-n-minus-one",
             "means-prop-a-not-positive",

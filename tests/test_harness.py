@@ -88,6 +88,28 @@ def _finite_only_at_samples() -> TestFunction:
     )
 
 
+def _raising_from_2() -> TestFunction:
+    """f(x) = x^2, which raises from x = 2 on."""
+
+    def f_edge(x):
+        if np.any(np.asarray(x) >= 2.0):
+            raise ValueError("f is undefined from 2 on")
+        return x * x
+
+    return TestFunction(
+        id="edge", f=f_edge, d1=lambda x: 2.0 * x,
+        d2=lambda x: 2.0 + 0.0 * x, d4=lambda x: 0.0 * x,
+        domain=Interval(0.0, 10.0),
+    )
+
+
+# Every record of this campaign reads the float panel of f on [1, 2], whose
+# build integrates f, then raises at f(2).
+EDGE_CAMPAIGN = CampaignConfig(
+    claims=("thm6-stated", "thm5", "hh", "simpson-4th-p4"), functions=("edge",)
+)
+
+
 class TestLedger:
     def test_size_and_uniqueness(self):
         ids = [c.id for c in LEDGER]
@@ -147,6 +169,34 @@ class TestSampler:
     def test_oversized_pconvex_grid_rejected(self):
         with pytest.raises(ValueError, match="exceeds the cap"):
             CampaignConfig(pconvex_grid=GridSpec(1000, 1001, 1000))
+
+    @pytest.mark.parametrize(
+        "field, values",
+        [
+            ("claims", ("thm5", "hh", "thm5")),
+            ("functions", ("poly2", "poly2")),
+            ("intervals", ((0.0, 1.0), (1.0, 2.0), (-0.0, 1.0))),
+            ("intervals", ((1, 2), (1.0, 2.0))),
+            ("lambda_grid", (0.0, -0.0)),
+            ("lambda_grid", (0.5, 1.0, 0.5)),
+            ("q_grid", (2.0, 1.0, 2.0)),
+        ],
+    )
+    def test_repeated_input_rejected(self, field, values):
+        # floats compare with ==, so 0.0 and -0.0 are one value
+        with pytest.raises(ValueError, match="may be given once"):
+            CampaignConfig(**{field: values})
+
+    def test_registry_sharing_an_id_rejected(self):
+        poly2 = {f.id: f for f in corpus_standard()}["poly2"]
+        registry = {"poly2": poly2, "square": poly2}
+        cfg = CampaignConfig(claims=("hh",), functions=("poly2", "square"))
+        with pytest.raises(ValueError, match="share an id"):
+            run_campaign(cfg, registry)
+        with pytest.raises(ValueError, match="share an id"):
+            run_campaign(CampaignConfig(claims=("hh",), functions=("all",)), registry)
+        with pytest.raises(ValueError, match="share an id"):
+            find_counterexample("hh", cfg, registry)
 
     def test_seed_determinism_and_grid_independence(self):
         base = CampaignConfig(trials=50, seed=3)
@@ -281,11 +331,6 @@ class TestRunCampaign:
         # f'' raising below 1.5 reaches the sampled envelope (hh,
         # mid-envelope); f raising at 2 reaches the scalar endpoint values
         # of the float sides (thm5, mid-envelope, simpson-4th-p4)
-        def f_edge(x):
-            if np.any(np.asarray(x) >= 2.0):
-                raise ValueError("f is undefined from 2 on")
-            return x * x
-
         # f'' = 1/sqrt(x - 1.5) above 1.5, where f is finite everywhere
         def f_root(x):
             return 4.0 / 3.0 * np.maximum(x - 1.5, 0.0) ** 1.5
@@ -296,11 +341,7 @@ class TestRunCampaign:
                 d1=lambda x: 2.0 * np.maximum(x - 1.5, 0.0) ** 0.5,
                 d2=lambda x: 1.0 / math.sqrt(x - 1.5), domain=Interval(0.0, 10.0),
             ),
-            "edge": TestFunction(
-                id="edge", f=f_edge, d1=lambda x: 2.0 * x,
-                d2=lambda x: 2.0 + 0.0 * x, d4=lambda x: 0.0 * x,
-                domain=Interval(0.0, 10.0),
-            ),
+            "edge": _raising_from_2(),
         }
         for fid, claims in (
             ("rootd2", ("hh", "mid-envelope")),
@@ -317,22 +358,9 @@ class TestRunCampaign:
                 assert out.record is None and out.trials == 5
 
     def test_failed_panel_is_built_once(self, monkeypatch):
-        # every record of these blocks reads the float panel of f on
-        # [1, 2]; building it integrates f, then f(2) raises.  The failure
-        # is kept like a panel, so f is integrated once for the whole run,
-        # not once per record (105 for the thm6-stated block alone)
-        def f_edge(x):
-            if np.any(np.asarray(x) >= 2.0):
-                raise ValueError("f is undefined from 2 on")
-            return x * x
-
-        registry = {
-            "edge": TestFunction(
-                id="edge", f=f_edge, d1=lambda x: 2.0 * x,
-                d2=lambda x: 2.0 + 0.0 * x, d4=lambda x: 0.0 * x,
-                domain=Interval(0.0, 10.0),
-            )
-        }
+        # the failed float panel is kept like a panel, so f is integrated
+        # once for the whole run, not once per record (105 for the
+        # thm6-stated block alone)
         integrate, calls = oracle.integrate, []
 
         def counted(*args, **kwargs):
@@ -340,10 +368,7 @@ class TestRunCampaign:
             return integrate(*args, **kwargs)
 
         monkeypatch.setattr(oracle, "integrate", counted)
-        cfg = CampaignConfig(
-            claims=("thm6-stated", "thm5", "hh", "simpson-4th-p4"), functions=("edge",)
-        )
-        res = run_campaign(cfg, registry=registry)
+        res = run_campaign(EDGE_CAMPAIGN, registry={"edge": _raising_from_2()})
         assert len(res.records) == 105 + 21 + 1 + 1
         assert {r.status for r in res.records} == {"undefined"}
         assert len(calls) == 1
@@ -420,7 +445,7 @@ class TestRunCampaign:
 
     def test_run_leaves_no_reference_cycle(self):
         # a run's panels and caches are freed when it ends, not kept in a
-        # cycle until the next full collection
+        # cycle until the next full collection, also where a build failed
         cfg = CampaignConfig(
             claims=("all",),
             functions=("poly3", "expx", "bump"),
@@ -434,6 +459,7 @@ class TestRunCampaign:
         try:
             assert run_campaign(cfg).records
             find_counterexample("thm6-stated", search)
+            assert run_campaign(EDGE_CAMPAIGN, {"edge": _raising_from_2()}).records
             assert gc.collect() == 0
         finally:
             gc.enable()

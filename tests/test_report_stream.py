@@ -75,12 +75,13 @@ def test_pinned_report_at_out(fmt, monkeypatch, tmp_path):
 
 
 def _lists(values, max_size):
-    return st.lists(st.sampled_from(values), min_size=1, max_size=max_size)
+    return st.lists(st.sampled_from(values), min_size=1, max_size=max_size, unique=True)
 
 
-# Unsorted and repeated ids, intervals and grid values, 0.0 beside -0.0:
-# records whose sort keys tie must come out in the order a stable sort of
-# the whole campaign gives them.
+# Unsorted ids, intervals and grid values, each given once (a config
+# rejects repeats; 0.0 and -0.0 are one value), -0.0 in place of 0.0: the
+# records must come out in the order a stable sort of the whole campaign
+# gives them.
 @settings(max_examples=25, deadline=None, derandomize=True)
 @given(
     claims=_lists(claim_ids(), 3),
@@ -90,11 +91,11 @@ def _lists(values, max_size):
     qs=_lists([2.0, 1.0, 4.0, 1.5], 2),
     trials=st.integers(0, 1),
 )
-@example(  # ties at every level of the key, told apart by the sign of zero
-    claims=["thm6-derived", "hh", "thm6-stated", "thm6-stated"],
-    functions=["poly3", "const1", "poly3"],
-    intervals=[(0.0, 1.0), (1.0, 2.0), (-0.0, 1.0)],
-    lams=[0.5, -0.0, 0.0],
+@example(  # unsorted at every level of the key, with a lone -0.0
+    claims=["thm6-derived", "hh", "thm6-stated"],
+    functions=["poly3", "const1"],
+    intervals=[(1.0, 2.0), (-0.0, 1.0)],
+    lams=[0.5, -0.0, 1.0],
     qs=[2.0, 1.0],
     trials=0,
 )
@@ -119,6 +120,21 @@ def test_stream_equals_whole_document(claims, functions, intervals, lams, qs, tr
     assert written["json"] == json.dumps(whole, indent=2) + "\n"
     assert written["csv"] == cli.to_csv(records)
     assert written["table"] == cli.to_table(whole)
+
+
+def test_unsorted_grids_give_the_sorted_grids_records():
+    # each block is evaluated lam-major over the sorted grids
+    def report(lams, qs):
+        cfg = CampaignConfig(
+            claims=("thm6-stated", "cor1-stated", "hh"), functions=("poly3", "expx"),
+            lambda_grid=lams, q_grid=qs, trials=1, seed=3,
+        )
+        result = harness.run_campaign(cfg)
+        return cli.to_csv(result.records), result.summary
+
+    assert report((1.0, 0.5, -0.0), (4.0, 1.0, 2.0)) == report(
+        (-0.0, 0.5, 1.0), (1.0, 2.0, 4.0)
+    )
 
 
 def test_run_campaign_is_the_stream():
