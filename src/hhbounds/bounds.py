@@ -25,6 +25,7 @@ names convert their arguments and call the same formula.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -253,8 +254,16 @@ def bound_bounded_m(
     if form == "relaxed":
         return m * domain.width**2 / denom * 2
     _check_q(q)
-    one = type(m)(1)  # 2^(1/q) is the power sum of two ones
-    return _times(m * domain.width**2 / denom, _power_sum(one, one, q))
+    return _times(m * domain.width**2 / denom, _root_of_two(type(m), q, mpmath.mp.prec))
+
+
+@functools.lru_cache(maxsize=64)
+def _root_of_two(kind, q, prec: int):
+    """2^(1/q), the power sum of two ones of number type ``kind``.  An mpf
+    root is taken at the working precision, so ``prec`` (in bits) is part
+    of the cache key."""
+    one = kind(1)
+    return _power_sum(one, one, q)
 
 
 def bound_bounded_m_exact(

@@ -19,18 +19,22 @@ plain nested loops: claims and functions by id, intervals sorted, and each
 block lambda-major over the sorted grids.  :class:`CampaignStream` yields
 the blocks in that order and summarizes them as they pass; no record is
 sorted, and a writer holds one block of records at a time.  The
-hypothesis the ledger states is checked once per q.  Each claim family
-has one side function that states its inequality on a panel: the values
-of one (function, interval) in floats, in floats with a refined average,
-or in exact rationals.  A panel also caches the statistics the lambda-family sides factor into, each
-computed once by the formulas of :mod:`bounds` and shared by every claim
-that reads it: |F(lam)| and the bound's lam factor (b-a)^2 moment(lam) per
-lam, the power sum (|f''(a)|^q + |f''(b)|^q)^(1/q) per q, and on an exact
-panel their 50-digit forms.  The float sides come first; any margin that is
-not a comfortable 'holds' is re-derived by the same side function, inside
+hypothesis the ledger states is checked once per q.  A panel holds the
+values of one (function, interval) in floats, in floats with a refined
+average, or in exact rationals.  The lambda-family claims (theorems 5 and
+6 and their corollaries) are evaluated a lam row at a time: their bounds
+factor into a value per lam and one per q, so one row function reads
+|F(lam)|, the lam factor (b-a)^2 moment(lam) and the power sums
+(|f''(a)|^q + |f''(b)|^q)^(1/q) from the panel's caches, each computed
+once by the formulas of :mod:`bounds` and shared by every claim that reads
+it; an exact lam and its exact moment are constants of the run.  Every
+other claim has one record per block and a side function that states its
+inequality on a panel.  The float row comes first; each cell that is not a
+comfortable 'holds' is re-derived by the same row or side function, inside
 one 50-digit context per block, on the exact panel (polynomials) or on the
-refined one, and :func:`~hhbounds.records.classify` decides every status.
-The special-means propositions are the corollary sides of their rule,
+refined one, and :func:`~hhbounds.records.classify_row`, the row form of
+:func:`~hhbounds.records.classify`, decides every status.  The
+special-means propositions are the corollary rows of their rule,
 evaluated on the exact panel of x^n.  An oracle failure anywhere,
 confirmation included, yields an 'undefined' record, and so does an f,
 f'' or f'''' that raises where it is sampled.  Every per-run value (a
@@ -52,7 +56,7 @@ from typing import Iterator, Mapping, Optional
 import mpmath
 import numpy as np
 
-from . import bounds, functionals, means, oracle
+from . import bounds, functionals, kernel, means, oracle
 from .corpus import (
     GridSpec,
     Interval,
@@ -61,7 +65,7 @@ from .corpus import (
     corpus_standard,
 )
 from .oracle import OracleError, _sample, _terms_at, _value_at, to_mpf
-from .records import STATUSES, VerificationRecord, classify
+from .records import STATUSES, VerificationRecord, classify, classify_row
 
 __all__ = [
     "BoundClaim",
@@ -311,25 +315,30 @@ class _Panel:
     data |f''(a)|, |f''(b)| and the sampled envelope are computed on first
     use, since only some claim families read them.
 
-    The lambda-family sides factor into one value per lam and one per q:
-    |F(lam)|, the bound's lam factor (b-a)^2 moment(lam), and the power sum
-    (|f''(a)|^q + |f''(b)|^q)^(1/q).  Each is computed once per panel, by
-    the same formulas :func:`bounds.bound_theorem6` combines, and shared by
-    every claim that reads it.  An exact panel also keeps the mpf forms of
-    the lam values; it meets mpfs only inside the 50-digit confirmation
-    context, so they are all taken at that precision.
+    The lambda-family claims are evaluated a lam row at a time: |F(lam)|
+    against the bound at every q of the row.  The bounds factor into one
+    value per lam and one per q, so the panel serves whole rows from its
+    caches, each value computed once by the formulas of :mod:`bounds` and
+    :mod:`functionals` and shared by every claim that reads it: per lam,
+    |F(lam)| and the lam factor (b-a)^2 moment(lam); per q, the power sum
+    (|f''(a)|^q + |f''(b)|^q)^(1/q).  A lam is keyed by its float, or on an
+    exact panel by the name of the rule whose exact lam a claim fixes; its
+    exact value and exact moment are per-run constants of the context.  An
+    exact panel also keeps |F(lam)| and the lam factor as mpfs (the stated
+    constant halves the factor once per row); it meets mpfs only inside the
+    50-digit confirmation context, so they are all taken at that precision.
     """
 
     __slots__ = (
-        "_ctx", "_fn", "_interval", "_ends", "_env", "_memo", "exact", "domain",
-        "samples",
+        "_ctx", "_fn", "_interval", "_ends", "_env", "_memo", "_line", "exact",
+        "domain", "samples",
     )
 
     def __init__(self, ctx: "_Context", fn: TestFunction, domain: Interval, kind: str):
         # a weak reference, so that a run's caches are freed with its
         # context rather than kept in a cycle until a full collection
         self._ctx, self._fn, self._interval = weakref.proxy(ctx), fn, domain
-        self._ends = self._env = None
+        self._ends = self._env = self._line = None
         self._memo = defaultdict(dict)  # statistic -> {lam or q: value}
         self.exact = kind == "exact"
         if self.exact:
@@ -371,31 +380,65 @@ class _Panel:
             self._env = env
         return self._env
 
-    def lhs(self, lam, mp: bool = False):
-        """|F(lam)|; its mpf when ``mp``."""
-        key = lam.as_integer_ratio() if self.exact else lam  # Fractions hash slowly
-        memo = self._memo["lhs"]
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = abs(functionals._lambda_value(self.samples, lam))
-        return self._mpf("lhs_mp", key, v) if mp else v
+    def lam(self, lam):
+        """The lam of key ``lam`` in the panel's number type."""
+        return self._ctx.exact_lambda(lam)[0] if self.exact else lam
 
-    def theorem6(self, lam, q, variant: str):
-        """:func:`bounds.bound_theorem6` from the cached lam factor and
-        power sum."""
-        memo = self._memo["power_sum"]
-        s = memo.get(q)
-        if s is None:
-            e = self.ends
-            s = memo[q] = bounds._power_sum(e.m_a, e.m_b, q)
-        key = lam.as_integer_ratio() if self.exact else lam
-        memo = self._memo["lam_factor"]
-        c = memo.get(key)
+    def lhs(self, lam):
+        """|F(lam)|."""
+        memo = self._memo["lhs"]
+        v = memo.get(lam)
+        if v is None:
+            if not self.exact:
+                v = memo[lam] = abs(functionals._lambda_value(self.samples, lam))
+                return v
+            if self._line is None:
+                # F is affine in lam: F(0) is the midpoint gap and F(1) minus
+                # the trapezoid gap, so F(lam) = F(0) + lam (F(1) - F(0))
+                f0 = functionals._gap_left(self.samples)
+                self._line = f0, -functionals._gap_right(self.samples) - f0
+            f0, slope = self._line
+            v = memo[lam] = abs(f0 + self.lam(lam) * slope)
+        return v
+
+    def lhs_mp(self, lam):
+        """|F(lam)| as an mpf (exact panels)."""
+        memo = self._memo["lhs_mp"]
+        v = memo.get(lam)
+        if v is None:
+            v = memo[lam] = to_mpf(self.lhs(lam))
+        return v
+
+    def theorem6_row(self, lam, qs, variant: str) -> list:
+        """:func:`bounds.bound_theorem6` at lam for each q of ``qs``, from
+        the cached lam factor c and power sums s: c * s, halved for the
+        stated constant.  On an exact panel a bound is a Fraction where s
+        is one (q = 1) and an mpf where s is an mpf root; there the stated
+        constant halves the mpf factor once per row, before the products,
+        which in binary mpf gives the same roundings."""
+        sums = self._memo["power_sum"]
+        for q in qs:
+            if q not in sums:
+                e = self.ends
+                sums[q] = bounds._power_sum(e.m_a, e.m_b, q)
+        factors = self._memo["lam_factor"]
+        c = factors.get(lam)
         if c is None:
-            c = memo[key] = bounds._coefficient(self.domain, lam)
-        if isinstance(s, mpmath.mpf):
-            c = self._mpf("lam_factor_mp", key, c)
-        return bounds._combine(c, s, variant)
+            if self.exact:  # the exact moment is a constant of the run
+                c = self.domain.width**2 * self._ctx.exact_lambda(lam)[1]
+            else:
+                c = bounds._coefficient(self.domain, lam)
+            factors[lam] = c
+        if not self.exact:
+            if variant == "derived":
+                return [c * sums[q] for q in qs]
+            return [c * sums[q] / 2 for q in qs]
+        c_mp = self._mpf("lam_factor_mp", lam, c)
+        row = [sums[q] for q in qs]
+        if variant == "derived":
+            return [c * s if type(s) is Fraction else c_mp * s for s in row]
+        half = c_mp / 2
+        return [c * s / 2 if type(s) is Fraction else half * s for s in row]
 
     def _mpf(self, stat: str, key, value):
         """``value`` as an mpf, cached as ``stat`` at ``key``."""
@@ -448,6 +491,7 @@ class _Context:
     def __init__(self, config: CampaignConfig):
         self.config = config
         self._cache: dict = {}  # key -> value, or the message of its failed build
+        self._lams: dict = {}  # lam key -> (exact lam, its exact moment)
 
     def _get(self, key, build, *args):
         cache = self._cache
@@ -479,6 +523,16 @@ class _Context:
         env = self.envelope(fn, domain)
         return env.lower_d2 >= -1e-12 * (1.0 + abs(env.upper_d2))
 
+    def exact_lambda(self, lam) -> tuple:
+        """(the exact lam, its kernel moment) of a lam key, a constant of
+        the run: a grid float stands for its exact value, a rule name for
+        the rule's lam."""
+        v = self._lams.get(lam)
+        if v is None:
+            x = bounds.RULE_LAMBDA_EXACT[lam] if type(lam) is str else Fraction(lam)
+            v = self._lams[lam] = x, kernel.weighted_moment(x)
+        return v
+
 
 def _monomial_case(fn: TestFunction, domain: Interval, q, ctx) -> bool:
     """f is exactly x^n with |n(n-1)| >= 3, on an interval with 0 < a."""
@@ -505,31 +559,50 @@ _HYPOTHESES = {
 # ---------------------------------------------------------------------------
 # Block evaluation
 # ---------------------------------------------------------------------------
-#
-# A side function returns the candidate inequalities (lhs, rhs) of one claim
-# on one panel, in the panel's number type.  A two-sided enclosure returns
-# both halves; the record keeps the half with the smaller float margin.
 
 
-def _lambda_sides(claim: BoundClaim, p: _Panel, lam, q):
-    """|F(lam)| against the theorem 5/6, corollary or uniform-M bound; a
-    special-means proposition is the corollary bound of its rule for x^n."""
-    if p.exact:
-        lam = _EXACT_LAMBDA[claim.id] if claim.id in _EXACT_LAMBDA else Fraction(lam)
+def _lambda_row(claim: BoundClaim, p: _Panel, lam, qs, tol: float, eq_tol: float):
+    """The verdicts of |F(lam)| against the theorem 5/6, corollary or
+    uniform-M bound at each q of ``qs``, on one panel; a special-means
+    proposition is the corollary bound of its rule for x^n.  On an exact
+    panel a claim that fixes lam reads its rule's exact lam."""
+    if p.exact and claim.id in _LAMBDA_RULE:
+        lam = _LAMBDA_RULE[claim.id]
     fam = claim.family
     if fam == "thm5":
-        rhs = bounds.bound_theorem5(p.domain, lam, p.ends)
+        rhss = [bounds.bound_theorem5(p.domain, p.lam(lam), p.ends)]
     elif fam == "corm":
-        q = 1.0 if q is None else q
-        rhs = bounds.bound_bounded_m(
-            claim.rule, p.domain, q, p.env, claim.form, claim.variant
-        )
+        env = p.env
+        rhss = [
+            bounds.bound_bounded_m(
+                claim.rule, p.domain, 1.0 if q is None else q, env, claim.form,
+                claim.variant,
+            )
+            for q in qs
+        ]
     else:  # thm6, and the corollaries and propositions at their rule's lam
-        rhs = p.theorem6(lam, q, claim.variant)
-    return ((p.lhs(lam, isinstance(rhs, mpmath.mpf)), rhs),)
+        rhss = p.theorem6_row(lam, qs, claim.variant)
+    lhs_mp = None
+    if p.exact and any(type(r) is not Fraction for r in rhss):
+        lhs_mp = p.lhs_mp(lam)
+    return classify_row(p.lhs(lam), rhss, tol, eq_tol, lhs_mp)
 
 
-def _hh_sides(claim: BoundClaim, p: _Panel, lam, q):
+# The rule whose exact lam each claim that fixes lam reads on an exact panel.
+_LAMBDA_RULE = {
+    c.id: c.rule or means._PROP_RULES[c.prop_idx - 1]
+    for c in _LEDGER.values()
+    if c.fixed_lambda is not None
+}
+
+
+# A side function returns the candidate inequalities (lhs, rhs) of a claim
+# without lam or q on one panel, in the panel's number type.  A two-sided
+# enclosure returns both halves; the record keeps the half with the smaller
+# float margin.
+
+
+def _hh_sides(claim: BoundClaim, p: _Panel):
     """f(m) <= avg(f) <= (f(a)+f(b))/2, doubled where f is a P-function."""
     fa, fm, fb, avg = p.samples
     if claim.family == "hh":
@@ -537,7 +610,7 @@ def _hh_sides(claim: BoundClaim, p: _Panel, lam, q):
     return ((fm, 2 * avg), (2 * avg, 2 * (fa + fb)))
 
 
-def _envelope_sides(claim: BoundClaim, p: _Panel, lam, q):
+def _envelope_sides(claim: BoundClaim, p: _Panel):
     """The midpoint or trapezoid gap inside its f''-range enclosure."""
     if claim.rule == "midpoint":
         gap = functionals._gap_left(p.samples)
@@ -547,29 +620,17 @@ def _envelope_sides(claim: BoundClaim, p: _Panel, lam, q):
     return ((lo_b, gap), (gap, hi_b))
 
 
-def _simpson4_sides(claim: BoundClaim, p: _Panel, lam, q):
+def _simpson4_sides(claim: BoundClaim, p: _Panel):
     """|Simpson deviation| against sup|f''''| (b-a)^p / 2880."""
     lhs = abs(functionals._simpson_value(p.samples))
     return ((lhs, bounds.bound_classical("simpson", p.domain, p.env, claim.p)),)
 
 
 _SIDES = {
-    "thm5": _lambda_sides,
-    "thm6": _lambda_sides,
-    "cor": _lambda_sides,
-    "corm": _lambda_sides,
-    "prop": _lambda_sides,
     "hh": _hh_sides,
     "hh-p": _hh_sides,
     "envelope": _envelope_sides,
     "simpson4": _simpson4_sides,
-}
-
-# The exact lam of each claim that fixes lam at its rule's value.
-_EXACT_LAMBDA = {
-    c.id: bounds.RULE_LAMBDA_EXACT[c.rule or means._PROP_RULES[c.prop_idx - 1]]
-    for c in _LEDGER.values()
-    if c.fixed_lambda is not None
 }
 
 
@@ -584,13 +645,14 @@ def _evaluate_block(
     """The records of one claim on one (function, interval) over ``lams``
     x ``qs``, lam-major.
 
-    The hypothesis is checked once per q.  The sides are evaluated in
-    floats first, and a comfortable 'holds' is accepted there.  Every other
-    margin is re-derived by the same side function, inside one 50-digit
-    context per block, on the panel's exact values (polynomials) or else
-    on the refined average.  The propositions, stated for x^n, go to the
-    exact panel directly.  An oracle failure makes the record it meets
-    'undefined'.
+    The hypothesis is checked once per q.  A lambda-family claim is
+    evaluated a lam row at a time: the float row first, where each
+    comfortable 'holds' is accepted, and then, inside one 50-digit context
+    per block, the same row function on the panel's exact values
+    (polynomials) or else on the refined average, for the cells left.  The
+    propositions, stated for x^n, go to the exact panel directly.  A claim
+    without lam or q has one record, decided the same way by its side
+    function.  An oracle failure makes the records it meets 'undefined'.
     """
     def rec(lam, q, status, lhs=None, rhs=None, margin=None, exact=False):
         return VerificationRecord(
@@ -609,49 +671,77 @@ def _evaluate_block(
         if not ok:
             unmet[q] = "undefined" if ok is None else "hypothesis_failed"
 
-    sides = _SIDES[claim.family]
     tol, eq_tol = ctx.config.tol, ctx.config.eq_tol
+    exact = fn.poly_coeffs is not None
+    confirm_kind = "exact" if exact else "refined"
+
+    def confirmed(lam, q, verdict):
+        if verdict[0] == "undefined":
+            return rec(lam, q, "undefined")
+        return rec(lam, q, *verdict, exact)
+
+    if claim.family in _SIDES:
+        if None in unmet:
+            return [rec(None, None, unmet[None])]
+        sides = _SIDES[claim.family]
+        try:
+            pairs = sides(claim, ctx.panel(fn, domain, "float"))
+        except OracleError:
+            return [rec(None, None, "undefined")]
+        i = 0
+        if len(pairs) > 1:
+            m0, m1 = (rhs - lhs for lhs, rhs in pairs)
+            i = 0 if m0 <= m1 else 1
+        verdict = classify(*pairs[i], tol, eq_tol)
+        if verdict[0] == "holds":
+            return [rec(None, None, *verdict)]
+        with mpmath.workdps(50):
+            try:
+                pairs = sides(claim, ctx.panel(fn, domain, confirm_kind))
+            except OracleError:
+                return [rec(None, None, "undefined")]
+            return [confirmed(None, None, classify(*pairs[i], tol, eq_tol))]
+
+    met = [q for q in qs if q not in unmet] if unmet else qs
     float_first = claim.family != "prop"
     out: list = []
-    pending = []  # (record index, lam, q, side index) left to confirm
+    pending: dict = {}  # lam -> ([record index], [q]) of the cells left to confirm
     p = None
     for lam in lams:
+        verdicts, failed = (), False
+        if float_first and met:
+            try:
+                p = p or ctx.panel(fn, domain, "float")
+                verdicts = _lambda_row(claim, p, lam, met, tol, eq_tol)
+            except OracleError:
+                failed = True
+        cells = iter(verdicts)
         for q in qs:
             if q in unmet:
                 out.append(rec(lam, q, unmet[q]))
-                continue
-            i = 0
-            if float_first:
-                try:
-                    p = p or ctx.panel(fn, domain, "float")
-                    pairs = sides(claim, p, lam, q)
-                except OracleError:
-                    out.append(rec(lam, q, "undefined"))
-                    continue
-                if len(pairs) > 1:
-                    m0, m1 = (rhs - lhs for lhs, rhs in pairs)
-                    i = 0 if m0 <= m1 else 1
-                verdict = classify(*pairs[i], tol, eq_tol)
-                if verdict[0] == "holds":
+            elif failed:
+                out.append(rec(lam, q, "undefined"))
+            else:
+                verdict = next(cells, None)
+                if verdict is not None and verdict[0] == "holds":
                     out.append(rec(lam, q, *verdict))
-                    continue
-            pending.append((len(out), lam, q, i))
-            out.append(None)
+                else:
+                    indices, row_qs = pending.setdefault(lam, ([], []))
+                    indices.append(len(out))
+                    row_qs.append(q)
+                    out.append(None)
 
     if pending:
-        exact = fn.poly_coeffs is not None
         p = None
         with mpmath.workdps(50):
-            for k, lam, q, i in pending:
+            for lam, (indices, row_qs) in pending.items():
                 try:
-                    p = p or ctx.panel(fn, domain, "exact" if exact else "refined")
-                    verdict = classify(*sides(claim, p, lam, q)[i], tol, eq_tol)
+                    p = p or ctx.panel(fn, domain, confirm_kind)
+                    verdicts = _lambda_row(claim, p, lam, row_qs, tol, eq_tol)
                 except OracleError:
-                    verdict = ("undefined",)
-                if verdict[0] == "undefined":
-                    out[k] = rec(lam, q, "undefined")
-                else:
-                    out[k] = rec(lam, q, *verdict, exact)
+                    verdicts = [("undefined",)] * len(row_qs)
+                for k, q, verdict in zip(indices, row_qs, verdicts):
+                    out[k] = confirmed(lam, q, verdict)
     return out
 
 

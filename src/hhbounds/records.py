@@ -4,6 +4,9 @@ checks and the harness.
 This module owns the record format: :data:`FIELDS` names the eleven report
 keys in order, and :meth:`VerificationRecord.values` gives a record's
 values in that order, for the JSON, CSV and table writers of :mod:`cli`.
+It also owns the one status rule: :func:`classify_row` decides a row of
+inequalities that share their left-hand side, and :func:`classify` is its
+one-cell form.
 """
 
 from __future__ import annotations
@@ -98,17 +101,38 @@ def classify(lhs, rhs, tol: float, eq_tol: float) -> tuple[str, float, float, fl
 
     Returns (status, lhs, rhs, margin) with the three values as floats.
     """
-    if isinstance(rhs, mpmath.mpf) and not isinstance(lhs, mpmath.mpf):
-        lhs = to_mpf(lhs)
-    margin = rhs - lhs
-    lhs_f, rhs_f, margin_f = float(lhs), float(rhs), float(margin)
-    scale = max(1.0, abs(lhs_f), abs(rhs_f))
-    if margin_f < -tol * scale:
-        status = "violated"
-    elif margin == 0 if type(margin) is Fraction else abs(margin_f) <= eq_tol * scale:
-        status = "equality"
-    elif math.isnan(margin_f):
-        status = "undefined"
-    else:
-        status = "holds"
-    return status, lhs_f, rhs_f, margin_f
+    return classify_row(lhs, (rhs,), tol, eq_tol)[0]
+
+
+def classify_row(lhs, rhss, tol: float, eq_tol: float, lhs_mp=None) -> list[tuple]:
+    """:func:`classify` of ``lhs <= rhs`` for each rhs of ``rhss``: the
+    verdicts of a row of inequalities that share their left-hand side,
+    which is converted once.  ``lhs_mp``, where the caller has it, is lhs
+    as an mpf at the working precision, read by the cells whose rhs is an
+    mpf.
+    """
+    lhs_f = lhs_mp_f = None
+    out = []
+    for rhs in rhss:
+        if isinstance(rhs, mpmath.mpf) and not isinstance(lhs, mpmath.mpf):
+            if lhs_mp_f is None:
+                lhs_mp = to_mpf(lhs) if lhs_mp is None else lhs_mp
+                lhs_mp_f = float(lhs_mp)
+            side, side_f = lhs_mp, lhs_mp_f
+        else:
+            if lhs_f is None:
+                lhs_f = float(lhs)
+            side, side_f = lhs, lhs_f
+        margin = rhs - side
+        rhs_f, margin_f = float(rhs), float(margin)
+        scale = max(1.0, abs(side_f), abs(rhs_f))
+        if margin_f < -tol * scale:
+            status = "violated"
+        elif margin == 0 if type(margin) is Fraction else abs(margin_f) <= eq_tol * scale:
+            status = "equality"
+        elif math.isnan(margin_f):
+            status = "undefined"
+        else:
+            status = "holds"
+        out.append((status, side_f, rhs_f, margin_f))
+    return out

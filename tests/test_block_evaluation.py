@@ -3,12 +3,14 @@ what evaluating each record on its own gives (tests/harness_reference.py)."""
 
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hhbounds.corpus import Interval, TestFunction, corpus_standard, function_ids
 from hhbounds.harness import CampaignConfig, claim_ids, find_counterexample, run_campaign
+from hhbounds.oracle import EvaluationError
 
 from harness_reference import reference_records, reference_search
 
@@ -126,3 +128,87 @@ def test_non_polynomials_on_unit_subintervals_match_reference():
 def test_every_claim_is_covered():
     cfg = CampaignConfig(claims=("all",), functions=("poly3",))
     assert {r.claim for r in run_campaign(cfg).records} == set(claim_ids())
+
+
+def test_bump_block_where_only_some_q_are_p_convex():
+    # on [0.49, 0.51] |f''|^q of the bump is a P-function for q <= 2 and
+    # not for q = 4 or 10, so each lam row has met and unmet cells
+    cfg = CampaignConfig(
+        claims=("thm6-stated", "thm6-derived", "cor1-stated", "cor4-derived", "thm5"),
+        functions=("bump",),
+        intervals=((0.49, 0.51),),
+        lambda_grid=(0.5, 0.0, 1.0),
+        q_grid=(10.0, 1.0, 2.0, 4.0),
+    )
+    records = run_campaign(cfg).records
+    assert list(records) == reference_records(cfg)
+    thm6 = [r for r in records if r.claim == "thm6-stated"]
+    assert {r.q for r in thm6 if r.status == "hypothesis_failed"} == {4.0, 10.0}
+    assert {r.status for r in thm6 if r.q in (1.0, 2.0)} == {"violated"}
+
+
+def _d2_raising(scalars_only: bool) -> TestFunction:
+    """f = x^2 with an f'' that raises: at every point, or only when called
+    at one point, so that the sampled P-check passes and the endpoint data
+    of the lambda-family bounds fail."""
+
+    def d2(x):
+        if not scalars_only or np.ndim(x) == 0:
+            raise EvaluationError("d2 is undefined here")
+        return 2.0 + 0.0 * x
+
+    return TestFunction(
+        id="d2raise", f=lambda x: x * x, d1=lambda x: 2.0 * x, d2=d2,
+        domain=Interval(0.0, 10.0), exact_integral=lambda a, b: (b**3 - a**3) / 3,
+    )
+
+
+@pytest.mark.parametrize("scalars_only", [False, True])
+def test_raising_second_derivative_makes_every_record_undefined(scalars_only):
+    registry = {"d2raise": _d2_raising(scalars_only)}
+    cfg = CampaignConfig(
+        claims=("thm5", "thm6-stated", "thm6-derived", "cor2-stated", "cor3-derived"),
+        functions=("d2raise",),
+        intervals=((1.0, 2.0), (0.5, 3.0)),
+        lambda_grid=(0.0, 0.5),
+        q_grid=(1.0, 2.0),
+    )
+    records = run_campaign(cfg, registry).records
+    assert list(records) == reference_records(cfg, registry)
+    assert len(records) == 2 * (2 + 2 * 4 + 2 * 2)
+    assert {r.status for r in records} == {"undefined"}
+
+
+@pytest.mark.parametrize(
+    "claims,q_grid,statuses",
+    [
+        # q = 1: every bound is a Fraction, so the confirmation is rational
+        (("thm6-stated", "thm6-derived", "cor1-stated", "cor8-stated", "prop2-stated"),
+         (1.0,), {"holds", "equality"}),
+        # stated constants with irrational roots: the halved 50-digit factor
+        (("thm6-stated", "cor1-stated", "cor2-stated", "cor3-stated", "cor5-stated",
+          "prop1-stated", "prop3-stated"), (1.5, 3.0), {"holds", "violated"}),
+    ],
+)
+def test_confirmations_match_reference(claims, q_grid, statuses):
+    cfg = CampaignConfig(
+        claims=claims, functions=("poly2", "poly3", "poly4", "poly5"),
+        trials=3, seed=29, lambda_grid=(0.0, 0.35, 0.5, 1.0), q_grid=q_grid,
+    )
+    records = run_campaign(cfg).records
+    assert list(records) == reference_records(cfg)
+    confirmed = [r for r in records if r.exact]
+    assert {r.q for r in confirmed} == set(q_grid)
+    assert {r.status for r in confirmed} >= statuses
+
+
+def test_fixed_lambda_claims_on_unsorted_subgrids():
+    cfg = CampaignConfig(
+        claims=tuple(f"cor{n}-{v}" for n in (1, 2, 3, 4, 5, 8) for v in ("stated", "derived"))
+        + ("cor4-relaxed", "prop1-derived", "prop3-stated"),
+        functions=("poly5", "expx", "poly3"),
+        trials=2, seed=8,
+        lambda_grid=(0.7, 0.1, 0.4),
+        q_grid=(4.0, 1.0, 2.5, 1.5),
+    )
+    assert list(run_campaign(cfg).records) == reference_records(cfg)

@@ -4,6 +4,7 @@ import math
 import random
 from fractions import Fraction
 
+import mpmath
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,10 +23,12 @@ from hhbounds.bounds import (
     bound_theorem6,
     bound_theorem6_exact,
     bound_theorem6_mp,
+    _power_sum,
     compare_bounds,
 )
 from hhbounds.corpus import Interval, check_p_convex, get_function
 from hhbounds.functionals import functional_lambda, hh_gap_left_exact, hh_gap_right_exact
+from hhbounds.oracle import to_mpf
 
 UNIT = Interval(0.0, 1.0)
 
@@ -163,6 +166,22 @@ class TestBoundedM:
             wq = bound_bounded_m(rule, UNIT, q, env, "with_q")
             rel = bound_bounded_m(rule, UNIT, q, env, "relaxed")
             assert wq <= rel + 1e-15
+
+    def test_root_of_two_follows_working_precision(self):
+        # 2^(1/q) is cached per q; a root taken at 15 digits is not reused
+        # at 50, and repeated calls give the same value
+        env = DerivativeEnvelope(sup_abs_d2=Fraction(7, 3))
+        dom = Interval(Fraction(1), Fraction(5, 2))
+        q = Fraction(3, 2)
+        with mpmath.workdps(15):
+            low = bound_bounded_m("simpson", dom, q, env, "with_q")
+        with mpmath.workdps(50):
+            high = [bound_bounded_m("simpson", dom, q, env, "with_q") for _ in range(2)]
+            root = _power_sum(Fraction(1), Fraction(1), q)
+            assert high == [to_mpf(Fraction(7, 3) * Fraction(9, 4) / 162) * root] * 2
+        assert mpmath.mpf(high[0]) != low
+        assert bound_bounded_m("simpson", UNIT, 2.0, DerivativeEnvelope(sup_abs_d2=1.0),
+                               "with_q") == 1.0 / 162 * 2.0**0.5
 
 
 class TestClassical:

@@ -74,6 +74,24 @@ def test_pinned_report_at_out(fmt, monkeypatch, tmp_path):
     assert os.listdir(tmp_path) == [target.name]  # nothing left beside it
 
 
+# The bench-scale verify campaign: every claim and function on 20 random
+# intervals (48,510 records), its JSON report as written before the
+# lambda-family claims were evaluated a lam row at a time.
+BENCH_ARGV = (
+    "verify", "--claims", "all", "--functions", "all", "--trials", "20",
+    "--seed", "1785390952",
+)
+BENCH_PIN = "cb028305c6ad2a5f07a4117097ffbf6589cbd7a95de9f4f689085f85d59b6c48"
+
+
+def test_pinned_bench_scale_report(monkeypatch, tmp_path):
+    monkeypatch.delenv("HHBOUNDS_SEED", raising=False)
+    target = tmp_path / "report.json"
+    code, out = _main((*BENCH_ARGV, "--out", str(target)))
+    assert (code, out) == (1, "")  # stated-only claims are violated
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == BENCH_PIN
+
+
 def _lists(values, max_size):
     return st.lists(st.sampled_from(values), min_size=1, max_size=max_size, unique=True)
 
