@@ -40,6 +40,10 @@ confirmation included, yields an 'undefined' record, and so does an f,
 f'' or f'''' that raises where it is sampled.  Every per-run value (a
 panel, an envelope, a P-check) is built once; one whose build failed is
 not built again.  Runs are deterministic for a fixed config.
+A counterexample search screens a trial whose hypothesis is a sampled
+check (:data:`_SAMPLED`) on its float cell, and skips the check when the
+cell comfortably holds; guards such as 'f has d4' and the propositions'
+x^n are checked first, as in a campaign.
 """
 
 from __future__ import annotations
@@ -555,6 +559,13 @@ _HYPOTHESES = {
     "f = x^n, |n(n-1)| >= 3, 0 < a < b": _monomial_case,
 }
 
+# The hypotheses that are sampled checks the value of a record does not
+# depend on; a search screens a trial on its float cell before them.
+_SAMPLED = {
+    "check_p_convex(|d2|)", "check_p_convex(|d2|^q)", "check_p_convex(f)",
+    "f convex on [a, b]",
+}
+
 
 # ---------------------------------------------------------------------------
 # Block evaluation
@@ -634,6 +645,15 @@ _SIDES = {
 }
 
 
+def _half(pairs) -> int:
+    """The index of the pair a side function's record keeps: the half of a
+    two-sided enclosure with the smaller float margin."""
+    if len(pairs) == 1:
+        return 0
+    m0, m1 = (rhs - lhs for lhs, rhs in pairs)
+    return 0 if m0 <= m1 else 1
+
+
 def _evaluate_block(
     claim: BoundClaim,
     fn: TestFunction,
@@ -688,10 +708,7 @@ def _evaluate_block(
             pairs = sides(claim, ctx.panel(fn, domain, "float"))
         except OracleError:
             return [rec(None, None, "undefined")]
-        i = 0
-        if len(pairs) > 1:
-            m0, m1 = (rhs - lhs for lhs, rhs in pairs)
-            i = 0 if m0 <= m1 else 1
+        i = _half(pairs)
         verdict = classify(*pairs[i], tol, eq_tol)
         if verdict[0] == "holds":
             return [rec(None, None, *verdict)]
@@ -890,6 +907,27 @@ class CounterexampleSearch:
     trials: int
 
 
+def _float_holds(
+    claim: BoundClaim, fn: TestFunction, domain: Interval, lam, q, ctx: _Context
+) -> bool:
+    """Whether the float cell at (lam, q) is a comfortable 'holds', which
+    :func:`_evaluate_block` accepts unconfirmed.  False where anything in it
+    raised: the evaluation that follows meets the error if it gets there."""
+    if not fn.domain.contains(domain):
+        return False
+    tol, eq_tol = ctx.config.tol, ctx.config.eq_tol
+    try:
+        p = ctx.panel(fn, domain, "float")
+        if claim.family in _SIDES:
+            pairs = _SIDES[claim.family](claim, p)
+            verdict = classify(*pairs[_half(pairs)], tol, eq_tol)
+        else:
+            (verdict,) = _lambda_row(claim, p, lam, (q,), tol, eq_tol)
+    except Exception:  # noqa: BLE001 - the unscreened path decides the trial
+        return False
+    return verdict[0] == "holds"
+
+
 def find_counterexample(
     claim_id: str,
     search: CampaignConfig,
@@ -902,6 +940,12 @@ def find_counterexample(
     value, then shrinks the interval toward unit width while the violation
     persists.  Every candidate passes through the same confirmation paths
     as campaign records before being returned.
+
+    Only a confirmed 'violated' record is a hit, so a trial whose float
+    cell comfortably holds is no hit whatever its hypothesis: the sampled
+    P-convexity (thm5, thm6, cor*, hh-p) and convexity (hh) checks are
+    skipped for it.  simpson4 ('f has d4'), the envelopes and the
+    propositions (f = x^n) check their hypothesis first.
     """
     claim = get_claim(claim_id)
     fns = resolve_functions(search.functions, registry)
@@ -910,9 +954,13 @@ def find_counterexample(
     rng = random.Random(search.seed)
     trials = search.trials if search.trials > 0 else 500
     ctx = _Context(search)
+    screened = claim.hypothesis in _SAMPLED
 
     def attempt(fn, a, b, lam, q) -> Optional[VerificationRecord]:
-        (r,) = _evaluate_block(claim, fn, Interval(a, b), (lam,), (q,), ctx)
+        domain = Interval(a, b)
+        if screened and _float_holds(claim, fn, domain, lam, q, ctx):
+            return None  # no confirmed violation, whatever the hypothesis
+        (r,) = _evaluate_block(claim, fn, domain, (lam,), (q,), ctx)
         return r if r.status == "violated" else None
 
     for t in range(1, trials + 1):

@@ -30,6 +30,8 @@ from fractions import Fraction
 from typing import Callable, Sequence
 
 import numpy as np
+from mpmath import mp
+from mpmath.libmp import from_rational, round_nearest
 
 __all__ = [
     "QuadratureResult",
@@ -291,11 +293,10 @@ def _integer_ratio(x) -> tuple[int, int]:
 
 
 def to_mpf(x):
-    """Convert an exact rational (or float/int) to mpf at working precision."""
-    import mpmath
-
-    f = _as_fraction(x)
-    return mpmath.mpf(f.numerator) / mpmath.mpf(f.denominator)
+    """An exact rational (or float/int) as the mpf nearest to it at the
+    working precision: one correctly rounded division."""
+    n, d = _integer_ratio(x)
+    return mp.make_mpf(from_rational(n, d, mp.prec, round_nearest))
 
 
 def poly_eval_exact(coeffs: Sequence, x) -> Fraction:

@@ -91,9 +91,9 @@ _NAMES = tuple("lam" if f == "lambda" else f for f in FIELDS)
 def classify(lhs, rhs, tol: float, eq_tol: float) -> tuple[str, float, float, float]:
     """The status of ``lhs <= rhs`` and the floats a record carries.
 
-    The sides may be floats, Fractions or mpfs; an exact lhs is converted
-    to mpf when rhs is an mpf, so call this inside the working precision
-    the mpf was computed at.  With margin = rhs - lhs and
+    The sides may be floats, Fractions or mpfs; an exact side is converted
+    to mpf when the other is an mpf, so call this inside the working
+    precision the mpf was computed at.  With margin = rhs - lhs and
     scale = max(1, |lhs|, |rhs|), the status is 'violated' when the margin
     is below -tol * scale, 'equality' when an exact margin is zero or an
     inexact one lies within eq_tol * scale, 'undefined' when it is NaN,
@@ -111,10 +111,11 @@ def classify_row(lhs, rhss, tol: float, eq_tol: float, lhs_mp=None) -> list[tupl
     as an mpf at the working precision, read by the cells whose rhs is an
     mpf.
     """
+    lhs_is_mp = isinstance(lhs, mpmath.mpf)
     lhs_f = lhs_mp_f = None
     out = []
     for rhs in rhss:
-        if isinstance(rhs, mpmath.mpf) and not isinstance(lhs, mpmath.mpf):
+        if isinstance(rhs, mpmath.mpf) and not lhs_is_mp:
             if lhs_mp_f is None:
                 lhs_mp = to_mpf(lhs) if lhs_mp is None else lhs_mp
                 lhs_mp_f = float(lhs_mp)
@@ -122,6 +123,8 @@ def classify_row(lhs, rhss, tol: float, eq_tol: float, lhs_mp=None) -> list[tupl
         else:
             if lhs_f is None:
                 lhs_f = float(lhs)
+            if lhs_is_mp and type(rhs) is Fraction:
+                rhs = to_mpf(rhs)
             side, side_f = lhs, lhs_f
         margin = rhs - side
         rhs_f, margin_f = float(rhs), float(margin)

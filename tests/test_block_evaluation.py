@@ -1,6 +1,7 @@
 """Block evaluation over cached panel statistics gives, record for record,
 what evaluating each record on its own gives (tests/harness_reference.py)."""
 
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -8,11 +9,25 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from hhbounds.corpus import Interval, TestFunction, corpus_standard, function_ids
-from hhbounds.harness import CampaignConfig, claim_ids, find_counterexample, run_campaign
+from hhbounds import harness
+from hhbounds.corpus import (
+    Interval,
+    TestFunction,
+    check_p_convex,
+    corpus_standard,
+    function_ids,
+)
+from hhbounds.harness import (
+    CampaignConfig,
+    claim_ids,
+    find_counterexample,
+    get_claim,
+    run_campaign,
+)
 from hhbounds.oracle import EvaluationError
+from hhbounds.records import classify
 
-from harness_reference import reference_records, reference_search
+from harness_reference import Reference, reference_records, reference_search
 
 
 def test_all_claims_all_functions_match_reference():
@@ -52,14 +67,60 @@ def test_drawn_configs_match_reference(lams, qs, fns, seed, trials):
     assert list(run_campaign(cfg).records) == reference_records(cfg)
 
 
-@pytest.mark.parametrize(
-    "claim", ["thm6-stated", "cor1-stated", "cor5-stated", "prop2-stated", "hh", "thm5"]
-)
+# (interval_range, min_width) of a search: (0, 1) puts bump inside its
+# domain, and (-3, 3) draws intervals outside the domain of the monomials.
+SEARCH_RANGES = (((0.1, 10.0), 0.05), ((0.0, 1.0), 0.01), ((-3.0, 3.0), 0.05))
+
+
+@pytest.mark.parametrize("claim", claim_ids())
 @pytest.mark.parametrize("seed", [3, 11])
 def test_search_matches_reference(claim, seed):
-    cfg = CampaignConfig(functions=("all",), trials=15, seed=seed)
-    out = find_counterexample(claim, cfg)
-    assert (out.record, out.trials) == reference_search(claim, cfg)
+    # every claim, so every screened hypothesis and every guard
+    for interval_range, min_width in SEARCH_RANGES:
+        cfg = CampaignConfig(
+            functions=("all",), trials=15, seed=seed, interval_range=interval_range,
+            min_width=min_width,
+        )
+        out = find_counterexample(claim, cfg)
+        assert (out.record, out.trials) == reference_search(claim, cfg), interval_range
+
+
+@pytest.mark.parametrize("claim_id", ["thm5", "thm6-derived", "cor4-relaxed"])
+def test_search_checks_p_convexity_only_where_float_cell_is_not_comfortable(
+    monkeypatch, claim_id
+):
+    # a proof-backed search with no hit: a trial whose float cell is a
+    # comfortable 'holds' is settled without its sampled hypothesis, so the
+    # P-convexity scan runs only for the trials whose float verdict, from
+    # the reference, is not 'holds'
+    cfg = CampaignConfig(functions=("all",), trials=60, seed=5)
+    claim = get_claim(claim_id)
+    scanned = []
+
+    def counted(g, domain, grid):
+        scanned.append((domain.lo, domain.hi))
+        return check_p_convex(g, domain, grid)
+
+    monkeypatch.setattr(harness, "check_p_convex", counted)
+    out = find_counterexample(claim_id, cfg)
+    assert (out.record, out.trials) == (None, 60)
+
+    ref, rng, fns = Reference(cfg), random.Random(cfg.seed), corpus_standard()
+    unsettled = []
+    for _ in range(cfg.trials):  # the trials, drawn as the search draws them
+        fn = rng.choice(fns)
+        a = rng.uniform(0.1, 10.0 - cfg.min_width)
+        domain = Interval(a, rng.uniform(a + cfg.min_width, 10.0))
+        lam = rng.choice(cfg.lambda_grid) if claim.uses_lambda else claim.fixed_lambda
+        q = rng.choice(cfg.q_grid) if claim.uses_q else None
+        if fn.domain.contains(domain):
+            pairs = ref.sides(claim, fn, domain, lam, q, "float")
+            margins = [rhs - lhs for lhs, rhs in pairs]
+            pair = pairs[0 if margins[0] <= margins[-1] else -1]
+            if classify(*pair, cfg.tol, cfg.eq_tol)[0] != "holds":
+                unsettled.append((domain.lo, domain.hi))
+    assert scanned == unsettled
+    assert 0 < len(unsettled) < cfg.trials
 
 
 def test_scaled_monomial_is_not_a_proposition_case():

@@ -24,7 +24,7 @@ from hhbounds.harness import (
 )
 from hhbounds.oracle import to_mpf
 
-from harness_reference import sort_key
+from harness_reference import reference_search, sort_key
 
 LEDGER = ledger_standard()
 
@@ -100,6 +100,24 @@ def _raising_from_2() -> TestFunction:
         id="edge", f=f_edge, d1=lambda x: 2.0 * x,
         d2=lambda x: 2.0 + 0.0 * x, d4=lambda x: 0.0 * x,
         domain=Interval(0.0, 10.0),
+    )
+
+
+def _huge_flat() -> TestFunction:
+    """f = 5e39 x^2: f'' is 1e40 everywhere."""
+    return TestFunction(
+        id="huge-flat", f=lambda x: 5e39 * x**2, d1=lambda x: 1e40 * x,
+        d2=lambda x: 1e40 + 0.0 * x, d4=lambda x: 0.0 * x,
+        domain=Interval(-100.0, 100.0),
+    )
+
+
+def _huge_wave() -> TestFunction:
+    """f = 1e38 cos x: f'' = -1e38 cos x."""
+    return TestFunction(
+        id="huge-wave", f=lambda x: 1e38 * np.cos(x), d1=lambda x: -1e38 * np.sin(x),
+        d2=lambda x: -1e38 * np.cos(x), d4=lambda x: 1e38 * np.cos(x),
+        domain=Interval(-100.0, 100.0),
     )
 
 
@@ -512,3 +530,22 @@ class TestFindCounterexample:
     def test_empty_function_space(self):
         out = find_counterexample("thm5", CampaignConfig(functions=(), trials=10))
         assert out.record is None and out.trials == 0
+
+    @pytest.mark.filterwarnings("error")
+    def test_huge_second_derivative_searches_as_unscreened(self):
+        # |f''| of 1e40 overflows the float power sum at q = 10, an
+        # OverflowError in the float cell of a trial whose hypothesis check
+        # returns cleanly; the screen must leave such a trial to the
+        # unscreened evaluation, so every outcome is the reference's
+        registry = {f.id: f for f in (_huge_flat(), _huge_wave())}
+        cfg = CampaignConfig(
+            functions=("all",), trials=30, seed=2, q_grid=(1.0, 2.0, 10.0)
+        )
+        for claim in claim_ids():
+            out = find_counterexample(claim, cfg, registry)
+            assert (out.record, out.trials) == reference_search(claim, cfg, registry)
+            if claim.endswith("-derived"):
+                assert (out.record, out.trials) == (None, 30), claim
+        out = find_counterexample("thm6-stated", cfg, registry)
+        assert out.trials == 3 and out.record.status == "violated"
+

@@ -3,8 +3,12 @@
 import math
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+from mpmath.libmp import from_rational, round_nearest
 
 from hhbounds.corpus import Interval, corpus_standard
 from hhbounds.oracle import (
@@ -15,6 +19,7 @@ from hhbounds.oracle import (
     integrate_exact_poly,
     poly_derivative_coeffs,
     poly_eval_exact,
+    to_mpf,
 )
 
 
@@ -148,3 +153,32 @@ class TestExactPoly:
         assert d1 == (Fraction(-2), Fraction(6))
         d3 = poly_derivative_coeffs(coeffs, 3)
         assert d3 == (Fraction(0),)
+
+
+BIG = 2**300
+
+
+@pytest.mark.parametrize("dps", [30, 50, 80])
+@settings(max_examples=100, deadline=None)
+@given(n=st.integers(-BIG, BIG), d=st.integers(1, BIG))
+@example(n=1, d=3)
+@example(n=2**400 + 1, d=3**250)  # both parts wider than 80 digits
+def test_to_mpf_is_the_correctly_rounded_rational(dps, n, d):
+    x = Fraction(n, d)
+    with mpmath.workdps(dps):
+        prec = mpmath.mp.prec
+        got = to_mpf(x)
+        assert got == mpmath.mp.make_mpf(from_rational(n, d, prec, round_nearest))
+        if n:
+            # |got| = man 2^exp, within half a unit in the last of prec bits
+            man, exp = got.man_exp
+            ulp = Fraction(2) ** (exp + man.bit_length() - prec)
+            assert (got < 0) == (x < 0)
+            assert abs(man * Fraction(2) ** exp - abs(x)) <= ulp / 2
+
+
+@given(st.floats(allow_nan=False, allow_infinity=False))
+def test_to_mpf_of_a_float_is_its_value(x):
+    with mpmath.workdps(30):
+        assert to_mpf(x) == mpmath.mpf(x)
+

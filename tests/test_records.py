@@ -220,7 +220,8 @@ def test_fraction_row_is_classified_cell_for_cell(row, tolerances):
 )
 def test_mpf_row_is_classified_cell_for_cell(row, as_mpf, tolerances):
     # the 50-digit confirmation: Fraction and mpf bounds in one row, the
-    # lhs given as a Fraction (converted once), with its mpf, or as an mpf
+    # lhs given as a Fraction (converted once), with its mpf, or as an mpf,
+    # against mpf bounds alone or mixed with Fractions
     lhs, exact_rhss = row
     with mpmath.workdps(50):
         rhss = [to_mpf(r) if m else r for r, m in zip(exact_rhss, as_mpf)]
@@ -228,5 +229,23 @@ def test_mpf_row_is_classified_cell_for_cell(row, as_mpf, tolerances):
         assert_row_is_cellwise(lhs, rhss, *tolerances)
         assert_row_is_cellwise(lhs, rhss, *tolerances, lhs_mp=lhs_mp)
         assert_row_is_cellwise(lhs_mp, [to_mpf(r) for r in exact_rhss], *tolerances)
+        assert_row_is_cellwise(lhs_mp, rhss, *tolerances)  # mpf against Fractions
         # an mpf bound equal to the lhs: a zero mpf margin
         assert_row_is_cellwise(lhs, [lhs_mp, lhs], *tolerances)
+
+
+def test_mpf_and_fraction_sides_mix():
+    # an mpf on one side and a Fraction on the other, either way round: the
+    # Fraction is taken to mpf, so the margin is an inexact mpf
+    third, half = Fraction(1, 3), Fraction(1, 2)
+    with mpmath.workdps(50):
+        third_mp, two_thirds_mp = to_mpf(third), to_mpf(Fraction(2, 3))
+        sixth = float(to_mpf(half) - third_mp)
+        assert classify(third_mp, third, 1e-9, 1e-12) == ("equality", 1 / 3, 1 / 3, 0.0)
+        assert classify(third_mp, half, 1e-9, 1e-12) == ("holds", 1 / 3, 0.5, sixth)
+        assert classify(half, third_mp, 1e-9, 1e-12) == ("violated", 0.5, 1 / 3, -sixth)
+        row = classify_row(third_mp, [half, third, 0.25, two_thirds_mp], 1e-9, 1e-12)
+        assert [v[0] for v in row] == ["holds", "equality", "violated", "holds"]
+        assert_row_is_cellwise(third_mp, [half, third, 0.25, two_thirds_mp], 1e-9, 1e-12)
+        row = classify_row(half, [third_mp, Fraction(1, 4), to_mpf(half)], 1e-9, 1e-12)
+        assert [v[0] for v in row] == ["violated", "violated", "equality"]
