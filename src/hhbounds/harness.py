@@ -40,15 +40,15 @@ confirmation included, yields an 'undefined' record, and so does an f,
 f'' or f'''' that raises where it is sampled.  Every per-run value (a
 panel, an envelope, a P-check) is built once; one whose build failed is
 not built again.  Runs are deterministic for a fixed config.
-A counterexample search screens a trial whose hypothesis is a sampled
-check (:data:`_SAMPLED`) on its float cell, and skips the check when the
-cell comfortably holds; guards such as 'f has d4' and the propositions'
-x^n are checked first, as in a campaign.
+A counterexample search screens every trial (:func:`_screen`) and builds
+no record, sampled check, envelope or exact panel for one that cannot be a
+hit.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 import random
 import weakref
 from collections import defaultdict
@@ -457,21 +457,38 @@ def _envelope(fn: TestFunction, domain: Interval) -> bounds.DerivativeEnvelope:
     """The sampled envelope of f'' (and the sup of |f''''|, where f has a
     fourth derivative) at 257 equally spaced points of ``domain``."""
     xs = np.linspace(domain.lo, domain.hi, 257)
-    d2v = _sample(fn.d2, xs)
-    if not np.all(np.isfinite(d2v)):
-        raise OracleError(f"d2 of {fn.id} is non-finite or raised")
+    lo, hi = _range(fn, "d2", xs)
     sup_d4 = None
     if fn.d4 is not None:
-        d4v = _sample(fn.d4, xs)
-        if not np.all(np.isfinite(d4v)):
-            raise OracleError(f"d4 of {fn.id} is non-finite or raised")
-        sup_d4 = float(np.max(np.abs(d4v)))
-    return bounds.DerivativeEnvelope(
-        sup_abs_d2=float(np.max(np.abs(d2v))),
-        lower_d2=float(np.min(d2v)),
-        upper_d2=float(np.max(d2v)),
-        sup_abs_d4=sup_d4,
-    )
+        sup_d4 = max(map(abs, _range(fn, "d4", xs)))
+    return bounds.DerivativeEnvelope(max(abs(lo), abs(hi)), lo, hi, sup_d4)
+
+
+def _range(fn: TestFunction, name: str, xs) -> tuple[float, float]:
+    """The least and greatest samples of f's derivative ``name``; NaN and
+    +-inf carry through min and max, so they are finite where all are."""
+    v = _sample(getattr(fn, name), xs)
+    lo, hi = float(v.min()), float(v.max())
+    if not (math.isfinite(lo) and math.isfinite(hi)):
+        raise OracleError(f"{name} of {fn.id} is non-finite or raised")
+    return lo, hi
+
+
+def _endpoint_envelope(fn: TestFunction, domain: Interval) -> bounds.DerivativeEnvelope:
+    """f'' and f'''' at a and b alone, pulled in by a relative 1e-9 so that
+    it lies inside :func:`_envelope`, whose samples include a and b (where
+    an array evaluation may differ from these scalar ones in the last
+    bits).  The f'' range is left out where pulling it in empties it."""
+    ends, shrink = (domain.lo, domain.hi), 1.0 - 1e-9
+    lo, hi = sorted(_value_at(fn.d2, x) for x in ends)
+    sup_d4 = None
+    if fn.d4 is not None:
+        sup_d4 = max(abs(_value_at(fn.d4, x)) for x in ends) * shrink
+    lo_in, hi_in = lo + 1e-9 * abs(lo), hi - 1e-9 * abs(hi)
+    if lo_in > hi_in:
+        lo_in = hi_in = None
+    sup_d2 = max(abs(lo), abs(hi)) * shrink
+    return bounds.DerivativeEnvelope(sup_d2, lo_in, hi_in, sup_d4)
 
 
 def _pconvex(fn: TestFunction, domain: Interval, q: float, of: str, grid: GridSpec):
@@ -572,18 +589,19 @@ _SAMPLED = {
 # ---------------------------------------------------------------------------
 
 
-def _lambda_row(claim: BoundClaim, p: _Panel, lam, qs, tol: float, eq_tol: float):
+def _lambda_row(claim: BoundClaim, p: _Panel, lam, qs, tol, eq_tol, env=None):
     """The verdicts of |F(lam)| against the theorem 5/6, corollary or
     uniform-M bound at each q of ``qs``, on one panel; a special-means
     proposition is the corollary bound of its rule for x^n.  On an exact
-    panel a claim that fixes lam reads its rule's exact lam."""
+    panel a claim that fixes lam reads its rule's exact lam.  The uniform-M
+    bound reads ``env``, by default the panel's sampled envelope."""
     if p.exact and claim.id in _LAMBDA_RULE:
         lam = _LAMBDA_RULE[claim.id]
     fam = claim.family
     if fam == "thm5":
         rhss = [bounds.bound_theorem5(p.domain, p.lam(lam), p.ends)]
     elif fam == "corm":
-        env = p.env
+        env = env or p.env
         rhss = [
             bounds.bound_bounded_m(
                 claim.rule, p.domain, 1.0 if q is None else q, env, claim.form,
@@ -610,10 +628,11 @@ _LAMBDA_RULE = {
 # A side function returns the candidate inequalities (lhs, rhs) of a claim
 # without lam or q on one panel, in the panel's number type.  A two-sided
 # enclosure returns both halves; the record keeps the half with the smaller
-# float margin.
+# float margin.  An envelope claim reads ``env``, by default the panel's
+# sampled envelope.
 
 
-def _hh_sides(claim: BoundClaim, p: _Panel):
+def _hh_sides(claim: BoundClaim, p: _Panel, env=None):
     """f(m) <= avg(f) <= (f(a)+f(b))/2, doubled where f is a P-function."""
     fa, fm, fb, avg = p.samples
     if claim.family == "hh":
@@ -621,20 +640,20 @@ def _hh_sides(claim: BoundClaim, p: _Panel):
     return ((fm, 2 * avg), (2 * avg, 2 * (fa + fb)))
 
 
-def _envelope_sides(claim: BoundClaim, p: _Panel):
+def _envelope_sides(claim: BoundClaim, p: _Panel, env=None):
     """The midpoint or trapezoid gap inside its f''-range enclosure."""
     if claim.rule == "midpoint":
         gap = functionals._gap_left(p.samples)
     else:
         gap = functionals._gap_right(p.samples)
-    lo_b, hi_b = bounds.bound_classical(claim.rule, p.domain, p.env)
+    lo_b, hi_b = bounds.bound_classical(claim.rule, p.domain, env or p.env)
     return ((lo_b, gap), (gap, hi_b))
 
 
-def _simpson4_sides(claim: BoundClaim, p: _Panel):
+def _simpson4_sides(claim: BoundClaim, p: _Panel, env=None):
     """|Simpson deviation| against sup|f''''| (b-a)^p / 2880."""
     lhs = abs(functionals._simpson_value(p.samples))
-    return ((lhs, bounds.bound_classical("simpson", p.domain, p.env, claim.p)),)
+    return ((lhs, bounds.bound_classical("simpson", p.domain, env or p.env, claim.p)),)
 
 
 _SIDES = {
@@ -907,25 +926,67 @@ class CounterexampleSearch:
     trials: int
 
 
-def _float_holds(
+_ENVELOPED = {"corm", "envelope", "simpson4"}  # the families that read an envelope
+
+
+def _screen(
     claim: BoundClaim, fn: TestFunction, domain: Interval, lam, q, ctx: _Context
 ) -> bool:
-    """Whether the float cell at (lam, q) is a comfortable 'holds', which
-    :func:`_evaluate_block` accepts unconfirmed.  False where anything in it
-    raised: the evaluation that follows meets the error if it gets there."""
+    """Whether a search trial at (lam, q) is no hit, settled before its
+    record builds a sampled check, the sampled envelope or an exact panel
+    (False where the screen raised: the evaluation meets the error).  Only
+    a confirmed 'violated' record is a hit, so a trial is settled where
+
+    * its interval leaves f's domain or a guard ('f has d4', x^n) is unmet;
+    * (corm, envelope, simpson4) every half of its float cell holds with a
+      positive margin on :func:`_endpoint_envelope`: a sampled envelope
+      only raises M or widens the f'' range, so the record's cell holds too;
+    * (prop) its float margin exceeds :func:`_rounding_bound`;
+    * (a hypothesis in :data:`_SAMPLED`) its float cell comfortably holds,
+      which :func:`_evaluate_block` accepts whatever the hypothesis.
+    """
     if not fn.domain.contains(domain):
-        return False
+        return True
+    hypothesis = claim.hypothesis
+    if hypothesis not in _SAMPLED and not _HYPOTHESES[hypothesis](fn, domain, q, ctx):
+        return True
     tol, eq_tol = ctx.config.tol, ctx.config.eq_tol
+
+    def cell(env=None):  # the float verdict of every half, and the half kept
+        if claim.family in _SIDES:
+            pairs = _SIDES[claim.family](claim, p, env)
+            return [classify(*pair, tol, eq_tol) for pair in pairs], _half(pairs)
+        return _lambda_row(claim, p, lam, (q,), tol, eq_tol, env), 0
+
     try:
         p = ctx.panel(fn, domain, "float")
-        if claim.family in _SIDES:
-            pairs = _SIDES[claim.family](claim, p)
-            verdict = classify(*pairs[_half(pairs)], tol, eq_tol)
-        else:
-            (verdict,) = _lambda_row(claim, p, lam, (q,), tol, eq_tol)
+        if claim.family in _ENVELOPED:
+            verdicts, _ = cell(_endpoint_envelope(fn, domain))
+            if all(v[0] == "holds" and v[3] > 0 for v in verdicts):
+                return True
+        if claim.family == "prop":
+            ((_, _, rhs, margin),), _ = cell()
+            return margin > _rounding_bound(fn, p, q, rhs)
+        if hypothesis in _SAMPLED:
+            verdicts, i = cell()
+            return verdicts[i][0] == "holds"
     except Exception:  # noqa: BLE001 - the unscreened path decides the trial
         return False
-    return verdict[0] == "holds"
+    return False
+
+
+def _rounding_bound(fn: TestFunction, p: _Panel, q, rhs: float) -> float:
+    """Over four times the rounding error of a proposition's float margin
+    for x^n (n + 1 coefficients): n/2 + 1 ulps per sample (the rounded
+    midpoint to the n-th power), 6 ulps of their sum in |F(lam)|, and 14
+    plus |ln M| ulps of the rhs (M = max|f''|; |ln M| from the rounded
+    exponent 1/q).  Other underflows err by far less than tol; a subnormal
+    M^q does not, and gives an infinite bound."""
+    m = max(p.ends.m_a, p.ends.m_b)
+    if m**q < 2.0**-1022:
+        return math.inf
+    scale = sum(map(abs, p.samples)) + abs(rhs)
+    return (len(fn.poly_coeffs) + 16 + abs(math.log(m))) * 2.0**-50 * scale
 
 
 def find_counterexample(
@@ -941,25 +1002,25 @@ def find_counterexample(
     persists.  Every candidate passes through the same confirmation paths
     as campaign records before being returned.
 
-    Only a confirmed 'violated' record is a hit, so a trial whose float
-    cell comfortably holds is no hit whatever its hypothesis: the sampled
-    P-convexity (thm5, thm6, cor*, hh-p) and convexity (hh) checks are
-    skipped for it.  simpson4 ('f has d4'), the envelopes and the
-    propositions (f = x^n) check their hypothesis first.
+    Only a confirmed 'violated' record is a hit, so a trial that
+    :func:`_screen` settles builds no record: no P-check or convexity check
+    where its float cell comfortably holds, no sampled envelope where the
+    cell holds on f'' and f'''' at a and b, no exact panel where a
+    proposition's float margin passes its rounding error.  ``trials=0``
+    searches no trial.
     """
     claim = get_claim(claim_id)
     fns = resolve_functions(search.functions, registry)
     if not fns:
         return CounterexampleSearch(record=None, trials=0)
     rng = random.Random(search.seed)
-    trials = search.trials if search.trials > 0 else 500
+    trials = search.trials
     ctx = _Context(search)
-    screened = claim.hypothesis in _SAMPLED
 
     def attempt(fn, a, b, lam, q) -> Optional[VerificationRecord]:
         domain = Interval(a, b)
-        if screened and _float_holds(claim, fn, domain, lam, q, ctx):
-            return None  # no confirmed violation, whatever the hypothesis
+        if _screen(claim, fn, domain, lam, q, ctx):
+            return None
         (r,) = _evaluate_block(claim, fn, domain, (lam,), (q,), ctx)
         return r if r.status == "violated" else None
 

@@ -316,7 +316,7 @@ def reference_search(claim_id, search, registry=None):
     if not fns:
         return None, 0
     rng = random.Random(search.seed)
-    trials = search.trials if search.trials > 0 else 500
+    trials = search.trials
     lo, hi = search.interval_range
     ref = Reference(search)
 

@@ -1,21 +1,26 @@
 """Block evaluation over cached panel statistics gives, record for record,
 what evaluating each record on its own gives (tests/harness_reference.py)."""
 
+import math
 import random
 from fractions import Fraction
 
+import mpmath
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hhbounds import harness
+from hhbounds.bounds import DerivativeEnvelope
 from hhbounds.corpus import (
     Interval,
     TestFunction,
     check_p_convex,
     corpus_standard,
     function_ids,
+    _monomial,
+    get_function,
 )
 from hhbounds.harness import (
     CampaignConfig,
@@ -24,7 +29,7 @@ from hhbounds.harness import (
     get_claim,
     run_campaign,
 )
-from hhbounds.oracle import EvaluationError
+from hhbounds.oracle import EvaluationError, OracleError, to_mpf
 from hhbounds.records import classify
 
 from harness_reference import Reference, reference_records, reference_search
@@ -121,6 +126,161 @@ def test_search_checks_p_convexity_only_where_float_cell_is_not_comfortable(
                 unsettled.append((domain.lo, domain.hi))
     assert scanned == unsettled
     assert 0 < len(unsettled) < cfg.trials
+
+
+# Searches with no hit where every trial's float cell holds on f'' and
+# f'''' at the endpoints (both monotone on every interval drawn), or, for a
+# proposition, holds far beyond its rounding error.
+SETTLED_BY_ENDPOINTS = [
+    ("cor4-relaxed", ("poly3",)),
+    ("cor8-derived", ("poly3", "poly4", "expx")),
+    ("mid-envelope", ("expx",)),
+    ("trap-envelope", ("expx", "poly4")),
+    ("simpson-4th-p4", ("expx", "poly5")),
+    ("prop1-derived", ("poly3", "poly4", "poly5")),
+    ("prop3-derived", ("poly3", "poly5")),
+]
+
+
+@pytest.mark.parametrize("claim_id,functions", SETTLED_BY_ENDPOINTS)
+def test_search_builds_no_envelope_or_exact_panel_where_endpoints_settle(
+    monkeypatch, claim_id, functions
+):
+    # without the endpoint screen each trial samples the envelope of f''
+    # (or builds the exact panel of x^n): 60 of them
+    built = []
+    envelope, panel_init = harness._envelope, harness._Panel.__init__
+
+    def counted_envelope(fn, domain):
+        built.append("envelope")
+        return envelope(fn, domain)
+
+    def counted_init(self, ctx, fn, domain, kind):
+        built.append(kind)
+        panel_init(self, ctx, fn, domain, kind)
+
+    monkeypatch.setattr(harness, "_envelope", counted_envelope)
+    monkeypatch.setattr(harness._Panel, "__init__", counted_init)
+    out = find_counterexample(claim_id, CampaignConfig(functions=functions, trials=60, seed=5))
+    assert (out.record, out.trials) == (None, 60)
+    assert built.count("float") == 60
+    assert built.count("envelope") == built.count("exact") == 0
+
+
+# The interval ranges of the screen's soundness check: (-50, -0.5) lies
+# outside the monomials' and the bump's domains.
+SOUNDNESS_RANGES = SEARCH_RANGES + (((-50.0, -0.5), 0.05),)
+
+
+@pytest.mark.parametrize("claim", claim_ids())
+def test_screen_changes_no_search_outcome(monkeypatch, claim):
+    configs = [
+        CampaignConfig(
+            functions=("all",), trials=25, seed=seed, interval_range=interval_range,
+            min_width=min_width,
+        )
+        for seed in range(10)
+        for interval_range, min_width in SOUNDNESS_RANGES
+    ]
+    screened = [find_counterexample(claim, cfg) for cfg in configs]
+    monkeypatch.setattr(harness, "_screen", lambda *args: False)
+    assert [find_counterexample(claim, cfg) for cfg in configs] == screened
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(fid=st.sampled_from(function_ids()), u=st.floats(0, 1), v=st.floats(0, 1))
+def test_endpoint_envelope_lies_inside_the_sampled_one(fid, u, v):
+    fn = get_function(fid)
+    lo, width = fn.domain.lo, fn.domain.width
+    a, b = lo + min(u, v) * width, lo + max(u, v) * width
+    assume(a < b)
+    ends = harness._endpoint_envelope(fn, Interval(a, b))
+    env = harness._envelope(fn, Interval(a, b))
+    assert ends.sup_abs_d2 <= env.sup_abs_d2
+    if ends.lower_d2 is not None:
+        assert env.lower_d2 <= ends.lower_d2 <= ends.upper_d2 <= env.upper_d2
+    assert (ends.sup_abs_d4 is None) == (env.sup_abs_d4 is None)
+    assert ends.sup_abs_d4 is None or ends.sup_abs_d4 <= env.sup_abs_d4
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    n=st.sampled_from([3, 4, 5, 9, 15]),
+    prop=st.sampled_from([f"prop{i}-{v}" for i in (1, 2, 3) for v in ("stated", "derived")]),
+    q=st.sampled_from([1.0, 1.5, 2.0, 4.0, 10.0, 37.0]),
+    log_a=st.floats(-300, 0.5),
+    log_w=st.floats(-12, 1),
+)
+# the power sum's rounded exponent errs by 0.93 of the bound without its
+# |ln M| term here, where M^1.5 is near the least normal float
+@example(n=9, prop="prop2-derived", q=1.5, log_a=-30.6, log_w=1.0)
+def test_rounding_bound_covers_the_float_margin_error(n, prop, q, log_a, log_w):
+    # the exact margin of x^n at 60 digits, against the float one; the
+    # bound includes the error of the power sum's rounded exponent 1/q,
+    # which grows with |ln max|f''||
+    fn, claim = _monomial(n), get_claim(prop)
+    a = 10.0**log_a
+    b = min(a + a * 10.0**log_w, 10.0)
+    assume(a < b)
+    ctx = harness._Context(CampaignConfig())
+    p = ctx.panel(fn, Interval(a, b), "float")
+    try:
+        ((_, _, rhs, margin),) = harness._lambda_row(
+            claim, p, claim.fixed_lambda, (q,), 1e-9, 1e-12
+        )
+    except OverflowError:
+        return
+    bound = harness._rounding_bound(fn, p, q, rhs)
+    with mpmath.workdps(60):
+        exact = ctx.panel(fn, Interval(a, b), "exact")
+        rule = harness._LAMBDA_RULE[prop]
+        (exact_rhs,) = exact.theorem6_row(rule, (q,), claim.variant)
+        if type(exact_rhs) is Fraction:  # q = 1
+            exact_rhs = to_mpf(exact_rhs)
+        error = abs(to_mpf(margin) - (exact_rhs - to_mpf(exact.lhs(rule))))
+    # an underflow errs absolutely, by far less than tol
+    assert error <= bound + 2.0**-1000
+
+
+def _elementwise_envelope(d2v, d4v) -> str:
+    """The repr of the sampled envelope as each sample's finiteness, sup
+    |.|, min and max give it, or 'OracleError'."""
+    if not np.all(np.isfinite(d2v)):
+        return "OracleError"
+    sup_d4 = None
+    if d4v is not None:
+        if not np.all(np.isfinite(d4v)):
+            return "OracleError"
+        sup_d4 = float(np.max(np.abs(d4v)))
+    return repr(DerivativeEnvelope(
+        float(np.max(np.abs(d2v))), float(np.min(d2v)), float(np.max(d2v)), sup_d4
+    ))
+
+
+SAMPLES = st.lists(
+    st.one_of(st.sampled_from([0.0, -0.0, math.inf, -math.inf, math.nan]), st.floats()),
+    min_size=1,
+    max_size=6,
+)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(d2=SAMPLES, d4=st.one_of(st.none(), SAMPLES))
+def test_envelope_matches_the_elementwise_formula(d2, d4):
+    # one min and one max per derivative give what the per-sample formula
+    # gives, NaN, +-inf and -0.0 included
+    d2v = np.resize(np.array(d2, dtype=float), 257)
+    d4v = None if d4 is None else np.resize(np.array(d4, dtype=float), 257)
+    fn = TestFunction(
+        id="samples", f=lambda x: x, d1=lambda x: 1.0 + 0.0 * x,
+        d2=lambda x: d2v.copy(), d4=None if d4v is None else (lambda x: d4v.copy()),
+        domain=Interval(0.0, 1.0),
+    )
+    try:
+        got = repr(harness._envelope(fn, Interval(0.0, 1.0)))
+    except OracleError:
+        got = "OracleError"
+    assert got == _elementwise_envelope(d2v, d4v)
 
 
 def test_scaled_monomial_is_not_a_proposition_case():

@@ -484,6 +484,13 @@ class TestOtherCommands:
         assert code == 0
         assert "no counterexample found" in out and "20 trials" in out
 
+    def test_search_zero_trials_runs_none(self):
+        code, out = run_cli(
+            "search", "--claim", "thm5", "--functions", "poly2", "--trials", "0",
+        )
+        assert code == 0
+        assert out == "no counterexample found for thm5 in 0 trials\n"
+
     def test_search_takes_no_claims_flag(self, capsys):
         # search tests the one claim of --claim; --claims is verify's
         code, out = run_cli("search", "--claim", "thm5", "--claims", "x", "--trials", "1")

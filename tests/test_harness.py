@@ -1,5 +1,6 @@
 """Harness tests: ledger contents, campaign semantics, search, determinism."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -9,7 +10,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hhbounds import bounds, functionals, oracle
+from hhbounds import bounds, functionals, harness, oracle
 from hhbounds.corpus import GridSpec, Interval, TestFunction, corpus_standard
 from hhbounds.harness import (
     PROOF_BACKED,
@@ -118,6 +119,22 @@ def _huge_wave() -> TestFunction:
         id="huge-wave", f=lambda x: 1e38 * np.cos(x), d1=lambda x: -1e38 * np.sin(x),
         d2=lambda x: -1e38 * np.cos(x), d4=lambda x: 1e38 * np.cos(x),
         domain=Interval(-100.0, 100.0),
+    )
+
+
+def _array_shifted(fn: TestFunction) -> TestFunction:
+    """``fn`` with f'' and f'''' scaled by 1 - 4 ulps where they are called
+    on an array, as a vectorized evaluation may round differently."""
+
+    def shift(g):
+        def h(x):
+            y = g(x)
+            return y * (1.0 - 2.0**-50) if np.ndim(x) else y
+
+        return h
+
+    return dataclasses.replace(
+        fn, id=f"{fn.id}-shifted", d2=shift(fn.d2), d4=fn.d4 and shift(fn.d4)
     )
 
 
@@ -530,6 +547,39 @@ class TestFindCounterexample:
     def test_empty_function_space(self):
         out = find_counterexample("thm5", CampaignConfig(functions=(), trials=10))
         assert out.record is None and out.trials == 0
+
+    def test_zero_trials_searches_no_trial(self):
+        out = find_counterexample("thm6-stated", CampaignConfig(functions=("poly2",), trials=0))
+        assert (out.record, out.trials) == (None, 0)
+
+    @pytest.mark.filterwarnings("error")
+    def test_screen_changes_no_outcome_on_extreme_registries(self, monkeypatch):
+        # |f''| of 1e40, and every corpus function with an f'' and f'''' that
+        # an array evaluation puts 4 ulps nearer 0 than a scalar one at the
+        # same point, so the sampled envelope's values at a and b lie inside
+        # the scalar endpoint values the screen reads
+        huge = {f.id: f for f in (_huge_flat(), _huge_wave())}
+        shifted = {f.id: _array_shifted(f) for f in corpus_standard()}
+        cases = [
+            (registry, CampaignConfig(
+                functions=("all",), trials=30, seed=seed, interval_range=interval_range,
+                min_width=0.01, q_grid=(1.0, 2.0, 10.0),
+            ))
+            for registry in (huge, shifted)
+            for seed in range(4)
+            for interval_range in ((0.1, 10.0), (0.0, 1.0), (-3.0, 3.0))
+        ]
+        screened = {
+            (claim, k): find_counterexample(claim, cfg, registry)
+            for claim in claim_ids()
+            for k, (registry, cfg) in enumerate(cases)
+        }
+        # the proof-backed Simpson bound keeps its rounding-residue hit on 5e39 x^2
+        assert screened["simpson-4th-p4", 0].record.function == "huge-flat"
+        monkeypatch.setattr(harness, "_screen", lambda *args: False)
+        for (claim, k), out in screened.items():
+            registry, cfg = cases[k]
+            assert find_counterexample(claim, cfg, registry) == out, (claim, k)
 
     @pytest.mark.filterwarnings("error")
     def test_huge_second_derivative_searches_as_unscreened(self):
