@@ -42,7 +42,8 @@ panel, an envelope, a P-check) is built once; one whose build failed is
 not built again.  Runs are deterministic for a fixed config.
 A counterexample search screens every trial (:func:`_screen`) and builds
 no record, sampled check, envelope or exact panel for one that cannot be a
-hit.
+hit: among others, a polynomial's trial whose float margin, less a proven
+bound on its error (:func:`_margin_error`), is at least -tol.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from fractions import Fraction
 from operator import attrgetter
+from types import SimpleNamespace
 from typing import Iterator, Mapping, Optional
 
 import mpmath
@@ -257,6 +259,10 @@ class CampaignConfig:
             raise ValueError("q grid values must be >= 1")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
+        lo, hi = self.interval_range  # hi - lo is finite only where lo and hi are
+        if not (lo < hi and math.isfinite(hi - lo) and 0 < self.min_width <= hi - lo):
+            raise ValueError(f"interval_range must be finite with lo < hi, and min_width "
+                             f"in (0, hi - lo]: {self.interval_range}, {self.min_width}")
         # Floats compare with ==, so 0.0 and -0.0 are one value.  With no
         # value repeated, no two records share a key of the canonical order.
         for kind, values in (
@@ -474,21 +480,31 @@ def _range(fn: TestFunction, name: str, xs) -> tuple[float, float]:
     return lo, hi
 
 
-def _endpoint_envelope(fn: TestFunction, domain: Interval) -> bounds.DerivativeEnvelope:
-    """f'' and f'''' at a and b alone, pulled in by a relative 1e-9 so that
-    it lies inside :func:`_envelope`, whose samples include a and b (where
-    an array evaluation may differ from these scalar ones in the last
-    bits).  The f'' range is left out where pulling it in empties it."""
-    ends, shrink = (domain.lo, domain.hi), 1.0 - 1e-9
-    lo, hi = sorted(_value_at(fn.d2, x) for x in ends)
-    sup_d4 = None
-    if fn.d4 is not None:
-        sup_d4 = max(abs(_value_at(fn.d4, x)) for x in ends) * shrink
-    lo_in, hi_in = lo + 1e-9 * abs(lo), hi - 1e-9 * abs(hi)
-    if lo_in > hi_in:
-        lo_in = hi_in = None
-    sup_d2 = max(abs(lo), abs(hi)) * shrink
-    return bounds.DerivativeEnvelope(sup_d2, lo_in, hi_in, sup_d4)
+def _endpoint_envelope(fn: TestFunction, domain: Interval) -> SimpleNamespace:
+    """The fields of :func:`_envelope` from f'' and f'''' at a and b, each
+    moved inward by the most that its array evaluation there may differ
+    from this scalar one (twice :func:`_horner_bound` for a polynomial, a
+    relative 1e-9 otherwise), so each lies inside the sampled one.  The f''
+    range may come out inverted: an enclosure's halves read one end each."""
+    def inward(name, order, x):  # (value - slack, value + slack)
+        v = _value_at(getattr(fn, name), x)
+        s = 1e-9 * abs(v) if fn.poly_coeffs is None else 2 * _horner_bound(fn, x, order)
+        return v - s, v + s
+
+    ends = (domain.lo, domain.hi)
+    (lo_a, hi_a), (lo_b, hi_b) = (inward("d2", 2, x) for x in ends)
+    d4 = fn.d4 and max(max(lo, -hi) for lo, hi in (inward("d4", 4, x) for x in ends))
+    return SimpleNamespace(sup_abs_d2=max(lo_a, -hi_a, lo_b, -hi_b), lower_d2=min(hi_a, hi_b),
+                           upper_d2=max(lo_a, lo_b), sup_abs_d4=d4)
+
+
+def _horner_bound(fn: TestFunction, x: float, order: int = 0) -> float:
+    """(n + 1) 2^-52 |p^(order)|(|x|), with |p|(|x|) = sum |c_k| |x|^k over
+    the n + 1 coefficients of f's polynomial p: how far f (order 0), f''
+    (2) or f'''' (4) may lie from p's at x (see :class:`TestFunction`)."""
+    ax, terms = abs(x), [(k, c) for k, c in fn._terms if k >= order]
+    scale = sum(abs(c) * math.perm(k, order) * ax ** (k - order) for k, c in terms)
+    return len(fn.poly_coeffs) * 2.0**-52 * float(scale)
 
 
 def _pconvex(fn: TestFunction, domain: Interval, q: float, of: str, grid: GridSpec):
@@ -941,9 +957,12 @@ def _screen(
     * (corm, envelope, simpson4) every half of its float cell holds with a
       positive margin on :func:`_endpoint_envelope`: a sampled envelope
       only raises M or widens the f'' range, so the record's cell holds too;
-    * (prop) its float margin exceeds :func:`_rounding_bound`;
     * (a hypothesis in :data:`_SAMPLED`) its float cell comfortably holds,
-      which :func:`_evaluate_block` accepts whatever the hypothesis.
+      which :func:`_evaluate_block` accepts whatever the hypothesis;
+    * (a polynomial) every half of that float cell has a margin m with
+      m - E >= -tol (:func:`_margin_error`): its record's margin on the
+      exact panel and the sampled envelope is m - E or more, and 'violated'
+      there needs one below -tol max(1, |lhs|, |rhs|) <= -tol.
     """
     if not fn.domain.contains(domain):
         return True
@@ -960,14 +979,17 @@ def _screen(
 
     try:
         p = ctx.panel(fn, domain, "float")
-        if claim.family in _ENVELOPED:
-            verdicts, _ = cell(_endpoint_envelope(fn, domain))
-            if all(v[0] == "holds" and v[3] > 0 for v in verdicts):
+        env = _endpoint_envelope(fn, domain) if claim.family in _ENVELOPED else None
+        verdicts, i = cell(env)
+        if env is None and hypothesis in _SAMPLED and verdicts[i][0] == "holds":
+            return True
+        if env is not None and all(v[0] == "holds" and v[3] > 0 for v in verdicts):
+            return True
+        if fn.poly_coeffs is not None:
+            err = _margin_error(fn, p, q, sum(abs(v[1]) + abs(v[2]) for v in verdicts))
+            if all(v[3] - err >= -tol for v in verdicts):
                 return True
-        if claim.family == "prop":
-            ((_, _, rhs, margin),), _ = cell()
-            return margin > _rounding_bound(fn, p, q, rhs)
-        if hypothesis in _SAMPLED:
+        if env is not None and hypothesis in _SAMPLED:
             verdicts, i = cell()
             return verdicts[i][0] == "holds"
     except Exception:  # noqa: BLE001 - the unscreened path decides the trial
@@ -975,18 +997,22 @@ def _screen(
     return False
 
 
-def _rounding_bound(fn: TestFunction, p: _Panel, q, rhs: float) -> float:
-    """Over four times the rounding error of a proposition's float margin
-    for x^n (n + 1 coefficients): n/2 + 1 ulps per sample (the rounded
-    midpoint to the n-th power), 6 ulps of their sum in |F(lam)|, and 14
-    plus |ln M| ulps of the rhs (M = max|f''|; |ln M| from the rounded
-    exponent 1/q).  Other underflows err by far less than tol; a subnormal
-    M^q does not, and gives an infinite bound."""
-    m = max(p.ends.m_a, p.ends.m_b)
-    if m**q < 2.0**-1022:
+def _margin_error(fn: TestFunction, p: _Panel, q, size: float) -> float:
+    """E >= |m - m_exact| for each margin m = rhs - lhs of a polynomial's
+    float cell on panel ``p`` whose halves' |lhs| + |rhs| sum to ``size``,
+    m_exact being the cell's on exact values (envelope values as given):
+    E = (n + 16 + |ln M|) 2^-50 (|avg| + size)
+        + 16 (h(a) + h(m) + h(b) + (b - a)^2 (h''(a) + h''(b))),
+    h = :func:`_horner_bound`, M = max |f''(a)|, |f''(b)|, and E = inf where
+    a subnormal M^q > 0 may leave the root off by up to 2^(1/q).  The
+    README's search section derives each term."""
+    d, m = p.domain, max(p.ends.m_a, p.ends.m_b)
+    if m and m ** (q or 1.0) < 2.0**-1022:
         return math.inf
-    scale = sum(map(abs, p.samples)) + abs(rhs)
-    return (len(fn.poly_coeffs) + 16 + abs(math.log(m))) * 2.0**-50 * scale
+    ulps = len(fn.poly_coeffs) + 15 + (abs(math.log(m)) if m else 0.0)
+    horner = sum(_horner_bound(fn, x) for x in (d.lo, d.midpoint, d.hi))
+    horner += d.width**2 * (_horner_bound(fn, d.lo, 2) + _horner_bound(fn, d.hi, 2))
+    return ulps * 2.0**-50 * (abs(p.samples[3]) + size) + 16 * horner
 
 
 def find_counterexample(
@@ -1006,8 +1032,8 @@ def find_counterexample(
     :func:`_screen` settles builds no record: no P-check or convexity check
     where its float cell comfortably holds, no sampled envelope where the
     cell holds on f'' and f'''' at a and b, no exact panel where a
-    proposition's float margin passes its rounding error.  ``trials=0``
-    searches no trial.
+    polynomial's float margin cannot become a confirmed violation.
+    ``trials=0`` searches no trial.
     """
     claim = get_claim(claim_id)
     fns = resolve_functions(search.functions, registry)

@@ -4,6 +4,8 @@ what evaluating each record on its own gives (tests/harness_reference.py)."""
 import math
 import random
 from fractions import Fraction
+from types import SimpleNamespace
+from unittest import mock
 
 import mpmath
 import numpy as np
@@ -33,6 +35,7 @@ from hhbounds.oracle import EvaluationError, OracleError, to_mpf
 from hhbounds.records import classify
 
 from harness_reference import Reference, reference_records, reference_search
+from poly_functions import QUARTIC, SHIFTED_QUINTIC, array_shifted, at_contract_edge
 
 
 def test_all_claims_all_functions_match_reference():
@@ -94,28 +97,26 @@ def test_search_matches_reference(claim, seed):
 def test_search_checks_p_convexity_only_where_float_cell_is_not_comfortable(
     monkeypatch, claim_id
 ):
-    # a proof-backed search with no hit: a trial whose float cell is a
-    # comfortable 'holds' is settled without its sampled hypothesis, so the
-    # P-convexity scan runs only for the trials whose float verdict, from
-    # the reference, is not 'holds'
-    cfg = CampaignConfig(functions=("all",), trials=60, seed=5)
+    # a proof-backed search with no hit, on functions that are not
+    # polynomials (so the screen's polynomial rule never applies): a trial
+    # whose float cell is a comfortable 'holds' is settled without its
+    # sampled hypothesis, so the P-convexity scan runs only for the trials
+    # whose float verdict, from the reference, is not 'holds'
+    cfg = CampaignConfig(
+        functions=("expx", "bump"), trials=60, seed=5, interval_range=(0.0, 1.0)
+    )
     claim = get_claim(claim_id)
-    scanned = []
-
-    def counted(g, domain, grid):
-        scanned.append((domain.lo, domain.hi))
-        return check_p_convex(g, domain, grid)
-
-    monkeypatch.setattr(harness, "check_p_convex", counted)
+    built = _counted_builds(monkeypatch)
     out = find_counterexample(claim_id, cfg)
     assert (out.record, out.trials) == (None, 60)
 
-    ref, rng, fns = Reference(cfg), random.Random(cfg.seed), corpus_standard()
+    ref, rng = Reference(cfg), random.Random(cfg.seed)
+    fns = [get_function(fid) for fid in cfg.functions]
     unsettled = []
     for _ in range(cfg.trials):  # the trials, drawn as the search draws them
         fn = rng.choice(fns)
-        a = rng.uniform(0.1, 10.0 - cfg.min_width)
-        domain = Interval(a, rng.uniform(a + cfg.min_width, 10.0))
+        a = rng.uniform(0.0, 1.0 - cfg.min_width)
+        domain = Interval(a, rng.uniform(a + cfg.min_width, 1.0))
         lam = rng.choice(cfg.lambda_grid) if claim.uses_lambda else claim.fixed_lambda
         q = rng.choice(cfg.q_grid) if claim.uses_q else None
         if fn.domain.contains(domain):
@@ -124,13 +125,37 @@ def test_search_checks_p_convexity_only_where_float_cell_is_not_comfortable(
             pair = pairs[0 if margins[0] <= margins[-1] else -1]
             if classify(*pair, cfg.tol, cfg.eq_tol)[0] != "holds":
                 unsettled.append((domain.lo, domain.hi))
-    assert scanned == unsettled
+    assert [b[1:] for b in built if b[0] == "pcheck"] == unsettled
     assert 0 < len(unsettled) < cfg.trials
+
+
+def _counted_builds(monkeypatch) -> list:
+    """The list that the builds of panels (by kind), sampled envelopes and
+    P-checks are appended to from here on, with their interval."""
+    built = []
+    envelope, panel_init = harness._envelope, harness._Panel.__init__
+
+    def counted_envelope(fn, domain):
+        built.append(("envelope", domain.lo, domain.hi))
+        return envelope(fn, domain)
+
+    def counted_init(self, ctx, fn, domain, kind):
+        built.append((kind, domain.lo, domain.hi))
+        panel_init(self, ctx, fn, domain, kind)
+
+    def counted_pcheck(g, domain, grid):
+        built.append(("pcheck", domain.lo, domain.hi))
+        return check_p_convex(g, domain, grid)
+
+    monkeypatch.setattr(harness, "_envelope", counted_envelope)
+    monkeypatch.setattr(harness._Panel, "__init__", counted_init)
+    monkeypatch.setattr(harness, "check_p_convex", counted_pcheck)
+    return built
 
 
 # Searches with no hit where every trial's float cell holds on f'' and
 # f'''' at the endpoints (both monotone on every interval drawn), or, for a
-# proposition, holds far beyond its rounding error.
+# proposition, holds far beyond the error bound of its float margin.
 SETTLED_BY_ENDPOINTS = [
     ("cor4-relaxed", ("poly3",)),
     ("cor8-derived", ("poly3", "poly4", "expx")),
@@ -148,23 +173,36 @@ def test_search_builds_no_envelope_or_exact_panel_where_endpoints_settle(
 ):
     # without the endpoint screen each trial samples the envelope of f''
     # (or builds the exact panel of x^n): 60 of them
-    built = []
-    envelope, panel_init = harness._envelope, harness._Panel.__init__
-
-    def counted_envelope(fn, domain):
-        built.append("envelope")
-        return envelope(fn, domain)
-
-    def counted_init(self, ctx, fn, domain, kind):
-        built.append(kind)
-        panel_init(self, ctx, fn, domain, kind)
-
-    monkeypatch.setattr(harness, "_envelope", counted_envelope)
-    monkeypatch.setattr(harness._Panel, "__init__", counted_init)
+    built = _counted_builds(monkeypatch)
     out = find_counterexample(claim_id, CampaignConfig(functions=functions, trials=60, seed=5))
+    built = [b[0] for b in built]
     assert (out.record, out.trials) == (None, 60)
     assert built.count("float") == 60
     assert built.count("envelope") == built.count("exact") == 0
+
+
+@pytest.mark.parametrize(
+    "claim_id", ["thm6-derived", "cor4-relaxed", "mid-envelope", "hh", "simpson-4th-p4"]
+)
+def test_search_on_constant_second_derivative_builds_nothing_sampled_or_exact(
+    monkeypatch, claim_id
+):
+    # f'' is constant on const1 and poly2, so these bounds hold with
+    # equality on many trials (and simpson-4th-p4 on all); a polynomial's
+    # float margin that cannot become a confirmed violation settles its trial
+    built = _counted_builds(monkeypatch)
+    cfg = CampaignConfig(functions=("const1", "poly2"), trials=60, seed=5)
+    out = find_counterexample(claim_id, cfg)
+    assert (out.record, out.trials) == (None, 60)
+    kinds = [b[0] for b in built]
+    assert kinds.count("float") == 60
+    assert kinds.count("exact") == kinds.count("envelope") == kinds.count("pcheck") == 0
+    # with an infinite error bound the rule settles none of them, and the
+    # trials that end in equality build their exact panels again
+    monkeypatch.setattr(harness, "_margin_error", lambda *args: math.inf)
+    built.clear()
+    assert find_counterexample(claim_id, cfg) == out
+    assert "exact" in [b[0] for b in built]
 
 
 # The interval ranges of the screen's soundness check: (-50, -0.5) lies
@@ -187,59 +225,105 @@ def test_screen_changes_no_search_outcome(monkeypatch, claim):
     assert [find_counterexample(claim, cfg) for cfg in configs] == screened
 
 
-@settings(max_examples=80, deadline=None, derandomize=True)
-@given(fid=st.sampled_from(function_ids()), u=st.floats(0, 1), v=st.floats(0, 1))
+# The corpus and two polynomials whose coefficients cancel, each also with
+# an f'' and f'''' that an array evaluation puts 4 ulps nearer 0, and the
+# polynomials at the edge of the rounding TestFunction's contract allows.
+ENVELOPE_FUNCTIONS = {
+    f.id: f
+    for g in (*map(get_function, function_ids()), QUARTIC, SHIFTED_QUINTIC)
+    for f in (g, array_shifted(g), *([at_contract_edge(g)] if g.poly_coeffs else []))
+}
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(fid=st.sampled_from(sorted(ENVELOPE_FUNCTIONS)), u=st.floats(0, 1), v=st.floats(0, 1))
 def test_endpoint_envelope_lies_inside_the_sampled_one(fid, u, v):
-    fn = get_function(fid)
+    # each field on its own side of the sampled one; the endpoint f'' range
+    # may be inverted (lower > upper), as where f'' is constant
+    fn = ENVELOPE_FUNCTIONS[fid]
     lo, width = fn.domain.lo, fn.domain.width
     a, b = lo + min(u, v) * width, lo + max(u, v) * width
     assume(a < b)
     ends = harness._endpoint_envelope(fn, Interval(a, b))
     env = harness._envelope(fn, Interval(a, b))
     assert ends.sup_abs_d2 <= env.sup_abs_d2
-    if ends.lower_d2 is not None:
-        assert env.lower_d2 <= ends.lower_d2 <= ends.upper_d2 <= env.upper_d2
+    assert env.lower_d2 <= ends.lower_d2 and ends.upper_d2 <= env.upper_d2
     assert (ends.sup_abs_d4 is None) == (env.sup_abs_d4 is None)
     assert ends.sup_abs_d4 is None or ends.sup_abs_d4 <= env.sup_abs_d4
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
+# The polynomials of the error bound's property test: monomials, const1, two
+# whose coefficients cancel, and three at the edge of the rounding that
+# TestFunction's contract allows.
+BOUND_FUNCTIONS = {
+    f.id: f
+    for f in (
+        *map(_monomial, range(2, 16)), get_function("const1"), QUARTIC, SHIFTED_QUINTIC,
+        *map(at_contract_edge, (get_function("poly2"), QUARTIC, SHIFTED_QUINTIC)),
+    )
+}
+
+
+def _cell_pairs(claim, p, lam, q, env):
+    """The (lhs, rhs) pairs of a search trial's cell on panel ``p``, in the
+    panel's number type, as the screen's float cell classifies them."""
+    if claim.family in harness._SIDES:
+        return harness._SIDES[claim.family](claim, p, env)
+    pairs = lambda lhs, rhss, *args: [(lhs, rhs) for rhs in rhss]  # noqa: E731
+    with mock.patch.object(harness, "classify_row", pairs):
+        return harness._lambda_row(claim, p, lam, (q,), 0.0, 0.0, env)
+
+
+def _mp(x):
+    return x if isinstance(x, mpmath.mpf) else to_mpf(x)
+
+
+@settings(max_examples=600, deadline=None, derandomize=True)
 @given(
-    n=st.sampled_from([3, 4, 5, 9, 15]),
-    prop=st.sampled_from([f"prop{i}-{v}" for i in (1, 2, 3) for v in ("stated", "derived")]),
+    fid=st.sampled_from(sorted(BOUND_FUNCTIONS)),
+    cid=st.sampled_from(claim_ids()),
     q=st.sampled_from([1.0, 1.5, 2.0, 4.0, 10.0, 37.0]),
-    log_a=st.floats(-300, 0.5),
+    lam=st.sampled_from(harness.DEFAULT_LAMBDA_GRID),
+    a=st.one_of(st.floats(-300, 1).map(lambda e: 10.0**e), st.floats(0, 10)),
     log_w=st.floats(-12, 1),
 )
 # the power sum's rounded exponent errs by 0.93 of the bound without its
 # |ln M| term here, where M^1.5 is near the least normal float
-@example(n=9, prop="prop2-derived", q=1.5, log_a=-30.6, log_w=1.0)
-def test_rounding_bound_covers_the_float_margin_error(n, prop, q, log_a, log_w):
-    # the exact margin of x^n at 60 digits, against the float one; the
-    # bound includes the error of the power sum's rounded exponent 1/q,
-    # which grows with |ln max|f''||
-    fn, claim = _monomial(n), get_claim(prop)
-    a = 10.0**log_a
-    b = min(a + a * 10.0**log_w, 10.0)
-    assume(a < b)
-    ctx = harness._Context(CampaignConfig())
-    p = ctx.panel(fn, Interval(a, b), "float")
+@example(fid="poly9", cid="prop2-derived", q=1.5, lam=0.0, a=10.0**-30.6, log_w=1.0)
+# f'' and f'''' of the expanded (x - 3)^5 cancel to nearly 0 near x = 3
+@example(fid="quintic3", cid="thm6-derived", q=1.0, lam=0.5, a=2.999, log_w=-3.0)
+@example(fid="quintic3", cid="simpson-4th-p4", q=1.0, lam=0.5, a=2.9, log_w=-1.4)
+@example(fid="quartic", cid="cor1-stated", q=1.0, lam=0.5, a=0.25, log_w=0.3)
+def test_rounding_bound_covers_the_float_margin_error(fid, cid, q, lam, a, log_w):
+    # every half of the float cell the screen reads (on the endpoint
+    # envelope for the enveloped families), against the same cell on the
+    # exact panel at 60 digits, with the endpoint envelope's values taken
+    # as they are: the margins differ by no more than the screen's bound E
+    fn, claim = BOUND_FUNCTIONS[fid], get_claim(cid)
+    b = min(a + max(a, 1e-3) * 10.0**log_w, 10.0)
+    assume(0 < a < b)
+    lam = lam if claim.uses_lambda else claim.fixed_lambda
+    q = q if claim.uses_q else None
+    domain, ctx = Interval(a, b), harness._Context(CampaignConfig())
+    p = ctx.panel(fn, domain, "float")
+    env = None
+    if claim.family in harness._ENVELOPED:
+        env = harness._endpoint_envelope(fn, domain)
     try:
-        ((_, _, rhs, margin),) = harness._lambda_row(
-            claim, p, claim.fixed_lambda, (q,), 1e-9, 1e-12
-        )
+        pairs = _cell_pairs(claim, p, lam, q, env)
+        bound = harness._margin_error(fn, p, q, sum(abs(lhs) + abs(rhs) for lhs, rhs in pairs))
     except OverflowError:
         return
-    bound = harness._rounding_bound(fn, p, q, rhs)
+    exact_env = env and SimpleNamespace(
+        **{k: v if v is None else Fraction(v) for k, v in vars(env).items()}
+    )
     with mpmath.workdps(60):
-        exact = ctx.panel(fn, Interval(a, b), "exact")
-        rule = harness._LAMBDA_RULE[prop]
-        (exact_rhs,) = exact.theorem6_row(rule, (q,), claim.variant)
-        if type(exact_rhs) is Fraction:  # q = 1
-            exact_rhs = to_mpf(exact_rhs)
-        error = abs(to_mpf(margin) - (exact_rhs - to_mpf(exact.lhs(rule))))
-    # an underflow errs absolutely, by far less than tol
-    assert error <= bound + 2.0**-1000
+        exact = ctx.panel(fn, domain, "exact")
+        exact_pairs = _cell_pairs(claim, exact, lam, q, exact_env)
+        for (lhs, rhs), (lhs_x, rhs_x) in zip(pairs, exact_pairs):
+            error = abs(to_mpf(rhs - lhs) - (_mp(rhs_x) - _mp(lhs_x)))
+            # an underflow errs absolutely, by far less than tol
+            assert error <= bound + 2.0**-1000, (lhs, rhs, float(error), bound)
 
 
 def _elementwise_envelope(d2v, d4v) -> str:

@@ -1,6 +1,5 @@
 """Harness tests: ledger contents, campaign semantics, search, determinism."""
 
-import dataclasses
 import gc
 import json
 import math
@@ -26,6 +25,7 @@ from hhbounds.harness import (
 from hhbounds.oracle import to_mpf
 
 from harness_reference import reference_search, sort_key
+from poly_functions import QUARTIC, SHIFTED_QUINTIC, array_shifted
 
 LEDGER = ledger_standard()
 
@@ -122,22 +122,6 @@ def _huge_wave() -> TestFunction:
     )
 
 
-def _array_shifted(fn: TestFunction) -> TestFunction:
-    """``fn`` with f'' and f'''' scaled by 1 - 4 ulps where they are called
-    on an array, as a vectorized evaluation may round differently."""
-
-    def shift(g):
-        def h(x):
-            y = g(x)
-            return y * (1.0 - 2.0**-50) if np.ndim(x) else y
-
-        return h
-
-    return dataclasses.replace(
-        fn, id=f"{fn.id}-shifted", d2=shift(fn.d2), d4=fn.d4 and shift(fn.d4)
-    )
-
-
 # Every record of this campaign reads the float panel of f on [1, 2], whose
 # build integrates f, then raises at f(2).
 EDGE_CAMPAIGN = CampaignConfig(
@@ -200,6 +184,34 @@ class TestSampler:
         for a, b in sample_intervals(cfg):
             assert 0.1 <= a < b <= 10.0
             assert b - a >= 0.05
+
+    @pytest.mark.parametrize(
+        "interval_range, min_width",
+        [
+            ((5.0, 1.0), 0.05),  # reversed: the draws had b < a
+            ((1.0, 1.0), 0.05),
+            ((0.1, 10.0), -1.0),  # b < a again
+            ((0.1, 10.0), 0.0),
+            ((0.0, 0.01), 0.05),  # a was drawn below the range
+            ((0.0, math.inf), 0.05),  # drew (inf, nan)
+            ((-math.inf, 0.0), 0.05),
+            ((-1e308, 1e308), 0.05),  # hi - lo overflows
+            ((0.0, math.nan), 0.05),
+            ((0.0, 1.0), math.nan),
+        ],
+    )
+    def test_invalid_interval_range_rejected(self, interval_range, min_width):
+        with pytest.raises(ValueError, match="interval_range must be finite"):
+            CampaignConfig(interval_range=interval_range, min_width=min_width)
+
+    @pytest.mark.parametrize("interval_range", [(0.0, 0.05), (-1.0, -0.95), (2, 3)])
+    def test_narrowest_interval_range_draws_inside_it(self, interval_range):
+        # min_width = hi - lo is allowed: every draw is the whole range,
+        # up to a rounding of b
+        lo, hi = interval_range
+        cfg = CampaignConfig(trials=20, seed=4, interval_range=interval_range, min_width=hi - lo)
+        for a, b in sample_intervals(cfg):
+            assert a == lo and math.isclose(b, hi, rel_tol=1e-15)
 
     def test_oversized_pconvex_grid_rejected(self):
         with pytest.raises(ValueError, match="exceeds the cap"):
@@ -554,20 +566,28 @@ class TestFindCounterexample:
 
     @pytest.mark.filterwarnings("error")
     def test_screen_changes_no_outcome_on_extreme_registries(self, monkeypatch):
-        # |f''| of 1e40, and every corpus function with an f'' and f'''' that
+        # |f''| of 1e40; every corpus function with an f'' and f'''' that
         # an array evaluation puts 4 ulps nearer 0 than a scalar one at the
         # same point, so the sampled envelope's values at a and b lie inside
-        # the scalar endpoint values the screen reads
+        # the scalar endpoint values the screen reads; and two polynomials
+        # whose coefficients cancel, which the screen's polynomial rule
+        # settles on a bound of their rounding error
         huge = {f.id: f for f in (_huge_flat(), _huge_wave())}
-        shifted = {f.id: _array_shifted(f) for f in corpus_standard()}
+        shifted = {f.id: array_shifted(f) for f in corpus_standard()}
+        cancelling = {f.id: f for f in (QUARTIC, SHIFTED_QUINTIC)}
+        wide = ((0.1, 10.0), (0.0, 1.0), (-3.0, 3.0))
         cases = [
             (registry, CampaignConfig(
                 functions=("all",), trials=30, seed=seed, interval_range=interval_range,
                 min_width=0.01, q_grid=(1.0, 2.0, 10.0),
             ))
-            for registry in (huge, shifted)
-            for seed in range(4)
-            for interval_range in ((0.1, 10.0), (0.0, 1.0), (-3.0, 3.0))
+            for registry, seeds, ranges in (
+                (huge, range(4), wide),
+                (shifted, range(4), wide),
+                (cancelling, range(6), ((0.0, 1.0), (0.0, 6.0), (2.5, 3.5))),
+            )
+            for seed in seeds
+            for interval_range in ranges
         ]
         screened = {
             (claim, k): find_counterexample(claim, cfg, registry)
@@ -576,6 +596,11 @@ class TestFindCounterexample:
         }
         # the proof-backed Simpson bound keeps its rounding-residue hit on 5e39 x^2
         assert screened["simpson-4th-p4", 0].record.function == "huge-flat"
+        # the stated constants of theorem 6 and corollaries 1 and 2 fail on
+        # the quartic at q = 1
+        for claim in ("thm6-stated", "cor1-stated", "cor2-stated"):
+            hits = [out.record for (c, _), out in screened.items() if c == claim]
+            assert any(r and r.function == "quartic" and r.q == 1.0 for r in hits), claim
         monkeypatch.setattr(harness, "_screen", lambda *args: False)
         for (claim, k), out in screened.items():
             registry, cfg = cases[k]
