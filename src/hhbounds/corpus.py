@@ -76,9 +76,8 @@ class TestFunction:
 
     ``poly_coeffs`` (ascending, exact rationals) enables the exact
     integration path; it is present exactly for the polynomial members.
-    Search screens rely on their f, f'' and f'''' (at a float or an array)
-    lying within Horner's rounding of p and its derivatives at x:
-    (n + 1) 2^-52 sum |c_k| |x|^k over the derivative's coefficients.
+    Search screens need their f, f'' and f'''' (on a float or an array) within
+    (n + 1) 2^-52 sum |c_k| |x|^k of p's at x, over the derivative's c_k.
     ``exact_integral(a, b)`` returns the antiderivative difference where a
     closed form exists.
     """

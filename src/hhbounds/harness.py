@@ -42,8 +42,7 @@ panel, an envelope, a P-check) is built once; one whose build failed is
 not built again.  Runs are deterministic for a fixed config.
 A counterexample search screens every trial (:func:`_screen`) and builds
 no record, sampled check, envelope or exact panel for one that cannot be a
-hit: among others, a polynomial's trial whose float margin, less a proven
-bound on its error (:func:`_margin_error`), is at least -tol.
+hit (a polynomial's once its margin less :func:`_margin_error` is >= -tol).
 """
 
 from __future__ import annotations
@@ -261,8 +260,7 @@ class CampaignConfig:
             raise ValueError("trials must be nonnegative")
         lo, hi = self.interval_range  # hi - lo is finite only where lo and hi are
         if not (lo < hi and math.isfinite(hi - lo) and 0 < self.min_width <= hi - lo):
-            raise ValueError(f"interval_range must be finite with lo < hi, and min_width "
-                             f"in (0, hi - lo]: {self.interval_range}, {self.min_width}")
+            raise ValueError("interval_range must be finite, lo < hi, min_width in (0, hi - lo]")
         # Floats compare with ==, so 0.0 and -0.0 are one value.  With no
         # value repeated, no two records share a key of the canonical order.
         for kind, values in (
@@ -482,29 +480,27 @@ def _range(fn: TestFunction, name: str, xs) -> tuple[float, float]:
 
 def _endpoint_envelope(fn: TestFunction, domain: Interval) -> SimpleNamespace:
     """The fields of :func:`_envelope` from f'' and f'''' at a and b, each
-    moved inward by the most that its array evaluation there may differ
-    from this scalar one (twice :func:`_horner_bound` for a polynomial, a
-    relative 1e-9 otherwise), so each lies inside the sampled one.  The f''
-    range may come out inverted: an enclosure's halves read one end each."""
+    moved inward by the most its array evaluation there may differ from
+    this scalar one (2 :func:`_horner_bound` for a polynomial, else 1e-9
+    relative) to lie inside the sampled one; sups are clamped at 0, and the
+    f'' range may be inverted, as an enclosure's halves read one end each."""
     def inward(name, order, x):  # (value - slack, value + slack)
         v = _value_at(getattr(fn, name), x)
         s = 1e-9 * abs(v) if fn.poly_coeffs is None else 2 * _horner_bound(fn, x, order)
         return v - s, v + s
 
-    ends = (domain.lo, domain.hi)
-    (lo_a, hi_a), (lo_b, hi_b) = (inward("d2", 2, x) for x in ends)
-    d4 = fn.d4 and max(max(lo, -hi) for lo, hi in (inward("d4", 4, x) for x in ends))
-    return SimpleNamespace(sup_abs_d2=max(lo_a, -hi_a, lo_b, -hi_b), lower_d2=min(hi_a, hi_b),
-                           upper_d2=max(lo_a, lo_b), sup_abs_d4=d4)
+    ends, sup = (domain.lo, domain.hi), lambda ps: max(0.0, *(max(lo, -hi) for lo, hi in ps))
+    (lo_a, hi_a), (lo_b, hi_b) = d2 = [inward("d2", 2, x) for x in ends]
+    return SimpleNamespace(sup_abs_d2=sup(d2), lower_d2=min(hi_a, hi_b), upper_d2=max(lo_a, lo_b),
+                           sup_abs_d4=fn.d4 and sup(inward("d4", 4, x) for x in ends))
 
 
 def _horner_bound(fn: TestFunction, x: float, order: int = 0) -> float:
-    """(n + 1) 2^-52 |p^(order)|(|x|), with |p|(|x|) = sum |c_k| |x|^k over
-    the n + 1 coefficients of f's polynomial p: how far f (order 0), f''
-    (2) or f'''' (4) may lie from p's at x (see :class:`TestFunction`)."""
-    ax, terms = abs(x), [(k, c) for k, c in fn._terms if k >= order]
-    scale = sum(abs(c) * math.perm(k, order) * ax ** (k - order) for k, c in terms)
-    return len(fn.poly_coeffs) * 2.0**-52 * float(scale)
+    """(n + 1) 2^-52 |p^(order)|(|x|), |p| taking the n + 1 coefficients of
+    f's polynomial p absolutely: how far f (order 0), f'' (2) or f'''' (4)
+    may lie from p's at x (see :class:`TestFunction`)."""
+    terms = [(k, abs(c) * math.perm(k, order)) for k, c in fn._terms if k >= order]
+    return len(fn.poly_coeffs) * 2.0**-52 * sum(c * abs(x) ** (k - order) for k, c in terms)
 
 
 def _pconvex(fn: TestFunction, domain: Interval, q: float, of: str, grid: GridSpec):
@@ -959,10 +955,9 @@ def _screen(
       only raises M or widens the f'' range, so the record's cell holds too;
     * (a hypothesis in :data:`_SAMPLED`) its float cell comfortably holds,
       which :func:`_evaluate_block` accepts whatever the hypothesis;
-    * (a polynomial) every half of that float cell has a margin m with
-      m - E >= -tol (:func:`_margin_error`): its record's margin on the
-      exact panel and the sampled envelope is m - E or more, and 'violated'
-      there needs one below -tol max(1, |lhs|, |rhs|) <= -tol.
+    * (a polynomial) every half of that cell has m - E >= -tol (E from
+      :func:`_margin_error`), and a confirmed 'violated' needs an exact
+      margin below -tol max(1, |lhs|, |rhs|) <= -tol.
     """
     if not fn.domain.contains(domain):
         return True
@@ -981,9 +976,8 @@ def _screen(
         p = ctx.panel(fn, domain, "float")
         env = _endpoint_envelope(fn, domain) if claim.family in _ENVELOPED else None
         verdicts, i = cell(env)
-        if env is None and hypothesis in _SAMPLED and verdicts[i][0] == "holds":
-            return True
-        if env is not None and all(v[0] == "holds" and v[3] > 0 for v in verdicts):
+        if (all(v[0] == "holds" and v[3] > 0 for v in verdicts) if env is not None
+                else hypothesis in _SAMPLED and verdicts[i][0] == "holds"):
             return True
         if fn.poly_coeffs is not None:
             err = _margin_error(fn, p, q, sum(abs(v[1]) + abs(v[2]) for v in verdicts))
@@ -999,13 +993,10 @@ def _screen(
 
 def _margin_error(fn: TestFunction, p: _Panel, q, size: float) -> float:
     """E >= |m - m_exact| for each margin m = rhs - lhs of a polynomial's
-    float cell on panel ``p`` whose halves' |lhs| + |rhs| sum to ``size``,
-    m_exact being the cell's on exact values (envelope values as given):
-    E = (n + 16 + |ln M|) 2^-50 (|avg| + size)
-        + 16 (h(a) + h(m) + h(b) + (b - a)^2 (h''(a) + h''(b))),
-    h = :func:`_horner_bound`, M = max |f''(a)|, |f''(b)|, and E = inf where
-    a subnormal M^q > 0 may leave the root off by up to 2^(1/q).  The
-    README's search section derives each term."""
+    float cell on panel ``p`` (halves' |lhs| + |rhs| summing to ``size``)
+    and its m_exact on exact values, envelope values as given; the
+    README's search section derives each term.  E = inf where a subnormal
+    M^q > 0 (M = max |f''(a)|, |f''(b)|) may leave the root off by 2^(1/q)."""
     d, m = p.domain, max(p.ends.m_a, p.ends.m_b)
     if m and m ** (q or 1.0) < 2.0**-1022:
         return math.inf
