@@ -21,28 +21,31 @@ the blocks in that order and summarizes them as they pass; no record is
 sorted, and a writer holds one block of records at a time.  The
 hypothesis the ledger states is checked once per q.  A panel holds the
 values of one (function, interval) in floats, in floats with a refined
-average, or in exact rationals.  The lambda-family claims (theorems 5 and
-6 and their corollaries) are evaluated a lam row at a time: their bounds
-factor into a value per lam and one per q, so one row function reads
+average, or in exact rationals.  Every claim is evaluated a lam row at a
+time by one of two row functions, chosen once per block; a claim without
+lam or q is a 1x1 block.  The lambda-family claims (theorems 5 and 6,
+their corollaries and the special-means propositions) have bounds that
+factor into a value per lam and one per q, so their row function reads
 |F(lam)|, the lam factor (b-a)^2 moment(lam) and the power sums
 (|f''(a)|^q + |f''(b)|^q)^(1/q) from the panel's caches, each computed
 once by the formulas of :mod:`bounds` and shared by every claim that reads
-it; an exact lam and its exact moment are constants of the run.  Every
-other claim has one record per block and a side function that states its
-inequality on a panel.  The float row comes first; each cell that is not a
-comfortable 'holds' is re-derived by the same row or side function, inside
-one 50-digit context per block, on the exact panel (polynomials) or on the
-refined one, and :func:`~hhbounds.records.classify_row`, the row form of
-:func:`~hhbounds.records.classify`, decides every status.  The
-special-means propositions are the corollary rows of their rule,
-evaluated on the exact panel of x^n.  An oracle failure anywhere,
-confirmation included, yields an 'undefined' record, and so does an f,
-f'' or f'''' that raises where it is sampled.  Every per-run value (a
-panel, an envelope, a P-check) is built once; one whose build failed is
-not built again.  Runs are deterministic for a fixed config.
-A counterexample search screens every trial (:func:`_screen`) and builds
-no record, sampled check, envelope or exact panel for one that cannot be a
-hit (a polynomial's once its margin less :func:`_margin_error` is >= -tol).
+it; an exact lam and its exact moment are constants of the run.  The side
+row of every other claim holds each half of its one cell: an enclosure has
+two, and the block keeps the half with the smaller float margin.  The
+float row comes first; each cell that is not a comfortable 'holds' is
+re-derived by the same row function, inside one 50-digit context per
+block, on the exact panel (polynomials) or on the refined one, and
+:func:`~hhbounds.records.classify_row` decides every status.  The
+propositions are the corollary rows of their rule, evaluated on the exact
+panel of x^n.  An oracle failure anywhere, confirmation included, yields
+an 'undefined' record, and so does an f, f'' or f'''' that raises where it
+is sampled.  Every per-run value (a panel, an envelope, a P-check) is
+built once; one whose build failed is not built again.  Runs are
+deterministic for a fixed config.  A counterexample search screens every
+trial (:func:`_screen`) on the float row of the same row function, and
+builds no record, sampled check, envelope or exact panel for one that
+cannot be a hit: one where every half holds with a positive margin, or
+where a polynomial's margin less :func:`_margin_error` is >= -tol.
 """
 
 from __future__ import annotations
@@ -70,7 +73,7 @@ from .corpus import (
     corpus_standard,
 )
 from .oracle import OracleError, _sample, _terms_at, _value_at, to_mpf
-from .records import STATUSES, VerificationRecord, classify, classify_row
+from .records import STATUSES, VerificationRecord, classify_row
 
 __all__ = [
     "BoundClaim",
@@ -261,12 +264,16 @@ class CampaignConfig:
         lo, hi = self.interval_range  # hi - lo is finite only where lo and hi are
         if not (lo < hi and math.isfinite(hi - lo) and 0 < self.min_width <= hi - lo):
             raise ValueError("interval_range must be finite, lo < hi, min_width in (0, hi - lo]")
+        intervals = [tuple(map(float, iv)) for iv in self.intervals]
+        for iv in intervals:
+            if len(iv) != 2 or not -math.inf < iv[0] < iv[1] < math.inf:
+                raise ValueError(f"each interval must be a finite pair a < b, got {list(iv)}")
         # Floats compare with ==, so 0.0 and -0.0 are one value.  With no
         # value repeated, no two records share a key of the canonical order.
         for kind, values in (
             ("claim id", self.claims),
             ("function id", self.functions),
-            ("interval", [tuple(map(float, iv)) for iv in self.intervals]),
+            ("interval", intervals),
             ("lambda value", self.lambda_grid),
             ("q value", self.q_grid),
         ):
@@ -314,7 +321,7 @@ def _random_interval(rng: random.Random, config: CampaignConfig) -> tuple[float,
 
 class _Panel:
     """One (function, interval) in one number type, and the statistics the
-    side functions read from it.
+    row functions read from it.
 
     ``kind`` is 'float', 'refined' (floats, with the average re-integrated
     by the oracle at a tenth of the tolerance, bypassing any closed form)
@@ -577,22 +584,20 @@ def _monomial_case(fn: TestFunction, domain: Interval, q, ctx) -> bool:
 
 
 # The check of each hypothesis the ledger states, on (function, interval) at
-# the record's q: True, False, or None when it is undefined.
-_HYPOTHESES = {
+# the record's q: True, False, or None when it is undefined.  The sampled
+# checks come first: the value of a record does not depend on them, and a
+# search screens a trial on its float cell before them.
+_SAMPLED = {
     "check_p_convex(|d2|)": lambda fn, dom, q, ctx: ctx.pconvex(fn, dom, 1.0, "d2"),
     "check_p_convex(|d2|^q)": lambda fn, dom, q, ctx: ctx.pconvex(fn, dom, q, "d2"),
     "check_p_convex(f)": lambda fn, dom, q, ctx: ctx.pconvex(fn, dom, 1.0, "f"),
     "f convex on [a, b]": lambda fn, dom, q, ctx: ctx.convex(fn, dom),
+}
+_HYPOTHESES = {
+    **_SAMPLED,
     "f twice differentiable": lambda fn, dom, q, ctx: True,
     "f has d4": lambda fn, dom, q, ctx: fn.d4 is not None,
     "f = x^n, |n(n-1)| >= 3, 0 < a < b": _monomial_case,
-}
-
-# The hypotheses that are sampled checks the value of a record does not
-# depend on; a search screens a trial on its float cell before them.
-_SAMPLED = {
-    "check_p_convex(|d2|)", "check_p_convex(|d2|^q)", "check_p_convex(f)",
-    "f convex on [a, b]",
 }
 
 
@@ -607,8 +612,8 @@ def _lambda_row(claim: BoundClaim, p: _Panel, lam, qs, tol, eq_tol, env=None):
     proposition is the corollary bound of its rule for x^n.  On an exact
     panel a claim that fixes lam reads its rule's exact lam.  The uniform-M
     bound reads ``env``, by default the panel's sampled envelope."""
-    if p.exact and claim.id in _LAMBDA_RULE:
-        lam = _LAMBDA_RULE[claim.id]
+    if p.exact and claim.fixed_lambda is not None:
+        lam = claim.rule or means._PROP_RULES[claim.prop_idx - 1]
     fam = claim.family
     if fam == "thm5":
         rhss = [bounds.bound_theorem5(p.domain, p.lam(lam), p.ends)]
@@ -629,60 +634,40 @@ def _lambda_row(claim: BoundClaim, p: _Panel, lam, qs, tol, eq_tol, env=None):
     return classify_row(p.lhs(lam), rhss, tol, eq_tol, lhs_mp)
 
 
-# The rule whose exact lam each claim that fixes lam reads on an exact panel.
-_LAMBDA_RULE = {
-    c.id: c.rule or means._PROP_RULES[c.prop_idx - 1]
-    for c in _LEDGER.values()
-    if c.fixed_lambda is not None
-}
+def _side_row(claim: BoundClaim, p: _Panel, lam, qs, tol, eq_tol, env=None):
+    """The verdict of each half of the one cell of a claim without lam or
+    q, on one panel, in the panel's number type: a two-sided enclosure has
+    two, so its row is longer than ``qs``.
 
+    * hh, hh-p: f(m) <= avg(f) <= (f(a)+f(b))/2, doubled where f is a
+      P-function;
+    * envelope: the midpoint or trapezoid gap inside its f''-range
+      enclosure;
+    * simpson4: |Simpson deviation| <= sup|f''''| (b-a)^p / 2880.
 
-# A side function returns the candidate inequalities (lhs, rhs) of a claim
-# without lam or q on one panel, in the panel's number type.  A two-sided
-# enclosure returns both halves; the record keeps the half with the smaller
-# float margin.  An envelope claim reads ``env``, by default the panel's
-# sampled envelope.
-
-
-def _hh_sides(claim: BoundClaim, p: _Panel, env=None):
-    """f(m) <= avg(f) <= (f(a)+f(b))/2, doubled where f is a P-function."""
-    fa, fm, fb, avg = p.samples
-    if claim.family == "hh":
-        return ((fm, avg), (avg, (fa + fb) / 2))
-    return ((fm, 2 * avg), (2 * avg, 2 * (fa + fb)))
-
-
-def _envelope_sides(claim: BoundClaim, p: _Panel, env=None):
-    """The midpoint or trapezoid gap inside its f''-range enclosure."""
-    if claim.rule == "midpoint":
-        gap = functionals._gap_left(p.samples)
+    The envelope and simpson4 claims read ``env``, by default the panel's
+    sampled envelope."""
+    fam, samples = claim.family, p.samples
+    if fam == "simpson4":
+        rhs = bounds.bound_classical("simpson", p.domain, env or p.env, claim.p)
+        pairs = ((abs(functionals._simpson_value(samples)), rhs),)
+    elif fam == "envelope":
+        gap = (functionals._gap_left if claim.rule == "midpoint"
+               else functionals._gap_right)(samples)
+        lo_b, hi_b = bounds.bound_classical(claim.rule, p.domain, env or p.env)
+        pairs = ((lo_b, gap), (gap, hi_b))
     else:
-        gap = functionals._gap_right(p.samples)
-    lo_b, hi_b = bounds.bound_classical(claim.rule, p.domain, env or p.env)
-    return ((lo_b, gap), (gap, hi_b))
+        fa, fm, fb, avg = samples
+        if fam == "hh":
+            pairs = ((fm, avg), (avg, (fa + fb) / 2))
+        else:
+            pairs = ((fm, 2 * avg), (2 * avg, 2 * (fa + fb)))
+    return [classify_row(lhs, (rhs,), tol, eq_tol)[0] for lhs, rhs in pairs]
 
 
-def _simpson4_sides(claim: BoundClaim, p: _Panel, env=None):
-    """|Simpson deviation| against sup|f''''| (b-a)^p / 2880."""
-    lhs = abs(functionals._simpson_value(p.samples))
-    return ((lhs, bounds.bound_classical("simpson", p.domain, env or p.env, claim.p)),)
-
-
-_SIDES = {
-    "hh": _hh_sides,
-    "hh-p": _hh_sides,
-    "envelope": _envelope_sides,
-    "simpson4": _simpson4_sides,
-}
-
-
-def _half(pairs) -> int:
-    """The index of the pair a side function's record keeps: the half of a
-    two-sided enclosure with the smaller float margin."""
-    if len(pairs) == 1:
-        return 0
-    m0, m1 = (rhs - lhs for lhs, rhs in pairs)
-    return 0 if m0 <= m1 else 1
+def _row(claim: BoundClaim):
+    """The row function of ``claim``: :func:`_side_row` where it has no lam."""
+    return _lambda_row if claim.uses_lambda or claim.fixed_lambda is not None else _side_row
 
 
 def _evaluate_block(
@@ -694,16 +679,18 @@ def _evaluate_block(
     ctx: _Context,
 ) -> list[VerificationRecord]:
     """The records of one claim on one (function, interval) over ``lams``
-    x ``qs``, lam-major.
+    x ``qs``, lam-major; a claim without lam or q has the 1x1 block
+    ``lams = qs = (None,)``.
 
-    The hypothesis is checked once per q.  A lambda-family claim is
-    evaluated a lam row at a time: the float row first, where each
-    comfortable 'holds' is accepted, and then, inside one 50-digit context
-    per block, the same row function on the panel's exact values
-    (polynomials) or else on the refined average, for the cells left.  The
-    propositions, stated for x^n, go to the exact panel directly.  A claim
-    without lam or q has one record, decided the same way by its side
-    function.  An oracle failure makes the records it meets 'undefined'.
+    The hypothesis is checked once per q.  The block is evaluated a lam row
+    at a time by the row function :func:`_row` picks for the claim: the
+    float row first, where each comfortable 'holds' is accepted, and then,
+    inside one 50-digit context per block, the same row function on the
+    panel's exact values (polynomials) or else on the refined average, for
+    the cells left.  Of an enclosure's two halves the block keeps the one
+    with the smaller float margin, and confirms that one.  The
+    propositions, stated for x^n, go to the exact panel directly.  An
+    oracle failure makes the records it meets 'undefined'.
     """
     def rec(lam, q, status, lhs=None, rhs=None, margin=None, exact=False):
         return VerificationRecord(
@@ -723,46 +710,23 @@ def _evaluate_block(
             unmet[q] = "undefined" if ok is None else "hypothesis_failed"
 
     tol, eq_tol = ctx.config.tol, ctx.config.eq_tol
-    exact = fn.poly_coeffs is not None
-    confirm_kind = "exact" if exact else "refined"
-
-    def confirmed(lam, q, verdict):
-        if verdict[0] == "undefined":
-            return rec(lam, q, "undefined")
-        return rec(lam, q, *verdict, exact)
-
-    if claim.family in _SIDES:
-        if None in unmet:
-            return [rec(None, None, unmet[None])]
-        sides = _SIDES[claim.family]
-        try:
-            pairs = sides(claim, ctx.panel(fn, domain, "float"))
-        except OracleError:
-            return [rec(None, None, "undefined")]
-        i = _half(pairs)
-        verdict = classify(*pairs[i], tol, eq_tol)
-        if verdict[0] == "holds":
-            return [rec(None, None, *verdict)]
-        with mpmath.workdps(50):
-            try:
-                pairs = sides(claim, ctx.panel(fn, domain, confirm_kind))
-            except OracleError:
-                return [rec(None, None, "undefined")]
-            return [confirmed(None, None, classify(*pairs[i], tol, eq_tol))]
-
+    exact, row = fn.poly_coeffs is not None, _row(claim)
     met = [q for q in qs if q not in unmet] if unmet else qs
     float_first = claim.family != "prop"
     out: list = []
     pending: dict = {}  # lam -> ([record index], [q]) of the cells left to confirm
-    p = None
+    p, half = None, 0  # the float panel; the enclosure half the block keeps
     for lam in lams:
         verdicts, failed = (), False
         if float_first and met:
             try:
                 p = p or ctx.panel(fn, domain, "float")
-                verdicts = _lambda_row(claim, p, lam, met, tol, eq_tol)
+                verdicts = row(claim, p, lam, met, tol, eq_tol)
             except OracleError:
                 failed = True
+            if len(verdicts) > len(met):
+                half = 0 if verdicts[0][3] <= verdicts[1][3] else 1
+                verdicts = verdicts[half:]
         cells = iter(verdicts)
         for q in qs:
             if q in unmet:
@@ -784,12 +748,15 @@ def _evaluate_block(
         with mpmath.workdps(50):
             for lam, (indices, row_qs) in pending.items():
                 try:
-                    p = p or ctx.panel(fn, domain, confirm_kind)
-                    verdicts = _lambda_row(claim, p, lam, row_qs, tol, eq_tol)
+                    p = p or ctx.panel(fn, domain, "exact" if exact else "refined")
+                    verdicts = row(claim, p, lam, row_qs, tol, eq_tol)[half:]
                 except OracleError:
                     verdicts = [("undefined",)] * len(row_qs)
                 for k, q, verdict in zip(indices, row_qs, verdicts):
-                    out[k] = confirmed(lam, q, verdict)
+                    if verdict[0] == "undefined":
+                        out[k] = rec(lam, q, "undefined")
+                    else:
+                        out[k] = rec(lam, q, *verdict, exact)
     return out
 
 
@@ -946,46 +913,42 @@ def _screen(
 ) -> bool:
     """Whether a search trial at (lam, q) is no hit, settled before its
     record builds a sampled check, the sampled envelope or an exact panel
-    (False where the screen raised: the evaluation meets the error).  Only
-    a confirmed 'violated' record is a hit, so a trial is settled where
+    (False where the screen raised: the evaluation meets the error).  The
+    screen reads every half of the trial's float cell, from the claim's row
+    function on the float panel.  Only a confirmed 'violated' record is a
+    hit, so a trial is settled where
 
     * its interval leaves f's domain or a guard ('f has d4', x^n) is unmet;
-    * (corm, envelope, simpson4) every half of its float cell holds with a
-      positive margin on :func:`_endpoint_envelope`: a sampled envelope
-      only raises M or widens the f'' range, so the record's cell holds too;
-    * (a hypothesis in :data:`_SAMPLED`) its float cell comfortably holds,
-      which :func:`_evaluate_block` accepts whatever the hypothesis;
-    * (a polynomial) every half of that cell has m - E >= -tol (E from
+    * (every family but the propositions, which :func:`_evaluate_block`
+      decides on the exact panel) every half holds with a positive margin,
+      on :func:`_endpoint_envelope` for the families in :data:`_ENVELOPED`:
+      the block accepts a float 'holds' whatever the hypothesis, and a
+      sampled envelope only raises M or widens the f'' range, so the
+      record's cell holds too;
+    * (a polynomial) every half has m - E >= -tol (E from
       :func:`_margin_error`), and a confirmed 'violated' needs an exact
-      margin below -tol max(1, |lhs|, |rhs|) <= -tol.
+      margin below -tol max(1, |lhs|, |rhs|) <= -tol;
+    * (enveloped, with a hypothesis in :data:`_SAMPLED`) every half holds
+      on the sampled envelope, before the hypothesis is checked.
     """
     if not fn.domain.contains(domain):
         return True
     hypothesis = claim.hypothesis
     if hypothesis not in _SAMPLED and not _HYPOTHESES[hypothesis](fn, domain, q, ctx):
         return True
-    tol, eq_tol = ctx.config.tol, ctx.config.eq_tol
-
-    def cell(env=None):  # the float verdict of every half, and the half kept
-        if claim.family in _SIDES:
-            pairs = _SIDES[claim.family](claim, p, env)
-            return [classify(*pair, tol, eq_tol) for pair in pairs], _half(pairs)
-        return _lambda_row(claim, p, lam, (q,), tol, eq_tol, env), 0
-
+    tol, eq_tol, row = ctx.config.tol, ctx.config.eq_tol, _row(claim)
     try:
         p = ctx.panel(fn, domain, "float")
         env = _endpoint_envelope(fn, domain) if claim.family in _ENVELOPED else None
-        verdicts, i = cell(env)
-        if (all(v[0] == "holds" and v[3] > 0 for v in verdicts) if env is not None
-                else hypothesis in _SAMPLED and verdicts[i][0] == "holds"):
+        verdicts = row(claim, p, lam, (q,), tol, eq_tol, env)
+        if claim.family != "prop" and all(v[0] == "holds" and v[3] > 0 for v in verdicts):
             return True
         if fn.poly_coeffs is not None:
             err = _margin_error(fn, p, q, sum(abs(v[1]) + abs(v[2]) for v in verdicts))
             if all(v[3] - err >= -tol for v in verdicts):
                 return True
         if env is not None and hypothesis in _SAMPLED:
-            verdicts, i = cell()
-            return verdicts[i][0] == "holds"
+            return all(v[0] == "holds" for v in row(claim, p, lam, (q,), tol, eq_tol))
     except Exception:  # noqa: BLE001 - the unscreened path decides the trial
         return False
     return False
@@ -1020,10 +983,11 @@ def find_counterexample(
     as campaign records before being returned.
 
     Only a confirmed 'violated' record is a hit, so a trial that
-    :func:`_screen` settles builds no record: no P-check or convexity check
-    where its float cell comfortably holds, no sampled envelope where the
-    cell holds on f'' and f'''' at a and b, no exact panel where a
-    polynomial's float margin cannot become a confirmed violation.
+    :func:`_screen` settles builds no record: no P-check, convexity check
+    or sampled envelope where every half of its float cell holds with a
+    positive margin (on f'' and f'''' at a and b where the bound reads an
+    envelope), and no exact panel where a polynomial's float margin cannot
+    become a confirmed violation.
     ``trials=0`` searches no trial.
     """
     claim = get_claim(claim_id)

@@ -2,8 +2,8 @@
 checks and the harness.
 
 This module owns the record format: :data:`FIELDS` names the eleven report
-keys in order, and :meth:`VerificationRecord.values` gives a record's
-values in that order, for the JSON, CSV and table writers of :mod:`cli`.
+keys in order, the order of a record's values, which the JSON, CSV and
+table writers of :mod:`cli` unpack.
 It also owns the one status rule: :func:`classify_row` decides a row of
 inequalities that share their left-hand side, and :func:`classify` is its
 one-cell form.
@@ -74,10 +74,6 @@ class VerificationRecord(tuple):
     def __repr__(self) -> str:
         fields = ", ".join(f"{n}={v!r}" for n, v in zip(_NAMES, self))
         return f"VerificationRecord({fields})"
-
-    def values(self) -> VerificationRecord:
-        """The field values, in the order of :data:`FIELDS`: the record itself."""
-        return self
 
     def as_dict(self) -> dict:
         """The record as a report writes it, keyed by :data:`FIELDS`."""

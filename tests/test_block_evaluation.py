@@ -274,11 +274,9 @@ BOUND_FUNCTIONS = {
 def _cell_pairs(claim, p, lam, q, env):
     """The (lhs, rhs) pairs of a search trial's cell on panel ``p``, in the
     panel's number type, as the screen's float cell classifies them."""
-    if claim.family in harness._SIDES:
-        return harness._SIDES[claim.family](claim, p, env)
     pairs = lambda lhs, rhss, *args: [(lhs, rhs) for rhs in rhss]  # noqa: E731
     with mock.patch.object(harness, "classify_row", pairs):
-        return harness._lambda_row(claim, p, lam, (q,), 0.0, 0.0, env)
+        return harness._row(claim)(claim, p, lam, (q,), 0.0, 0.0, env)
 
 
 def _mp(x):
@@ -436,6 +434,19 @@ def test_upper_half_of_an_enclosure_is_confirmed():
     records = run_campaign(cfg, registry).records
     assert list(records) == reference_records(cfg, registry)
     assert all(r.exact for r in records)
+
+
+def test_kept_half_is_chosen_on_the_float_margin():
+    # the upper half has the smaller float margin and is confirmed; on the
+    # exact panel the lower half's margin is the smaller one
+    cfg = CampaignConfig(
+        claims=("mid-envelope",), functions=("poly3",),
+        intervals=((0.7603466085822973, 0.7604529674759943),),
+    )
+    (record,) = run_campaign(cfg).records
+    assert (record.lhs, record.rhs, record.margin, record.status, record.exact) == (
+        2.150451332968737e-09, 2.1506017272930937e-09, 1.503943243571104e-13, "holds", True
+    )
 
 
 def test_non_polynomials_on_unit_subintervals_match_reference():

@@ -204,6 +204,25 @@ class TestSampler:
         with pytest.raises(ValueError, match="interval_range must be finite"):
             CampaignConfig(interval_range=interval_range, min_width=min_width)
 
+    @pytest.mark.parametrize(
+        "interval",
+        [
+            (3.0, 2.5),  # reversed
+            (2.0, 2.0),
+            (-0.0, 0.0),
+            (1.0, math.nan),
+            (math.nan, 1.0),
+            (1.0, math.inf),
+            (-math.inf, 1.0),
+            (1.0,),
+            (1.0, 2.0, 3.0),
+        ],
+    )
+    def test_invalid_interval_rejected(self, interval):
+        # rejected with the config, before a stream yields any record
+        with pytest.raises(ValueError, match="each interval must be a finite pair a < b"):
+            CampaignConfig(intervals=((1.0, 2.0), interval))
+
     @pytest.mark.parametrize("interval_range", [(0.0, 0.05), (-1.0, -0.95), (2, 3)])
     def test_narrowest_interval_range_draws_inside_it(self, interval_range):
         # min_width = hi - lo is allowed: every draw is the whole range,

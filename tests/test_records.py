@@ -1,7 +1,7 @@
 """The verification record: an immutable tuple of a report's field values.
 
 A record is built by position or by keyword, read by field name, and
-hashable; its ``values()`` follow :data:`~hhbounds.records.FIELDS`.  Every
+hashable; its values follow :data:`~hhbounds.records.FIELDS`.  Every
 record, however it is built, passes through ``__post_init__`` exactly once.
 A row of inequalities that share their left-hand side is classified cell
 for cell as :func:`~hhbounds.records.classify` classifies each one.
@@ -71,9 +71,9 @@ def test_unknown_status_raises(status):
 @pytest.mark.parametrize("status", STATUSES)
 def test_values_follow_fields(status):
     record = make(status=status, lam=None)
-    assert record.values() == tuple(getattr(record, n) for n in NAMES)
+    assert record == tuple(getattr(record, n) for n in NAMES)
     assert list(record.as_dict()) == list(FIELDS)
-    assert tuple(record.as_dict().values()) == record.values()
+    assert tuple(record.as_dict().values()) == record
 
 
 def test_copies_are_equal_records():
