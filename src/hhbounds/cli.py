@@ -192,13 +192,21 @@ def _json_items(records):
 
     The records of a block hold the same claim, function, a and b objects,
     so that prefix is formatted once per block, and the (lambda, q)
-    fragment once per grid point (:func:`_by_identity`).  Per record only
-    lhs, rhs, margin, status and exact are formatted.
+    fragment once per grid point (:func:`_by_identity`).  The records of a
+    lam row share their lhs object, formatted once per row, and a str
+    status with a bool exact is formatted once per pair.  Per record only
+    rhs and margin are formatted.
     """
-    block, prefix = (object(),) * 4, ""
+    block, prefix, row, lhs_text = (object(),) * 4, "", object(), ""
     grid = _by_identity(
         lambda lam, q: f'{_json_field(lam)},\n      "q": {_json_field(q)},\n      "lhs": '
     )
+
+    def end(status, exact) -> str:
+        status, exact = _json_field(status), _json_field(exact)
+        return f',\n      "status": {status},\n      "exact": {exact}\n    }}'
+
+    ends = _by_identity(end)
     for item in records:
         values = _fields(item)
         if values is None:
@@ -215,37 +223,36 @@ def _json_items(records):
                 f'\n      "a": {_json_field(a)},\n      "b": {_json_field(b)},'
                 '\n      "lambda": '
             )
+        if lhs is not row:
+            row, lhs_text = lhs, _json_field(lhs)
+        tail = ends(status, exact) if type(status) is str and type(exact) is bool else None
         yield (
-            f"{prefix}{grid(lam, q)}"
-            f"{_repr(lhs) if type(lhs) is float and lhs - lhs == 0 else _json_field(lhs)}"
+            f"{prefix}{grid(lam, q)}{lhs_text}"
             ',\n      "rhs": '
             f"{_repr(rhs) if type(rhs) is float and rhs - rhs == 0 else _json_field(rhs)}"
             ',\n      "margin": '
             f"{_repr(margin) if type(margin) is float and margin - margin == 0 else _json_field(margin)}"
-            ',\n      "status": '
-            f"{_ascii(status) if type(status) is str else _json_field(status)}"
-            ',\n      "exact": '
-            f'{"true" if exact is True else "false" if exact is False else _json_field(exact)}'
-            "\n    }"
+            f"{tail or end(status, exact)}"
         )
 
 
 def _by_identity(text):
-    """``text(lam, q)``, cached by the identity of ``lam`` and ``q``.
+    """``text(x, y)``, cached by the identity of ``x`` and ``y``.
 
-    A campaign takes the two values from its grids, so a report holds few
-    distinct pairs; records with fresh objects refill the cache, which is
-    cleared when it holds 4096 entries.  An entry holds lam and q, so their
-    ids are not reused while it is cached.
+    A campaign takes lam and q from its grids and a status from
+    :data:`~hhbounds.records.STATUSES`, so a report holds few distinct
+    pairs; records with fresh objects refill the cache, which is cleared
+    when it holds 4096 entries.  An entry holds x and y, so their ids are
+    not reused while it is cached.
     """
     cache = {}
 
-    def cached(lam, q):
-        hit = cache.get((id(lam), id(q)))
+    def cached(x, y):
+        hit = cache.get((id(x), id(y)))
         if hit is None:
             if len(cache) >= 4096:
                 cache.clear()
-            hit = cache[id(lam), id(q)] = lam, q, text(lam, q)
+            hit = cache[id(x), id(y)] = x, y, text(x, y)
         return hit[2]
 
     return cached
@@ -271,9 +278,10 @@ def to_csv(records, out: Optional[TextIO] = None) -> Optional[str]:
     is written as ``true`` or ``false``.
 
     As in :func:`_json_items`, the claim, function, a, b cells are
-    formatted once per block and the lambda, q cells once per grid point;
-    per record, float sides are written by ``float.__repr__`` and anything
-    else through ``csv.writer``.
+    formatted once per block, the lambda, q cells once per grid point, the
+    lhs cell once per lam row and a str status with a bool exact once per
+    pair; per record, float sides are written by ``float.__repr__`` and
+    anything else through ``csv.writer``.
     """
     buf = io.StringIO() if out is None else out
     write = buf.write
@@ -293,23 +301,29 @@ def to_csv(records, out: Optional[TextIO] = None) -> Optional[str]:
         # quoted, as csv.writer quotes a row of one empty cell
         return csv_cells(v, None)[:-1]
 
+    def end(status, exact) -> str:
+        # a record's status is one of STATUSES, which need no quoting
+        return f"{status if type(status) is str else cell(status)},{'true' if exact else 'false'}\n"
+
     write(csv_cells(*FIELDS) + "\n")
-    block, prefix = (object(),) * 4, ""
+    block, prefix, row, lhs_text = (object(),) * 4, "", object(), ""
     grid = _by_identity(lambda lam, q: csv_cells(lam, q) + ",")
+    ends = _by_identity(end)
     for claim, function, a, b, lam, q, lhs, rhs, margin, status, exact in records:
         if not (
             claim is block[0] and function is block[1] and a is block[2] and b is block[3]
         ):
             block = claim, function, a, b
             prefix = csv_cells(claim, function, a, b) + ","
-        # a record's status is one of STATUSES, which need no quoting
+        if lhs is not row:
+            row = lhs
+            lhs_text = _repr(lhs) if type(lhs) is float else "" if lhs is None else cell(lhs)
+        tail = ends(status, exact) if type(status) is str and type(exact) is bool else None
         write(
-            f"{prefix}{grid(lam, q)}"
-            f"{_repr(lhs) if type(lhs) is float else '' if lhs is None else cell(lhs)},"
+            f"{prefix}{grid(lam, q)}{lhs_text},"
             f"{_repr(rhs) if type(rhs) is float else '' if rhs is None else cell(rhs)},"
             f"{_repr(margin) if type(margin) is float else '' if margin is None else cell(margin)},"
-            f"{status if type(status) is str else cell(status)},"
-            f"{'true' if exact else 'false'}\n"
+            f"{tail or end(status, exact)}"
         )
     return buf.getvalue() if out is None else None
 

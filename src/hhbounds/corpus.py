@@ -80,6 +80,10 @@ class TestFunction:
     (n + 1) 2^-52 sum |c_k| |x|^k of p's at x, over the derivative's c_k.
     ``exact_integral(a, b)`` returns the antiderivative difference where a
     closed form exists.
+
+    Instances are immutable, and every run in a process reads the standard
+    registry's instances (:func:`get_function`), so the cached ``_terms``,
+    ``_d2_terms`` and ``_horner`` table are built once per process.
     """
 
     __test__ = False  # not a pytest class, despite the name
@@ -108,6 +112,16 @@ class TestFunction:
         if self.poly_coeffs is None:
             return None
         return _poly_terms(poly_derivative_coeffs(self.poly_coeffs, 2))
+
+    @functools.cached_property
+    def _horner(self) -> dict[int, tuple[tuple[int, float], ...]]:
+        """Per derivative order 0, 2 and 4 of a polynomial, the pairs
+        (k - order, float(|c_k| k!/(k - order)!)) over ``_terms``, k >= order."""
+        return {
+            order: tuple((k - order, float(abs(c) * math.perm(k, order)))
+                         for k, c in self._terms if k >= order)
+            for order in (0, 2, 4)
+        }
 
 
 @dataclass(frozen=True)

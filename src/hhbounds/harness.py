@@ -69,8 +69,8 @@ from .corpus import (
     GridSpec,
     Interval,
     TestFunction,
+    _REGISTRY,
     check_p_convex,
-    corpus_standard,
 )
 from .oracle import OracleError, _sample, _terms_at, _value_at, to_mpf
 from .records import STATUSES, VerificationRecord, classify_row
@@ -505,9 +505,12 @@ def _endpoint_envelope(fn: TestFunction, domain: Interval) -> SimpleNamespace:
 def _horner_bound(fn: TestFunction, x: float, order: int = 0) -> float:
     """(n + 1) 2^-52 |p^(order)|(|x|), |p| taking the n + 1 coefficients of
     f's polynomial p absolutely: how far f (order 0), f'' (2) or f'''' (4)
-    may lie from p's at x (see :class:`TestFunction`)."""
-    terms = [(k, abs(c) * math.perm(k, order)) for k, c in fn._terms if k >= order]
-    return len(fn.poly_coeffs) * 2.0**-52 * sum(c * abs(x) ** (k - order) for k, c in terms)
+    may lie from p's at x (see :class:`TestFunction`).  Each |c_k| k!/(k -
+    order)! is read as a float from fn's cached ``_horner`` table: a
+    ``Fraction`` times a float rounds the Fraction to that double first, so
+    every term and the sum are those of the exact coefficients."""
+    terms = fn._horner[order]
+    return len(fn.poly_coeffs) * 2.0**-52 * sum(c * abs(x) ** e for e, c in terms)
 
 
 def _pconvex(fn: TestFunction, domain: Interval, q: float, of: str, grid: GridSpec):
@@ -692,14 +695,13 @@ def _evaluate_block(
     propositions, stated for x^n, go to the exact panel directly.  An
     oracle failure makes the records it meets 'undefined'.
     """
-    def rec(lam, q, status, lhs=None, rhs=None, margin=None, exact=False):
-        return VerificationRecord(
-            claim.id, fn.id, domain.lo, domain.hi, lam, q,
-            lhs, rhs, margin, status, exact,
-        )
+    head = claim.id, fn.id, domain.lo, domain.hi
+
+    def bare(lam, q, status):  # a cell without sides
+        return VerificationRecord(*head, lam, q, None, None, None, status, False)
 
     if not fn.domain.contains(domain):
-        return [rec(lam, q, "hypothesis_failed") for lam in lams for q in qs]
+        return [bare(lam, q, "hypothesis_failed") for lam in lams for q in qs]
     hypothesis, unmet = _HYPOTHESES[claim.hypothesis], {}
     for q in qs:
         try:
@@ -730,13 +732,14 @@ def _evaluate_block(
         cells = iter(verdicts)
         for q in qs:
             if q in unmet:
-                out.append(rec(lam, q, unmet[q]))
+                out.append(bare(lam, q, unmet[q]))
             elif failed:
-                out.append(rec(lam, q, "undefined"))
+                out.append(bare(lam, q, "undefined"))
             else:
                 verdict = next(cells, None)
                 if verdict is not None and verdict[0] == "holds":
-                    out.append(rec(lam, q, *verdict))
+                    status, lhs, rhs, margin = verdict
+                    out.append(VerificationRecord(*head, lam, q, lhs, rhs, margin, status, False))
                 else:
                     indices, row_qs = pending.setdefault(lam, ([], []))
                     indices.append(len(out))
@@ -754,9 +757,10 @@ def _evaluate_block(
                     verdicts = [("undefined",)] * len(row_qs)
                 for k, q, verdict in zip(indices, row_qs, verdicts):
                     if verdict[0] == "undefined":
-                        out[k] = rec(lam, q, "undefined")
+                        out[k] = bare(lam, q, "undefined")
                     else:
-                        out[k] = rec(lam, q, *verdict, exact)
+                        status, lhs, rhs, margin = verdict
+                        out[k] = VerificationRecord(*head, lam, q, lhs, rhs, margin, status, exact)
     return out
 
 
@@ -774,12 +778,16 @@ class CampaignResult:
 
 def resolve_claims(ids) -> list[BoundClaim]:
     if ids == ("all",) or ids == ["all"]:
-        return list(ledger_standard())
+        return list(_LEDGER.values())
     return [get_claim(cid) for cid in ids]
 
 
 def resolve_functions(ids, registry) -> list[TestFunction]:
-    reg = registry if registry is not None else {f.id: f for f in corpus_standard()}
+    """The functions of ``registry`` named by ``ids`` (all of them for
+    ``all``).  With no registry they are the standard registry's instances,
+    shared by every run in the process, so their cached constants are
+    built once."""
+    reg = registry if registry is not None else _REGISTRY
     if ids == ("all",) or ids == ["all"]:
         out = list(reg.values())
     else:
@@ -867,8 +875,8 @@ def _count(entry: dict, records) -> None:
     emitted order, so that the first of equal least margins is kept."""
     counts, low = entry["by_status"], entry["min_margin"]
     for r in records:
-        counts[r.status] += 1
-        m = r.margin
+        counts[r[9]] += 1  # the status
+        m = r[8]  # the margin
         if m is not None and (low is None or m < low):
             low = m
     entry["records"] += len(records)

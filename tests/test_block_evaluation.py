@@ -31,7 +31,7 @@ from hhbounds.harness import (
     get_claim,
     run_campaign,
 )
-from hhbounds.oracle import EvaluationError, OracleError, to_mpf
+from hhbounds.oracle import EvaluationError, OracleError, _poly_terms, to_mpf
 from hhbounds.records import classify
 
 from harness_reference import Reference, reference_records, reference_search
@@ -257,6 +257,35 @@ def test_endpoint_envelope_lies_inside_the_sampled_one(fid, u, v):
     assert env.lower_d2 <= ends.lower_d2 and ends.upper_d2 <= env.upper_d2
     assert (ends.sup_abs_d4 is None) == (env.sup_abs_d4 is None)
     assert ends.sup_abs_d4 is None or 0 <= ends.sup_abs_d4 <= env.sup_abs_d4
+
+
+# x^2 ... x^15, const1 and two polynomials whose coefficients cancel, each
+# also at the edge of the rounding TestFunction's contract allows.
+HORNER_FUNCTIONS = [
+    h
+    for g in (*map(_monomial, range(2, 16)), get_function("const1"), QUARTIC, SHIFTED_QUINTIC)
+    for h in (g, at_contract_edge(g))
+]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(
+    fn=st.sampled_from(HORNER_FUNCTIONS),
+    order=st.sampled_from([0, 2, 4]),
+    x=st.just(0.0) | st.tuples(st.floats(1e-300, 1e3), st.booleans()).map(
+        lambda t: -t[0] if t[1] else t[0]
+    ),
+)
+def test_horner_table_gives_the_fraction_sum_bit_for_bit(fn, order, x):
+    # the bound as it reads in Fraction arithmetic, each |c_k| k!/(k - order)!
+    # a Fraction multiplied by a float
+    terms = [
+        (k, abs(c) * math.perm(k, order)) for k, c in _poly_terms(fn.poly_coeffs) if k >= order
+    ]
+    expected = len(fn.poly_coeffs) * 2.0**-52 * sum(c * abs(x) ** (k - order) for k, c in terms)
+    bound = harness._horner_bound(fn, x, order)
+    assert type(bound) is type(expected) is float
+    assert bound.hex() == expected.hex()
 
 
 # The polynomials of the error bound's property test: monomials, const1, two

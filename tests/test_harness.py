@@ -9,7 +9,7 @@ import mpmath
 import numpy as np
 import pytest
 
-from hhbounds import bounds, functionals, harness, oracle
+from hhbounds import bounds, corpus, functionals, harness, oracle
 from hhbounds.corpus import GridSpec, Interval, TestFunction, corpus_standard
 from hhbounds.harness import (
     PROOF_BACKED,
@@ -176,6 +176,35 @@ class TestLedger:
         for c in LEDGER:
             if c.fixed_lambda is not None:
                 assert type(c.fixed_lambda) is float
+
+
+class TestSharedInstances:
+    """Every run in a process reads the standard registry's functions and
+    the ledger's claims, so what a function caches is built once."""
+
+    def test_all_functions_are_the_registry_instances(self):
+        fns = harness.resolve_functions(("all",), None)
+        assert [f.id for f in fns] == list(corpus.function_ids())
+        assert all(f is corpus.get_function(f.id) for f in fns)
+
+    def test_all_claims_are_the_ledger_instances(self):
+        claims = harness.resolve_claims(("all",))
+        assert [c.id for c in claims] == list(claim_ids())
+        assert all(c is get_claim(c.id) for c in claims)
+
+    def test_second_search_builds_no_polynomial_terms(self, monkeypatch):
+        cfg = CampaignConfig(functions=("all",), trials=40, seed=3)
+        first = find_counterexample("thm6-derived", cfg)
+        calls = []
+        terms = corpus._poly_terms
+
+        def counted(coeffs):
+            calls.append(coeffs)
+            return terms(coeffs)
+
+        monkeypatch.setattr(corpus, "_poly_terms", counted)
+        assert find_counterexample("thm6-derived", cfg) == first
+        assert calls == []
 
 
 class TestSampler:

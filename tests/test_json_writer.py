@@ -35,7 +35,8 @@ RECORD = st.fixed_dictionaries(
         "rhs": NUMBER,
         "margin": NUMBER,
         "status": TEXT,
-        "exact": st.booleans(),
+        # a non-bool exact that equals True or False must not share its text
+        "exact": st.booleans() | st.sampled_from([0, 1, 0.0, 1.0, None]),
     }
 )
 # Record-like dicts the template must not take: other key orders or keys.
@@ -105,6 +106,19 @@ def test_records_read_from_an_iterator(doc):
 
     streamed = {**doc, "records": records(), "summary": summary}
     assert _written(streamed) == json.dumps(doc, indent=2) + "\n"
+
+
+def test_exact_equal_to_a_bool_is_written_as_itself():
+    # True == 1 and False == 0, and they hash alike, but json.dumps writes
+    # them apart, so a record's text may not be taken from one with the other
+    record = {
+        "claim": "thm5", "function": "poly3", "a": 1.0, "b": 2.0, "lambda": 0.5,
+        "q": None, "lhs": 0.25, "rhs": 0.5, "margin": 0.25, "status": "holds",
+    }
+    for first, second in ((True, 1), (False, 0), (1, True), (0, False)):
+        records = [{**record, "exact": first}, {**record, "exact": second}]
+        doc = {"version": "0.1.0", "records": records, "summary": {}}
+        assert _written(doc) == json.dumps(doc, indent=2) + "\n"
 
 
 def test_campaign_report_equals_json_dumps():
