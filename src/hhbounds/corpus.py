@@ -164,8 +164,8 @@ def _lattice_size(grid: GridSpec) -> int:
 
 @dataclass(frozen=True)
 class PViolation:
-    """A sampled triple violating the P-inequality: lhs > rhs + tol, with
-    lhs = g(lam*x + (1-lam)*y) and rhs = g(x) + g(y)."""
+    """A sampled triple violating the P-inequality: lhs > rhs + _TOL_ABS,
+    with lhs = g(lam*x + (1-lam)*y) and rhs = g(x) + g(y)."""
 
     x: float
     y: float
@@ -186,11 +186,14 @@ class PConvexityReport:
         return self.status == "passed"
 
 
+# The absolute slack of the P-inequality on the lattice samples.
+_TOL_ABS = 1e-12
+
+
 def check_p_convex(
     g: Callable[[float], float],
     domain: Interval,
     grid: GridSpec = GridSpec(),
-    tol_abs: float = 1e-12,
 ) -> PConvexityReport:
     """Lattice check of the P-function condition on ``domain``.
 
@@ -203,7 +206,8 @@ def check_p_convex(
     worst lattice triple: the z of largest excess, with x and y its two
     one-sided minimizers and lam = (y - z) / (y - x).
 
-    A negative sample below ``-tol_abs`` is its own witness (x == y,
+    A sample excess above :data:`_TOL_ABS` (1e-12) is a violation.  A
+    negative sample below ``-_TOL_ABS`` is its own witness (x == y,
     lam = 0.5), since g(x) <= 2 g(x) fails exactly when g(x) < 0.  A
     non-finite sample yields the distinct "undefined" status, at the first
     such lattice point, rather than a violation.
@@ -218,7 +222,7 @@ def check_p_convex(
     if np.any(bad):
         return PConvexityReport("undefined", n, undefined_at=float(zs[np.argmax(bad)]))
 
-    negative = gz < -tol_abs
+    negative = gz < -_TOL_ABS
     if np.any(negative):
         k = int(np.argmax(negative))
         w = PViolation(
@@ -228,7 +232,7 @@ def check_p_convex(
         return PConvexityReport("failed", n, witness=w)
 
     rhs = np.minimum.accumulate(gz) + np.minimum.accumulate(gz[::-1])[::-1]
-    if not np.any(gz > rhs + tol_abs):
+    if not np.any(gz > rhs + _TOL_ABS):
         return PConvexityReport("passed", n)
 
     k = int(np.argmax(gz - rhs))

@@ -45,7 +45,7 @@ deterministic for a fixed config.  A counterexample search screens every
 trial (:func:`_screen`) on the float row of the same row function, and
 builds no record, sampled check, envelope or exact panel for one that
 cannot be a hit: one where every half holds with a positive margin, or
-where a polynomial's margin less :func:`_margin_error` is >= -tol.
+where a polynomial's margin less :func:`_margin_error` is >= -TOL.
 """
 
 from __future__ import annotations
@@ -55,7 +55,7 @@ import math
 import random
 import weakref
 from collections import defaultdict
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
 from types import SimpleNamespace
@@ -73,7 +73,7 @@ from .corpus import (
     check_p_convex,
 )
 from .oracle import OracleError, _sample, _terms_at, _value_at, to_mpf
-from .records import STATUSES, VerificationRecord, classify_row
+from .records import EQ_TOL, STATUSES, TOL, VerificationRecord, classify_row
 
 __all__ = [
     "BoundClaim",
@@ -96,6 +96,7 @@ STATED_ONLY = "stated-only"
 
 DEFAULT_LAMBDA_GRID = tuple(i / 20 for i in range(21))
 DEFAULT_Q_GRID = (1.0, 1.5, 2.0, 4.0, 10.0)
+ORACLE_TOL = 1e-12  # the absolute tolerance of a panel's average
 
 
 @dataclass(frozen=True)
@@ -236,7 +237,13 @@ def get_claim(cid: str) -> BoundClaim:
 
 @dataclass(frozen=True)
 class CampaignConfig:
-    """Everything needed to reproduce a verification run byte for byte."""
+    """Everything needed to reproduce a verification run byte for byte.
+
+    The status band (:data:`~hhbounds.records.TOL`,
+    :data:`~hhbounds.records.EQ_TOL`), the oracle tolerance
+    :data:`ORACLE_TOL` and the P-checks' grid (the default
+    :class:`~hhbounds.corpus.GridSpec`) are fixed; :meth:`as_dict` echoes
+    them beside the fields."""
 
     claims: tuple[str, ...] = ()
     functions: tuple[str, ...] = ()
@@ -247,10 +254,6 @@ class CampaignConfig:
     lambda_grid: tuple[float, ...] = DEFAULT_LAMBDA_GRID
     q_grid: tuple[float, ...] = DEFAULT_Q_GRID
     seed: int = 0
-    tol: float = 1e-9
-    eq_tol: float = 1e-12
-    oracle_tol: float = 1e-12
-    pconvex_grid: GridSpec = field(default_factory=GridSpec)
 
     def __post_init__(self) -> None:
         if not self.lambda_grid or not self.q_grid:
@@ -281,6 +284,7 @@ class CampaignConfig:
                 raise ValueError(f"each {kind} may be given once, got {list(values)}")
 
     def as_dict(self) -> dict:
+        grid = GridSpec()
         return {
             "claims": list(self.claims),
             "functions": list(self.functions),
@@ -291,14 +295,10 @@ class CampaignConfig:
             "lambda_grid": list(self.lambda_grid),
             "q_grid": list(self.q_grid),
             "seed": self.seed,
-            "tol": self.tol,
-            "eq_tol": self.eq_tol,
-            "oracle_tol": self.oracle_tol,
-            "pconvex_grid": [
-                self.pconvex_grid.nx,
-                self.pconvex_grid.ny,
-                self.pconvex_grid.nlam,
-            ],
+            "tol": TOL,
+            "eq_tol": EQ_TOL,
+            "oracle_tol": ORACLE_TOL,
+            "pconvex_grid": [grid.nx, grid.ny, grid.nlam],
         }
 
 
@@ -339,9 +339,9 @@ class _Panel:
     (|f''(a)|^q + |f''(b)|^q)^(1/q).  A lam is keyed by its float, or on an
     exact panel by the name of the rule whose exact lam a claim fixes; its
     exact value and exact moment are per-run constants of the context.  An
-    exact panel also keeps |F(lam)| and the lam factor as mpfs (the stated
-    constant halves the factor once per row); it meets mpfs only inside the
-    50-digit confirmation context, so they are all taken at that precision.
+    exact panel also keeps the lam factor as an mpf (the stated constant
+    halves it once per row); it meets mpfs only inside the 50-digit
+    confirmation context, so they are all taken at that precision.
     """
 
     __slots__ = (
@@ -362,10 +362,9 @@ class _Panel:
             return
         self.domain = domain
         if kind == "refined":
-            tol = ctx.config.oracle_tol / 10.0
-            avg = oracle.integrate(fn.f, domain, tol).value / domain.width
+            avg = oracle.integrate(fn.f, domain, ORACLE_TOL / 10.0).value / domain.width
         else:
-            avg = functionals.average_value(fn, domain, ctx.config.oracle_tol)
+            avg = functionals.average_value(fn, domain, ORACLE_TOL)
         self.samples = functionals._samples(fn, domain, avg)
 
     @property
@@ -414,14 +413,6 @@ class _Panel:
                 self._line = f0, -functionals._gap_right(self.samples) - f0
             f0, slope = self._line
             v = memo[lam] = abs(f0 + self.lam(lam) * slope)
-        return v
-
-    def lhs_mp(self, lam):
-        """|F(lam)| as an mpf (exact panels)."""
-        memo = self._memo["lhs_mp"]
-        v = memo.get(lam)
-        if v is None:
-            v = memo[lam] = to_mpf(self.lhs(lam))
         return v
 
     def theorem6_row(self, lam, qs, variant: str) -> list:
@@ -513,16 +504,14 @@ def _horner_bound(fn: TestFunction, x: float, order: int = 0) -> float:
     return len(fn.poly_coeffs) * 2.0**-52 * sum(c * abs(x) ** e for e, c in terms)
 
 
-def _pconvex(fn: TestFunction, domain: Interval, q: float, of: str, grid: GridSpec):
-    """P-convexity of |d2|^q ('d2') or of f itself ('f'). Returns the
-    boolean outcome, or None when the scan was undefined."""
+def _pconvex(fn: TestFunction, domain: Interval, q: float, of: str):
+    """P-convexity of |d2|^q ('d2') or of f itself ('f') on the default
+    grid. Returns the boolean outcome, or None when the scan was undefined."""
     if of == "f":
         g = fn.f
-    elif q == 1.0:
-        g = lambda x, _d2=fn.d2: np.abs(_d2(x))  # noqa: E731
-    else:
+    else:  # x ** 1.0 is x bit for bit
         g = lambda x, _d2=fn.d2, _q=q: np.abs(_d2(x)) ** _q  # noqa: E731
-    rep = check_p_convex(g, domain, grid)
+    rep = check_p_convex(g, domain)
     return None if rep.status == "undefined" else rep.passed
 
 
@@ -531,8 +520,7 @@ class _Context:
     once: a build that raised an OracleError keeps its message, and every
     later lookup raises an OracleError with it without building anew."""
 
-    def __init__(self, config: CampaignConfig):
-        self.config = config
+    def __init__(self):
         self._cache: dict = {}  # key -> value, or the message of its failed build
         self._lams: dict = {}  # lam key -> (exact lam, its exact moment)
 
@@ -560,7 +548,7 @@ class _Context:
 
     def pconvex(self, fn: TestFunction, domain: Interval, q: float, of: str):
         key = ("pconvex", fn.id, of, float(q), domain.lo, domain.hi)
-        return self._get(key, _pconvex, fn, domain, q, of, self.config.pconvex_grid)
+        return self._get(key, _pconvex, fn, domain, q, of)
 
     def convex(self, fn: TestFunction, domain: Interval) -> bool:
         env = self.envelope(fn, domain)
@@ -609,7 +597,7 @@ _HYPOTHESES = {
 # ---------------------------------------------------------------------------
 
 
-def _lambda_row(claim: BoundClaim, p: _Panel, lam, qs, tol, eq_tol, env=None):
+def _lambda_row(claim: BoundClaim, p: _Panel, lam, qs, env=None):
     """The verdicts of |F(lam)| against the theorem 5/6, corollary or
     uniform-M bound at each q of ``qs``, on one panel; a special-means
     proposition is the corollary bound of its rule for x^n.  On an exact
@@ -631,13 +619,10 @@ def _lambda_row(claim: BoundClaim, p: _Panel, lam, qs, tol, eq_tol, env=None):
         ]
     else:  # thm6, and the corollaries and propositions at their rule's lam
         rhss = p.theorem6_row(lam, qs, claim.variant)
-    lhs_mp = None
-    if p.exact and any(type(r) is not Fraction for r in rhss):
-        lhs_mp = p.lhs_mp(lam)
-    return classify_row(p.lhs(lam), rhss, tol, eq_tol, lhs_mp)
+    return classify_row(p.lhs(lam), rhss, TOL, EQ_TOL)
 
 
-def _side_row(claim: BoundClaim, p: _Panel, lam, qs, tol, eq_tol, env=None):
+def _side_row(claim: BoundClaim, p: _Panel, lam, qs, env=None):
     """The verdict of each half of the one cell of a claim without lam or
     q, on one panel, in the panel's number type: a two-sided enclosure has
     two, so its row is longer than ``qs``.
@@ -665,7 +650,7 @@ def _side_row(claim: BoundClaim, p: _Panel, lam, qs, tol, eq_tol, env=None):
             pairs = ((fm, avg), (avg, (fa + fb) / 2))
         else:
             pairs = ((fm, 2 * avg), (2 * avg, 2 * (fa + fb)))
-    return [classify_row(lhs, (rhs,), tol, eq_tol)[0] for lhs, rhs in pairs]
+    return [classify_row(lhs, (rhs,), TOL, EQ_TOL)[0] for lhs, rhs in pairs]
 
 
 def _row(claim: BoundClaim):
@@ -711,7 +696,6 @@ def _evaluate_block(
         if not ok:
             unmet[q] = "undefined" if ok is None else "hypothesis_failed"
 
-    tol, eq_tol = ctx.config.tol, ctx.config.eq_tol
     exact, row = fn.poly_coeffs is not None, _row(claim)
     met = [q for q in qs if q not in unmet] if unmet else qs
     float_first = claim.family != "prop"
@@ -723,7 +707,7 @@ def _evaluate_block(
         if float_first and met:
             try:
                 p = p or ctx.panel(fn, domain, "float")
-                verdicts = row(claim, p, lam, met, tol, eq_tol)
+                verdicts = row(claim, p, lam, met)
             except OracleError:
                 failed = True
             if len(verdicts) > len(met):
@@ -752,7 +736,7 @@ def _evaluate_block(
             for lam, (indices, row_qs) in pending.items():
                 try:
                     p = p or ctx.panel(fn, domain, "exact" if exact else "refined")
-                    verdicts = row(claim, p, lam, row_qs, tol, eq_tol)[half:]
+                    verdicts = row(claim, p, lam, row_qs)[half:]
                 except OracleError:
                     verdicts = [("undefined",)] * len(row_qs)
                 for k, q, verdict in zip(indices, row_qs, verdicts):
@@ -835,7 +819,7 @@ class CampaignStream:
         intervals = sorted(intervals + sample_intervals(config))
         lam_grid, q_grid = sorted(config.lambda_grid), sorted(config.q_grid)
         fns = sorted(self._fns, key=_BY_ID)
-        ctx = _Context(config)
+        ctx = _Context()
         entries = {  # claim id -> its summary entry, in config order
             c.id: {
                 "provenance": c.provenance,
@@ -933,9 +917,9 @@ def _screen(
       the block accepts a float 'holds' whatever the hypothesis, and a
       sampled envelope only raises M or widens the f'' range, so the
       record's cell holds too;
-    * (a polynomial) every half has m - E >= -tol (E from
+    * (a polynomial) every half has m - E >= -TOL (E from
       :func:`_margin_error`), and a confirmed 'violated' needs an exact
-      margin below -tol max(1, |lhs|, |rhs|) <= -tol;
+      margin below -TOL max(1, |lhs|, |rhs|) <= -TOL;
     * (enveloped, with a hypothesis in :data:`_SAMPLED`) every half holds
       on the sampled envelope, before the hypothesis is checked.
     """
@@ -944,19 +928,19 @@ def _screen(
     hypothesis = claim.hypothesis
     if hypothesis not in _SAMPLED and not _HYPOTHESES[hypothesis](fn, domain, q, ctx):
         return True
-    tol, eq_tol, row = ctx.config.tol, ctx.config.eq_tol, _row(claim)
+    row = _row(claim)
     try:
         p = ctx.panel(fn, domain, "float")
         env = _endpoint_envelope(fn, domain) if claim.family in _ENVELOPED else None
-        verdicts = row(claim, p, lam, (q,), tol, eq_tol, env)
+        verdicts = row(claim, p, lam, (q,), env)
         if claim.family != "prop" and all(v[0] == "holds" and v[3] > 0 for v in verdicts):
             return True
         if fn.poly_coeffs is not None:
             err = _margin_error(fn, p, q, sum(abs(v[1]) + abs(v[2]) for v in verdicts))
-            if all(v[3] - err >= -tol for v in verdicts):
+            if all(v[3] - err >= -TOL for v in verdicts):
                 return True
         if env is not None and hypothesis in _SAMPLED:
-            return all(v[0] == "holds" for v in row(claim, p, lam, (q,), tol, eq_tol))
+            return all(v[0] == "holds" for v in row(claim, p, lam, (q,)))
     except Exception:  # noqa: BLE001 - the unscreened path decides the trial
         return False
     return False
@@ -1004,7 +988,7 @@ def find_counterexample(
         return CounterexampleSearch(record=None, trials=0)
     rng = random.Random(search.seed)
     trials = search.trials
-    ctx = _Context(search)
+    ctx = _Context()
 
     def attempt(fn, a, b, lam, q) -> Optional[VerificationRecord]:
         domain = Interval(a, b)

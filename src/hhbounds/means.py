@@ -19,7 +19,7 @@ import mpmath
 
 from . import bounds, functionals
 from .corpus import Interval
-from .records import VerificationRecord, classify
+from .records import EQ_TOL, TOL, VerificationRecord, classify
 
 __all__ = [
     "mean_arithmetic",
@@ -89,9 +89,6 @@ def check_proposition(
     n: int,
     q: float = 1.0,
     variant: str = "stated",
-    tol: float = 1e-9,
-    eq_tol: float = 1e-12,
-    dps: int = 50,
 ) -> VerificationRecord:
     """Check one special-means inequality for f(x) = x^n on [a, b].
 
@@ -102,9 +99,11 @@ def check_proposition(
     |f''(x)| = |n(n-1)| x^(n-2), i.e. |n(n-1)| (b-a)^2 / C *
     (a^(q(n-2)) + b^(q(n-2)))^(1/q) with C = 48, 24, 162 (stated) or 24,
     12, 81 (derived).  The rhs is rational at q = 1 and evaluated at
-    ``dps`` decimal digits otherwise, so a reported violation never rests
-    on double rounding.  The guard |n(n-1)| >= 3 is not enforced here;
-    callers that treat it as a hypothesis filter on n do so themselves.
+    50 decimal digits otherwise, so a reported violation never rests on
+    double rounding.  The status band is :data:`~hhbounds.records.TOL`
+    and :data:`~hhbounds.records.EQ_TOL`, as in a campaign.  The guard
+    |n(n-1)| >= 3 is not enforced here; callers that treat it as a
+    hypothesis filter on n do so themselves.
     """
     if idx not in (1, 2, 3):
         raise ValueError("proposition index must be 1, 2 or 3")
@@ -126,12 +125,12 @@ def check_proposition(
     )
     k = abs(n * (n - 1))
     ends = bounds.EndpointData(k * af ** (n - 2), k * bf ** (n - 2))
-    with mpmath.workdps(dps):
+    with mpmath.workdps(50):
         status, lhs, rhs, margin = classify(
             abs(functionals._lambda_value(samples, bounds.RULE_LAMBDA_EXACT[rule])),
             bounds.bound_corollary(rule, Interval(af, bf), q, ends, variant),
-            tol,
-            eq_tol,
+            TOL,
+            EQ_TOL,
         )
 
     fid = f"poly{n}" if 2 <= n <= 5 else f"x^{n}"

@@ -206,16 +206,16 @@ def integrate(
     tol: float = 1e-12,
     *,
     max_subdivisions: int = 1_000_000,
-    initial_panels: int = 8,
 ) -> QuadratureResult:
     """Adaptively integrate ``g`` over ``domain`` to absolute tolerance ``tol``.
 
     ``domain`` may be an :class:`~hhbounds.corpus.Interval` or an (lo, hi)
-    pair.  The routine starts from a uniform partition (so narrow features
-    inside a wide domain are still noticed), then repeatedly bisects the
-    panel with the largest error estimate.  Refinement stops once the summed
-    estimate drops below ``tol`` or below the rounding floor of the integral,
-    whichever is larger; the reported estimate stays honest either way.
+    pair.  The routine starts from a uniform partition into 8 panels (so
+    narrow features inside a wide domain are still noticed), then
+    repeatedly bisects the panel with the largest error estimate.
+    Refinement stops once the summed estimate drops below ``tol`` or below
+    the rounding floor of the integral, whichever is larger; the reported
+    estimate stays honest either way.
 
     Raises :class:`EvaluationError` for non-finite integrand values and
     :class:`ConvergenceError` (carrying the partial result) if the
@@ -227,7 +227,7 @@ def integrate(
     if not tol > 0:
         raise ValueError("tol must be positive")
 
-    edges = np.linspace(lo, hi, initial_panels + 1)
+    edges = np.linspace(lo, hi, 9)  # the 8 initial panels
     panels = _panel_estimates(g, list(zip(edges[:-1], edges[1:])))
 
     heap: list[tuple[float, int, float, float, float, float]] = []

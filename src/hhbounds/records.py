@@ -6,7 +6,8 @@ keys in order, the order of a record's values, which the JSON, CSV and
 table writers of :mod:`cli` unpack.
 It also owns the one status rule: :func:`classify_row` decides a row of
 inequalities that share their left-hand side, and :func:`classify` is its
-one-cell form.
+one-cell form.  :data:`TOL` and :data:`EQ_TOL` are the band every campaign
+record and special-means check is decided with.
 """
 
 from __future__ import annotations
@@ -22,6 +23,11 @@ from .oracle import to_mpf
 __all__ = ["STATUSES", "VerificationRecord"]
 
 STATUSES = ("holds", "equality", "violated", "hypothesis_failed", "undefined")
+
+# The status band: a margin below -TOL * scale is 'violated', one within
+# EQ_TOL * scale is 'equality' (see classify).
+TOL = 1e-9
+EQ_TOL = 1e-12
 
 # The report key of each field of a record, in field order.
 FIELDS = (
@@ -93,27 +99,27 @@ def classify(lhs, rhs, tol: float, eq_tol: float) -> tuple[str, float, float, fl
     scale = max(1, |lhs|, |rhs|), the status is 'violated' when the margin
     is below -tol * scale, 'equality' when an exact margin is zero or an
     inexact one lies within eq_tol * scale, 'undefined' when it is NaN,
-    and 'holds' otherwise.
+    and 'holds' otherwise.  Campaigns and the special-means checks pass
+    tol = :data:`TOL` and eq_tol = :data:`EQ_TOL`.
 
     Returns (status, lhs, rhs, margin) with the three values as floats.
     """
     return classify_row(lhs, (rhs,), tol, eq_tol)[0]
 
 
-def classify_row(lhs, rhss, tol: float, eq_tol: float, lhs_mp=None) -> list[tuple]:
+def classify_row(lhs, rhss, tol: float, eq_tol: float) -> list[tuple]:
     """:func:`classify` of ``lhs <= rhs`` for each rhs of ``rhss``: the
     verdicts of a row of inequalities that share their left-hand side,
-    which is converted once.  ``lhs_mp``, where the caller has it, is lhs
-    as an mpf at the working precision, read by the cells whose rhs is an
-    mpf.
+    which is converted once, to a float and, for the cells whose rhs is an
+    mpf, to an mpf at the working precision.
     """
     lhs_is_mp = isinstance(lhs, mpmath.mpf)
-    lhs_f = lhs_mp_f = None
+    lhs_f = lhs_mp = lhs_mp_f = None
     out = []
     for rhs in rhss:
         if isinstance(rhs, mpmath.mpf) and not lhs_is_mp:
-            if lhs_mp_f is None:
-                lhs_mp = to_mpf(lhs) if lhs_mp is None else lhs_mp
+            if lhs_mp is None:
+                lhs_mp = to_mpf(lhs)
                 lhs_mp_f = float(lhs_mp)
             side, side_f = lhs_mp, lhs_mp_f
         else:

@@ -27,6 +27,7 @@ import numpy as np
 from hhbounds import bounds, functionals, means, oracle
 from hhbounds.corpus import Interval, check_p_convex
 from hhbounds.harness import (
+    ORACLE_TOL,
     PROOF_BACKED,
     STATED_ONLY,
     get_claim,
@@ -40,7 +41,7 @@ from hhbounds.oracle import (
     poly_derivative_coeffs,
     poly_eval_exact,
 )
-from hhbounds.records import STATUSES, VerificationRecord, classify
+from hhbounds.records import EQ_TOL, STATUSES, TOL, VerificationRecord, classify
 
 PROP_RULES = ("midpoint", "trapezoid", "simpson")
 
@@ -49,8 +50,7 @@ class Reference:
     """Evaluates single records; caches only the P-checks and envelopes,
     which are the hypotheses' sampled inputs."""
 
-    def __init__(self, config):
-        self.config = config
+    def __init__(self):
         self._pcheck = {}
         self._envelope = {}
 
@@ -86,7 +86,7 @@ class Reference:
                 g = lambda x: np.abs(fn.d2(x))  # noqa: E731
             else:
                 g = lambda x: np.abs(fn.d2(x)) ** q  # noqa: E731
-            rep = check_p_convex(g, domain, self.config.pconvex_grid)
+            rep = check_p_convex(g, domain)
             self._pcheck[key] = None if rep.status == "undefined" else rep.passed
         return self._pcheck[key]
 
@@ -123,10 +123,10 @@ class Reference:
                 functionals.average_value_exact(fn, domain),
             )
         if kind == "refined":
-            tol = self.config.oracle_tol / 10.0
+            tol = ORACLE_TOL / 10.0
             avg = oracle.integrate(fn.f, domain, tol).value / domain.width
         else:
-            avg = functionals.average_value(fn, domain, self.config.oracle_tol)
+            avg = functionals.average_value(fn, domain, ORACLE_TOL)
         fm = float(fn.f(domain.midpoint))
         return float(fn.f(domain.lo)), fm, float(fn.f(domain.hi)), avg
 
@@ -189,17 +189,16 @@ class Reference:
     # -- one record ------------------------------------------------------
 
     def verdict(self, claim, fn, domain, lam, q):
-        tol, eq_tol = self.config.tol, self.config.eq_tol
         pairs = self.sides(claim, fn, domain, lam, q, "float")
         margins = [rhs - lhs for lhs, rhs in pairs]
         i = 0 if margins[0] <= margins[-1] else len(pairs) - 1
-        verdict = classify(*pairs[i], tol, eq_tol)
+        verdict = classify(*pairs[i], TOL, EQ_TOL)
         if verdict[0] == "holds":
             return (*verdict, False)
         exact = fn.poly_coeffs is not None
         with mpmath.workdps(50):
             pairs = self.sides(claim, fn, domain, lam, q, "exact" if exact else "refined")
-            return (*classify(*pairs[i], tol, eq_tol), exact)
+            return (*classify(*pairs[i], TOL, EQ_TOL), exact)
 
     def record(self, claim, fn, domain, lam, q) -> VerificationRecord:
         def rec(status, lhs=None, rhs=None, margin=None, exact=False):
@@ -226,8 +225,6 @@ class Reference:
                 monomial_order(fn),
                 q if q is not None else 1.0,
                 claim.variant,
-                tol=self.config.tol,
-                eq_tol=self.config.eq_tol,
             )
             return rec(inner.status, inner.lhs, inner.rhs, inner.margin, inner.exact)
         except OracleError:
@@ -246,7 +243,7 @@ def monomial_order(fn):
 
 def reference_records(config, registry=None) -> list[VerificationRecord]:
     """Every record of the campaign, one at a time, in the canonical order."""
-    ref = Reference(config)
+    ref = Reference()
     fns = resolve_functions(config.functions, registry)
     intervals = [tuple(map(float, iv)) for iv in config.intervals]
     intervals += sample_intervals(config)
@@ -318,7 +315,7 @@ def reference_search(claim_id, search, registry=None):
     rng = random.Random(search.seed)
     trials = search.trials
     lo, hi = search.interval_range
-    ref = Reference(search)
+    ref = Reference()
 
     def attempt(fn, a, b, lam, q):
         r = ref.record(claim, fn, Interval(a, b), lam, q)

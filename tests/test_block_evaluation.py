@@ -32,7 +32,7 @@ from hhbounds.harness import (
     run_campaign,
 )
 from hhbounds.oracle import EvaluationError, OracleError, _poly_terms, to_mpf
-from hhbounds.records import classify
+from hhbounds.records import EQ_TOL, TOL, classify
 
 from harness_reference import Reference, reference_records, reference_search
 from poly_functions import QUARTIC, SHIFTED_QUINTIC, array_shifted, at_contract_edge
@@ -110,7 +110,7 @@ def test_search_checks_p_convexity_only_where_float_cell_is_not_comfortable(
     out = find_counterexample(claim_id, cfg)
     assert (out.record, out.trials) == (None, 60)
 
-    ref, rng = Reference(cfg), random.Random(cfg.seed)
+    ref, rng = Reference(), random.Random(cfg.seed)
     fns = [get_function(fid) for fid in cfg.functions]
     unsettled = []
     for _ in range(cfg.trials):  # the trials, drawn as the search draws them
@@ -123,7 +123,7 @@ def test_search_checks_p_convexity_only_where_float_cell_is_not_comfortable(
             pairs = ref.sides(claim, fn, domain, lam, q, "float")
             margins = [rhs - lhs for lhs, rhs in pairs]
             pair = pairs[0 if margins[0] <= margins[-1] else -1]
-            if classify(*pair, cfg.tol, cfg.eq_tol)[0] != "holds":
+            if classify(*pair, TOL, EQ_TOL)[0] != "holds":
                 unsettled.append((domain.lo, domain.hi))
     assert [b[1:] for b in built if b[0] == "pcheck"] == unsettled
     assert 0 < len(unsettled) < cfg.trials
@@ -143,9 +143,9 @@ def _counted_builds(monkeypatch) -> list:
         built.append((kind, domain.lo, domain.hi))
         panel_init(self, ctx, fn, domain, kind)
 
-    def counted_pcheck(g, domain, grid):
+    def counted_pcheck(g, domain):
         built.append(("pcheck", domain.lo, domain.hi))
-        return check_p_convex(g, domain, grid)
+        return check_p_convex(g, domain)
 
     monkeypatch.setattr(harness, "_envelope", counted_envelope)
     monkeypatch.setattr(harness._Panel, "__init__", counted_init)
@@ -305,7 +305,7 @@ def _cell_pairs(claim, p, lam, q, env):
     panel's number type, as the screen's float cell classifies them."""
     pairs = lambda lhs, rhss, *args: [(lhs, rhs) for rhs in rhss]  # noqa: E731
     with mock.patch.object(harness, "classify_row", pairs):
-        return harness._row(claim)(claim, p, lam, (q,), 0.0, 0.0, env)
+        return harness._row(claim)(claim, p, lam, (q,), env)
 
 
 def _mp(x):
@@ -348,7 +348,7 @@ def test_rounding_bound_covers_the_float_margin_error(fid, cid, q, lam, a, log_w
     assume(0 < a < b)
     lam = lam if claim.uses_lambda else claim.fixed_lambda
     q = q if claim.uses_q else None
-    domain, ctx = Interval(a, b), harness._Context(CampaignConfig())
+    domain, ctx = Interval(a, b), harness._Context()
     p = ctx.panel(fn, domain, "float")
     env = None
     if claim.family in harness._ENVELOPED:

@@ -314,7 +314,6 @@ class TestVerifyCommand:
                          "--trials", "3", "--seed", "8")
         doc = json.loads(out)
         from hhbounds.harness import CampaignConfig, run_campaign
-        from hhbounds.corpus import GridSpec
 
         cfg = doc["config"]
         rebuilt = CampaignConfig(
@@ -327,10 +326,6 @@ class TestVerifyCommand:
             lambda_grid=tuple(cfg["lambda_grid"]),
             q_grid=tuple(cfg["q_grid"]),
             seed=cfg["seed"],
-            tol=cfg["tol"],
-            eq_tol=cfg["eq_tol"],
-            oracle_tol=cfg["oracle_tol"],
-            pconvex_grid=GridSpec(*cfg["pconvex_grid"]),
         )
         res = run_campaign(rebuilt)
         assert [r.as_dict() for r in res.records] == doc["records"]

@@ -23,6 +23,7 @@ from hhbounds.harness import (
     sample_intervals,
 )
 from hhbounds.oracle import to_mpf
+from hhbounds.records import TOL
 
 from harness_reference import reference_search, sort_key
 from poly_functions import QUARTIC, SHIFTED_QUINTIC, array_shifted
@@ -263,7 +264,7 @@ class TestSampler:
 
     def test_oversized_pconvex_grid_rejected(self):
         with pytest.raises(ValueError, match="exceeds the cap"):
-            CampaignConfig(pconvex_grid=GridSpec(1000, 1001, 1000))
+            GridSpec(1000, 1001, 1000)
 
     @pytest.mark.parametrize(
         "field, values",
@@ -524,7 +525,7 @@ class TestRunCampaign:
                         Interval(r.a, r.b), lam, Fraction(r.q), d2a, d2b, claim.variant
                     )
                     margin = float(rhs - to_mpf(lhs))
-                assert margin < -cfg.tol / 10 * scale, r
+                assert margin < -TOL / 10 * scale, r
                 checked += 1
             elif claim.family in ("thm5", "thm6", "cor") and fn.id == "expx":
                 refined = functionals.average_value(fn, Interval(r.a, r.b), 1e-13)
@@ -533,7 +534,7 @@ class TestRunCampaign:
                         fn, Interval(r.a, r.b), r.lam, refined
                     ).value
                 )
-                assert r.rhs - lhs < -cfg.tol / 10 * scale, r
+                assert r.rhs - lhs < -TOL / 10 * scale, r
                 checked += 1
         assert checked > 0
 

@@ -144,8 +144,8 @@ def _bits(verdicts) -> list:
     return [(v[0], *(struct.pack("<d", x) for x in v[1:])) for v in verdicts]
 
 
-def assert_row_is_cellwise(lhs, rhss, tol, eq_tol, lhs_mp=None):
-    row = classify_row(lhs, rhss, tol, eq_tol, lhs_mp)
+def assert_row_is_cellwise(lhs, rhss, tol, eq_tol):
+    row = classify_row(lhs, rhss, tol, eq_tol)
     assert _bits(row) == _bits([classify(lhs, rhs, tol, eq_tol) for rhs in rhss])
     return row
 
@@ -220,14 +220,13 @@ def test_fraction_row_is_classified_cell_for_cell(row, tolerances):
 )
 def test_mpf_row_is_classified_cell_for_cell(row, as_mpf, tolerances):
     # the 50-digit confirmation: Fraction and mpf bounds in one row, the
-    # lhs given as a Fraction (converted once), with its mpf, or as an mpf,
-    # against mpf bounds alone or mixed with Fractions
+    # lhs given as a Fraction (converted once) or as an mpf, against mpf
+    # bounds alone or mixed with Fractions
     lhs, exact_rhss = row
     with mpmath.workdps(50):
         rhss = [to_mpf(r) if m else r for r, m in zip(exact_rhss, as_mpf)]
         lhs_mp = to_mpf(lhs)
         assert_row_is_cellwise(lhs, rhss, *tolerances)
-        assert_row_is_cellwise(lhs, rhss, *tolerances, lhs_mp=lhs_mp)
         assert_row_is_cellwise(lhs_mp, [to_mpf(r) for r in exact_rhss], *tolerances)
         assert_row_is_cellwise(lhs_mp, rhss, *tolerances)  # mpf against Fractions
         # an mpf bound equal to the lhs: a zero mpf margin

@@ -1,0 +1,121 @@
+"""The package's surface: what the root exports, the names the benchmark's
+tracer looks up, the fixed tolerances a report echoes, and the imports of
+every source module."""
+
+import ast
+import dataclasses
+import importlib.util
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+import hhbounds
+from hhbounds import corpus, means, oracle, records
+from hhbounds.corpus import GridSpec, Interval
+from hhbounds.harness import BoundClaim, CampaignConfig
+
+SRC = Path(hhbounds.__file__).resolve().parent
+TRACER = Path(__file__).resolve().parents[1] / "bench" / "tracer.py"
+
+
+def test_root_exports_only_the_version():
+    assert hhbounds.__all__ == ["__version__"]
+
+
+def test_root_import_loads_no_submodule():
+    code = "import sys, hhbounds; print(sorted(m for m in sys.modules if m.startswith('hhbounds.')))"
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout == "[]\n"
+
+
+def test_tracer_finds_every_name_it_wraps():
+    # bench/tracer.py wraps these by (module, name) once hhbounds.cli is
+    # imported, and bench/checks.py counts records by BoundClaim's flags
+    spec = importlib.util.spec_from_file_location("bench_tracer", TRACER)
+    tracer = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tracer)
+    importlib.import_module("hhbounds.cli")
+    missing = [
+        (mod, name) for mod, name, _ in tracer.WRAPPED
+        if not hasattr(sys.modules.get(f"hhbounds.{mod}"), name)
+    ]
+    assert missing == []
+    assert {"uses_lambda", "uses_q"} <= {f.name for f in dataclasses.fields(BoundClaim)}
+
+
+def test_config_echoes_the_fixed_tolerances():
+    echo = CampaignConfig().as_dict()
+    assert {k: echo[k] for k in ("tol", "eq_tol", "oracle_tol", "pconvex_grid")} == {
+        "tol": 1e-9, "eq_tol": 1e-12, "oracle_tol": 1e-12, "pconvex_grid": [41, 41, 21],
+    }
+
+
+def _check_proposition(**kw):
+    return means.check_proposition(1, 1, 2, 3, **kw)
+
+
+def _integrate(**kw):
+    return oracle.integrate(np.exp, (0.0, 1.0), **kw)
+
+
+def _check_p_convex(**kw):
+    return corpus.check_p_convex(np.exp, Interval(0.0, 1.0), **kw)
+
+
+def _classify_row(**kw):
+    return records.classify_row(1.0, [2.0], 1e-9, 1e-12, **kw)
+
+
+@pytest.mark.parametrize(
+    "call, keyword, value",
+    [
+        pytest.param(call, keyword, value, id=f"{call.__name__.lstrip('_')}-{keyword}")
+        for call, keyword, value in [
+            (CampaignConfig, "tol", 1e-9),
+            (CampaignConfig, "eq_tol", 1e-12),
+            (CampaignConfig, "oracle_tol", 1e-12),
+            (CampaignConfig, "pconvex_grid", GridSpec()),
+            (_check_proposition, "tol", 1e-9),
+            (_check_proposition, "eq_tol", 1e-12),
+            (_check_proposition, "dps", 50),
+            (_integrate, "initial_panels", 8),
+            (_check_p_convex, "tol_abs", 1e-12),
+            (_classify_row, "lhs_mp", None),
+        ]
+    ],
+)
+def test_fixed_values_take_no_keyword(call, keyword, value):
+    with pytest.raises(TypeError):
+        call(**{keyword: value})
+
+
+def _unused_imports(path: Path) -> list[str]:
+    """The names a module's top-level imports bind that its code never
+    reads and its ``__all__`` does not list."""
+    tree = ast.parse(path.read_text())
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.Import):
+            bound += [a.asname or a.name.split(".")[0] for a in node.names]
+        elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+            bound += [a.asname or a.name for a in node.names]
+    read = {n.id for n in ast.walk(tree) if isinstance(n, ast.Name)}
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            read |= set(ast.literal_eval(node.value))
+    return [name for name in bound if name not in read]
+
+
+@pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
+def test_every_import_is_used(module):
+    assert _unused_imports(SRC / module) == []
