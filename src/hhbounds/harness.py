@@ -52,6 +52,8 @@ from __future__ import annotations
 
 import itertools
 import math
+import os
+import pickle
 import random
 import weakref
 from collections import defaultdict
@@ -796,9 +798,14 @@ class CampaignStream:
     claims and functions taken by id, intervals in sorted order and each
     block lambda-major over the sorted lambda and q grids.  The config
     repeats no key, so nothing ties and no record is sorted.
-    ``summary`` is filled in once the last block has been yielded.  A
-    reader that writes each block as it comes holds one block of records
-    at a time, beside the per-panel caches.  Unmet hypotheses yield
+    ``summary`` is filled in once the last block has been yielded.  Pair
+    i of the (function, interval) pairs, in that order, is evaluated claim
+    by claim, with its own per-run caches, by process i mod n
+    (:func:`_processes`); the reader is process 0, forks the others
+    (:func:`_fork`) and takes each block in its turn, so nothing depends
+    on n.  A reader that writes each block as it comes holds about one
+    block of records at a time.  Workers are killed and reaped when the
+    iteration ends, raises or is closed.  Unmet hypotheses yield
     'hypothesis_failed' records, oracle failures 'undefined' records;
     neither aborts the run.
     """
@@ -818,8 +825,12 @@ class CampaignStream:
         intervals = [tuple(map(float, iv)) for iv in config.intervals]
         intervals = sorted(intervals + sample_intervals(config))
         lam_grid, q_grid = sorted(config.lambda_grid), sorted(config.q_grid)
-        fns = sorted(self._fns, key=_BY_ID)
-        ctx = _Context()
+        pairs = [(fn, Interval(*iv)) for fn in sorted(self._fns, key=_BY_ID) for iv in intervals]
+        runs = [  # (claim, its lam values, its q values), claims by id
+            (c, lam_grid if c.uses_lambda else (c.fixed_lambda,), q_grid if c.uses_q else (None,))
+            for c in sorted(self._claims, key=_BY_ID)
+        ]
+        n = _processes(len(pairs) if runs else 0)
         entries = {  # claim id -> its summary entry, in config order
             c.id: {
                 "provenance": c.provenance,
@@ -829,15 +840,94 @@ class CampaignStream:
             }
             for c in self._claims
         }
-        for claim in sorted(self._claims, key=_BY_ID):
-            lams = lam_grid if claim.uses_lambda else (claim.fixed_lambda,)
-            qs = q_grid if claim.uses_q else (None,)
-            for fn in fns:
-                for a, b in intervals:
-                    block = _evaluate_block(claim, fn, Interval(a, b), lams, qs, ctx)
+
+        def share(k):  # the blocks of process k, in canonical order
+            ctx = _Context()
+            for claim, lams, qs in runs:
+                for fn, domain in pairs[k::n]:
+                    yield _evaluate_block(claim, fn, domain, lams, qs, ctx)
+
+        workers: list = []  # (pid, read end) of processes 1 to n - 1
+        try:
+            for k in range(1, n):
+                workers.append(_fork(share(k), workers))
+            own = share(0)
+            for claim, lams, qs in runs:
+                for i, (fn, domain) in enumerate(pairs):
+                    if i % n:
+                        head = claim.id, fn.id, domain.lo, domain.hi
+                        block = _receive(*workers[i % n - 1], head, lams, qs)
+                    else:
+                        block = next(own)
                     _count(entries[claim.id], block)
                     yield block
+        finally:
+            for pid, reader in workers:
+                os.kill(pid, 9)  # SIGKILL; signal is not imported at start-up
+                os.waitpid(pid, 0)
+                reader.close()
         self.summary.update(_summary(entries))
+
+
+def _processes(pairs: int) -> int:
+    """The process count n for ``pairs`` (function, interval) pairs: one per
+    usable CPU, at most one per pair, and one with no CPU affinity known."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+    return max(1, min(cpus, pairs))
+
+
+def _fork(blocks, started: list) -> tuple:
+    """(pid, pipe read end) of a worker that pickles each block of ``blocks``
+    into the pipe as it is made (:func:`_pack`), or its exception and
+    traceback text; it closes ``started``'s read ends, exits by ``os._exit``."""
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid:
+        os.close(w)
+        return pid, open(r, "rb")
+    try:
+        os.close(r)
+        for _, reader in started:
+            reader.close()
+        with open(w, "wb") as out:
+            try:
+                for block in blocks:
+                    pickle.dump(_pack(block), out)
+                    out.flush()
+            except BaseException as exc:
+                import traceback  # only a failing worker needs it
+                text = traceback.format_exc()
+                try:
+                    out.write(pickle.dumps((exc, text)))
+                except Exception:  # an exception pickle cannot write
+                    out.write(pickle.dumps((RuntimeError(repr(exc)), text)))
+    finally:
+        os._exit(0)
+
+
+def _pack(block: list) -> list:
+    """A block as a worker sends it: per record ((lhs,), rhs, margin,
+    status index, exact).  Records that share an lhs (a lam row) share its
+    1-tuple, which pickle writes once, so the rebuilt ones share it too."""
+    out, lhs, box = [], None, (None,)
+    for r in block:
+        if r[6] is not lhs:
+            lhs, box = r[6], (r[6],)
+        out.append((box, r[7], r[8], STATUSES.index(r[9]), r[10]))
+    return out
+
+
+def _receive(pid: int, reader, head: tuple, lams, qs) -> list[VerificationRecord]:
+    """Worker ``pid``'s next block, rebuilt from its :func:`_pack` message,
+    or the exception it sent, raised with the worker's traceback."""
+    try:
+        message = pickle.load(reader)
+    except EOFError:
+        raise RuntimeError(f"campaign worker {pid} exited before its last block") from None
+    if type(message) is tuple:
+        raise message[0] from RuntimeError(f"in campaign worker {pid}:\n{message[1]}")
+    return [VerificationRecord(*head, lam, q, box[0], rhs, margin, STATUSES[s], x)
+            for (lam, q), (box, rhs, margin, s, x) in zip(itertools.product(lams, qs), message)]
 
 
 _BY_ID = attrgetter("id")
@@ -847,8 +937,8 @@ def run_campaign(
     config: CampaignConfig,
     registry: Optional[Mapping[str, TestFunction]] = None,
 ) -> CampaignResult:
-    """Every record of :class:`CampaignStream`, in its canonical order, and
-    the summary."""
+    """Every record of :class:`CampaignStream`, evaluated on every usable
+    CPU, held at once in its canonical order, and the summary."""
     stream = CampaignStream(config, registry)
     records = tuple(itertools.chain.from_iterable(stream))
     return CampaignResult(config=config, records=records, summary=stream.summary)

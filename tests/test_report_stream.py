@@ -242,3 +242,150 @@ def test_out_to_a_device_is_written_in_place(monkeypatch):
                        "--out", os.devnull))
     assert (code, out) == (0, "")
     assert stat.S_ISCHR(os.stat(os.devnull).st_mode)
+
+
+# A campaign's (function, interval) pairs are shared among processes: the
+# bump on two intervals inside its domain and one outside it, where every
+# record is 'hypothesis_failed', beside expx and poly3.
+SPLIT = CampaignConfig(
+    claims=("all",), functions=("poly3", "bump", "expx"),
+    intervals=((0.0, 1.0), (0.5, 2.0), (0.25, 0.75)),
+    lambda_grid=(0.0, 0.25, 0.5, 1.0),
+)
+
+
+def _on_processes(monkeypatch, n):
+    """Campaigns from here on run on ``n`` processes."""
+    monkeypatch.setattr(harness, "_processes", lambda pairs: n)
+
+
+def test_reports_do_not_depend_on_the_process_count(monkeypatch):
+    receive, received = harness._receive, []
+
+    def counted(*args):
+        received.append(args[2])  # the block's head
+        return receive(*args)
+
+    monkeypatch.setattr(harness, "_receive", counted)
+    reports, summaries = {}, {}
+    for n in (1, 2, 3):
+        _on_processes(monkeypatch, n)
+        reports[n] = {}
+        for fmt in ("json", "csv", "table"):
+            stream, buf = CampaignStream(SPLIT), io.StringIO()
+            cli._write_report(cli.report_document(stream), fmt, buf)
+            reports[n][fmt] = buf.getvalue()
+            summaries[n] = stream.summary
+        # the blocks of pair i, for i mod n > 0, came from a worker
+        assert len(received) == 3 * len(claim_ids()) * sum(i % n > 0 for i in range(9))
+        received.clear()
+    assert reports[1] == reports[2] == reports[3]
+    assert summaries[1] == summaries[2] == summaries[3]
+    margins = {
+        n: [repr(e["min_margin"]) for e in s["claims"].values()] for n, s in summaries.items()
+    }
+    assert margins[1] == margins[2] == margins[3]  # -0.0 and 0.0 too
+
+
+def test_pinned_bench_scale_report_on_two_processes(monkeypatch, tmp_path):
+    monkeypatch.delenv("HHBOUNDS_SEED", raising=False)
+    _on_processes(monkeypatch, 2)
+    target = tmp_path / "report.json"
+    code, out = _main((*BENCH_ARGV, "--out", str(target)))
+    assert (code, out) == (1, "")
+    assert hashlib.sha256(target.read_bytes()).hexdigest() == BENCH_PIN
+
+
+def _failing(monkeypatch, where, exc):
+    """``_evaluate_block`` raises ``exc`` in the reading process
+    (``where="reader"``) or in the workers, from its second call there."""
+    evaluate, reader, calls = harness._evaluate_block, os.getpid(), []
+
+    def failing(*args):
+        if (os.getpid() == reader) == (where == "reader"):
+            calls.append(None)
+            if len(calls) > 1:
+                raise exc
+        return evaluate(*args)
+
+    monkeypatch.setattr(harness, "_evaluate_block", failing)
+
+
+def _no_child_left():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def test_worker_exception_reaches_the_caller(monkeypatch):
+    _on_processes(monkeypatch, 2)
+    _failing(monkeypatch, "worker", RuntimeError("evaluation failed"))
+    with pytest.raises(RuntimeError, match="evaluation failed") as info:
+        list(CampaignStream(SPLIT))
+    # the worker's traceback is attached
+    assert "in failing\n" in str(info.value.__cause__)
+    _no_child_left()
+
+
+def test_worker_exception_pickle_cannot_write(monkeypatch):
+    class Local(Exception):
+        pass
+
+    _on_processes(monkeypatch, 2)
+    _failing(monkeypatch, "worker", Local("evaluation failed"))
+    with pytest.raises(RuntimeError, match=r"Local\('evaluation failed'\)"):
+        list(CampaignStream(SPLIT))
+    _no_child_left()
+
+
+@pytest.mark.parametrize("end", ["complete", "raise", "close"])
+def test_no_worker_outlives_the_stream(monkeypatch, end):
+    _on_processes(monkeypatch, 2)
+    blocks = iter(CampaignStream(SPLIT))
+    if end == "complete":
+        assert sum(map(len, blocks)) > 0
+    elif end == "raise":
+        _failing(monkeypatch, "reader", RuntimeError("evaluation failed"))
+        with pytest.raises(RuntimeError, match="evaluation failed"):
+            list(blocks)
+    else:
+        next(blocks)
+        blocks.close()
+    _no_child_left()
+
+
+# A stream that completes, one closed after its first block, one dropped
+# after it, and one whose worker raises.
+_ENDS = """
+import os
+from hhbounds import harness
+harness._processes = lambda pairs: 2
+cfg = harness.CampaignConfig(
+    claims=("hh", "thm5"), functions=("poly3", "expx"), intervals=((1.0, 2.0), (0.5, 1.5)),
+)
+list(harness.CampaignStream(cfg))
+blocks = iter(harness.CampaignStream(cfg))
+next(blocks)
+blocks.close()
+next(iter(harness.CampaignStream(cfg)))
+evaluate, reader = harness._evaluate_block, os.getpid()
+
+def failing(*args):
+    if os.getpid() != reader:
+        raise RuntimeError("evaluation failed")
+    return evaluate(*args)
+
+harness._evaluate_block = failing
+try:
+    list(harness.CampaignStream(cfg))
+except RuntimeError as exc:
+    print(exc)
+"""
+
+
+def test_streams_leave_no_pipe_open():
+    # an unclosed pipe would print a ResourceWarning, an error here
+    proc = subprocess.run(
+        [sys.executable, "-X", "dev", "-W", "error", "-c", _ENDS],
+        capture_output=True, text=True,
+    )
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "evaluation failed\n", "")

@@ -1,6 +1,6 @@
-"""The package's surface: what the root exports, the names the benchmark's
-tracer looks up, the fixed tolerances a report echoes, and the imports of
-every source module."""
+"""The package's surface: what the root exports, what importing the CLI
+loads, the names the benchmark's tracer looks up, the fixed tolerances a
+report echoes, and the imports of every source module."""
 
 import ast
 import dataclasses
@@ -28,6 +28,21 @@ def test_root_exports_only_the_version():
 
 def test_root_import_loads_no_submodule():
     code = "import sys, hhbounds; print(sorted(m for m in sys.modules if m.startswith('hhbounds.')))"
+    path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
+    out = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True, check=True,
+        env={**os.environ, "PYTHONPATH": path},
+    )
+    assert out.stdout == "[]\n"
+
+
+def test_cli_import_loads_no_process_pool():
+    # campaign workers are forked with os.fork and os.pipe; importing
+    # multiprocessing or concurrent.futures would add 6-8 ms to each start
+    code = (
+        "import sys, hhbounds.cli; print(sorted(m for m in sys.modules"
+        " if m.split('.')[0] in ('multiprocessing', 'concurrent')))"
+    )
     path = os.pathsep.join([str(SRC.parent), os.environ.get("PYTHONPATH", "")])
     out = subprocess.run(
         [sys.executable, "-c", code], capture_output=True, text=True, check=True,
