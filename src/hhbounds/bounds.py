@@ -26,7 +26,6 @@ names convert their arguments and call the same formula.
 from __future__ import annotations
 
 import functools
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional
@@ -54,7 +53,6 @@ __all__ = [
     "bound_bounded_m_exact",
     "bound_classical",
     "bound_classical_exact",
-    "compare_bounds",
 ]
 
 Rule = Literal["midpoint", "trapezoid", "simpson"]
@@ -317,18 +315,3 @@ def bound_classical_exact(
     )
     return bound_classical(rule, _exact(domain), env, p)
 
-
-def compare_bounds(
-    new_bound: float, classical_bound: float
-) -> Literal["new_better", "same", "classical_better"]:
-    """Classify which upper bound is tighter, with a relative tie tolerance."""
-    if not (math.isfinite(new_bound) and math.isfinite(classical_bound)):
-        raise ValueError("bounds must be finite")
-    if new_bound < 0 or classical_bound < 0:
-        raise ValueError("bounds must be nonnegative")
-    tie_tol = 1e-14 * (1.0 + classical_bound)
-    if abs(new_bound - classical_bound) <= tie_tol:
-        return "same"
-    if new_bound < classical_bound:
-        return "new_better"
-    return "classical_better"

@@ -16,12 +16,13 @@ with a q-th root at 50 digits, and prints the float of that value.
 ``verify`` writes its report while the campaign is evaluated, block by
 block in canonical order (:class:`~hhbounds.harness.CampaignStream`), with
 the summary after the last record; ``--out`` is written beside its target
-and renamed onto it once the report is complete.  JSON reports come from
-``json.dumps`` except for their records, which go through one record
-encoder (:func:`to_json`); CSV reports are written row by row with cells
-as ``csv.writer`` writes them (:func:`to_csv`).
-Every format lays out the fields of :data:`hhbounds.records.FIELDS` in
-that order.  The environment variable ``HHBOUNDS_SEED`` overrides
+and renamed onto it once the report is complete.  A report's records are
+:class:`~hhbounds.records.VerificationRecord` objects.  JSON reports come
+from ``json.dumps`` except for their records (:func:`to_json`), and CSV
+reports are written row by row with cells as ``csv.writer`` writes them
+(:func:`to_csv`); both write their records through one loop
+(:func:`_write_records`).  Every format lays out the fields of
+:data:`hhbounds.records.FIELDS` in that order.  The environment variable ``HHBOUNDS_SEED`` overrides
 ``--seed`` when set.
 """
 
@@ -109,29 +110,17 @@ def _fmt(value: float) -> str:
 # Report serialization
 # ---------------------------------------------------------------------------
 
-def _fields(item) -> Optional[tuple]:
-    """The field values of a record, or of a dict with exactly its keys in
-    order; None for anything else."""
-    if type(item) is VerificationRecord:
-        return item
-    if type(item) is dict and tuple(item) == FIELDS:
-        return tuple(item.values())
-    return None
-
-
 def report_document(campaign) -> dict:
-    """The report of a campaign.
-
-    For a :class:`~hhbounds.harness.CampaignResult` the records are dicts
-    (:meth:`VerificationRecord.as_dict`), so that ``json.dumps`` can write
-    the document.  For a :class:`~hhbounds.harness.CampaignStream` they are
-    its records, evaluated as a writer reads them, and the summary is
-    complete once the last one has been read.
+    """The report of a campaign, its records :class:`VerificationRecord`
+    objects: those a :class:`~hhbounds.harness.CampaignResult` holds, or
+    those of a :class:`~hhbounds.harness.CampaignStream`, evaluated as a
+    writer reads them, whose summary is complete once the last one has
+    been read.
     """
     if isinstance(campaign, harness.CampaignStream):
         records = itertools.chain.from_iterable(campaign)
     else:
-        records = [r.as_dict() for r in campaign.records]
+        records = campaign.records
     return {
         "version": __version__,
         "config": campaign.config.as_dict(),
@@ -141,22 +130,35 @@ def report_document(campaign) -> dict:
 
 
 def to_json(doc: dict, out: Optional[TextIO] = None) -> Optional[str]:
-    """``doc`` exactly as ``json.dumps(doc, indent=2)`` writes it.
+    """``doc`` exactly as ``json.dumps(doc, indent=2)`` writes it, each
+    record of its top-level ``records`` written as its ``as_dict()``.
 
     Returned as a string, or, given ``out``, written to that stream with a
     final newline (the layout of a report) and None returned.
-    ``json.dumps`` writes everything but a report's top-level ``records``;
-    each record (a :class:`VerificationRecord`, written as its
-    ``as_dict()``, or a dict of that shape) goes through one encoder, and
-    any other item through ``json.dumps``.  ``records`` may be an iterator,
-    read as it is written.  The keys after it are written once it is
-    exhausted, so it may fill in a value that follows it, as the summary of
-    a streamed campaign.
+    ``json.dumps`` writes everything but the records, which go through
+    :func:`_write_records`; a ``records`` item that is not a
+    :class:`VerificationRecord` raises TypeError.  ``records`` may be an
+    iterator, read as it is written.  The keys after it are written once it
+    is exhausted, so it may fill in a value that follows it, as the summary
+    of a streamed campaign.  A document without a records list is written
+    by ``json.dumps`` alone.
     """
-    parts = _json_parts(doc)
+    buf = io.StringIO() if out is None else out
+    records = doc.get("records") if isinstance(doc, dict) else None
+    if isinstance(records, (list, tuple, Iterator)):
+        keys = list(doc)
+        at = keys.index("records")
+        head = json.dumps({**{k: doc[k] for k in keys[:at]}, "records": []}, indent=2)
+        head = head[: -len(_NO_RECORDS + "\n}")]
+        opening = head + '\n  "records": [\n    '
+        lead = _write_records(records, buf.write, opening, ",\n    ", *_JSON)
+        tail = json.dumps({"records": [], **{k: doc[k] for k in keys[at + 1 :]}}, indent=2)
+        tail = tail[len("{" + _NO_RECORDS) :]
+        buf.write((head + _NO_RECORDS if lead is opening else "\n  ]") + tail)
+    else:
+        buf.write(json.dumps(doc, indent=2))
     if out is None:
-        return "".join(parts)
-    out.writelines(parts)
+        return buf.getvalue()
     out.write("\n")
     return None
 
@@ -167,83 +169,64 @@ _ascii = encode_basestring_ascii
 _NO_RECORDS = '\n  "records": []'
 
 
-def _json_parts(doc):
-    """The text of ``json.dumps(doc, indent=2)`` in pieces, one per record."""
-    records = doc.get("records") if isinstance(doc, dict) else None
-    if not isinstance(records, (list, tuple, Iterator)):
-        yield json.dumps(doc, indent=2)
-        return
-    keys = list(doc)
-    at = keys.index("records")
-    head = json.dumps({**{k: doc[k] for k in keys[:at]}, "records": []}, indent=2)
-    head = head[: -len(_NO_RECORDS + "\n}")]
-    sep, empty = head + '\n  "records": [\n    ', True
-    for item in _json_items(records):
-        yield sep + item
-        sep, empty = ",\n    ", False
-    tail = json.dumps({"records": [], **{k: doc[k] for k in keys[at + 1 :]}}, indent=2)
-    tail = tail[len("{" + _NO_RECORDS) :]
-    yield (head + _NO_RECORDS if empty else "\n  ]") + tail
+def _write_records(
+    records, write, lead, between, block_text, grid_text, value, before_rhs, before_margin,
+    tail_text,
+):
+    """Write each record of ``records`` in the format its pieces give, and
+    return the lead written last (``lead`` itself for no records).
 
-
-def _json_items(records):
-    """Each item of a report's records list as ``json.dumps(report,
-    indent=2)`` writes it.
-
-    The records of a block hold the same claim, function, a and b objects,
-    so that prefix is formatted once per block, and the (lambda, q)
-    fragment once per grid point (:func:`_by_identity`).  The records of a
-    lam row share their lhs object, formatted once per row, and a str
-    status with a bool exact is formatted once per pair.  Per record only
-    rhs and margin are formatted.
+    A record is written as ``lead`` (``between`` after the first), its
+    block prefix ``block_text(claim, function, a, b)``, its
+    ``grid_text(lam, q)`` fragment, ``value(lhs)``, ``before_rhs``, the
+    text of its rhs, ``before_margin``, that of its margin and
+    ``tail_text(status, exact)``.  The records of a block hold the same
+    claim, function, a and b objects, so the prefix is formatted once per
+    block, and the (lambda, q) fragment once per grid point
+    (:func:`_by_identity`).  The records of a lam row share their lhs
+    object, formatted once per row, and a str status with a bool exact is
+    formatted once per pair.  Per record only rhs and margin are
+    formatted: a finite float by ``float.__repr__``, anything else by
+    ``value``.
     """
-    block, prefix, row, lhs_text = (object(),) * 4, "", object(), ""
-    grid = _by_identity(
-        lambda lam, q: f'{_json_field(lam)},\n      "q": {_json_field(q)},\n      "lhs": '
-    )
-
-    def end(status, exact) -> str:
-        status, exact = _json_field(status), _json_field(exact)
-        return f',\n      "status": {status},\n      "exact": {exact}\n    }}'
-
-    ends = _by_identity(end)
-    for item in records:
-        values = _fields(item)
-        if values is None:
-            yield json.dumps(item, indent=2).replace("\n", "\n    ")
-            continue
-        claim, function, a, b, lam, q, lhs, rhs, margin, status, exact = values
-        if not (
-            claim is block[0] and function is block[1] and a is block[2] and b is block[3]
-        ):
-            block = claim, function, a, b
-            prefix = (
-                f'{{\n      "claim": {_json_field(claim)},'
-                f'\n      "function": {_json_field(function)},'
-                f'\n      "a": {_json_field(a)},\n      "b": {_json_field(b)},'
-                '\n      "lambda": '
-            )
+    claim0 = function0 = a0 = b0 = row = object()
+    prefix = lhs_text = ""
+    grid, tails = _by_identity(grid_text), {}
+    for record in records:
+        if type(record) is not VerificationRecord:
+            _not_a_record(record)
+        claim, function, a, b, lam, q, lhs, rhs, margin, status, exact = record
+        if not (claim is claim0 and function is function0 and a is a0 and b is b0):
+            claim0, function0, a0, b0 = claim, function, a, b
+            prefix = block_text(claim, function, a, b)
         if lhs is not row:
-            row, lhs_text = lhs, _json_field(lhs)
-        tail = ends(status, exact) if type(status) is str and type(exact) is bool else None
-        yield (
-            f"{prefix}{grid(lam, q)}{lhs_text}"
-            ',\n      "rhs": '
-            f"{_repr(rhs) if type(rhs) is float and rhs - rhs == 0 else _json_field(rhs)}"
-            ',\n      "margin": '
-            f"{_repr(margin) if type(margin) is float and margin - margin == 0 else _json_field(margin)}"
-            f"{tail or end(status, exact)}"
+            row, lhs_text = lhs, value(lhs) + before_rhs
+        if type(status) is str and type(exact) is bool:  # equal values, equal text
+            tail = tails.get((status, exact)) or tails.setdefault((status, exact), tail_text(status, exact))
+        else:
+            tail = tail_text(status, exact)
+        write(
+            f"{lead}{prefix}{grid(lam, q)}{lhs_text}"
+            f"{_repr(rhs) if type(rhs) is float and rhs - rhs == 0 else value(rhs)}"
+            f"{before_margin}"
+            f"{_repr(margin) if type(margin) is float and margin - margin == 0 else value(margin)}"
+            f"{tail}"
         )
+        lead = between
+    return lead
+
+
+def _not_a_record(item):
+    raise TypeError(f"a report record must be a VerificationRecord, not {type(item).__name__}")
 
 
 def _by_identity(text):
     """``text(x, y)``, cached by the identity of ``x`` and ``y``.
 
-    A campaign takes lam and q from its grids and a status from
-    :data:`~hhbounds.records.STATUSES`, so a report holds few distinct
-    pairs; records with fresh objects refill the cache, which is cleared
-    when it holds 4096 entries.  An entry holds x and y, so their ids are
-    not reused while it is cached.
+    A campaign takes lam and q from its grids, so a report holds few
+    distinct pairs; records with fresh objects refill the cache, which is
+    cleared when it holds 4096 entries.  An entry holds x and y, so their
+    ids are not reused while it is cached.
     """
     cache = {}
 
@@ -269,22 +252,34 @@ def _json_field(v) -> str:
     return json.dumps(v, indent=2).replace("\n", "\n      ")
 
 
+# The pieces of a JSON record (see _write_records).
+_JSON = (
+    lambda claim, function, a, b: (
+        f'{{\n      "claim": {_json_field(claim)},'
+        f'\n      "function": {_json_field(function)},'
+        f'\n      "a": {_json_field(a)},\n      "b": {_json_field(b)},'
+        '\n      "lambda": '
+    ),
+    lambda lam, q: f'{_json_field(lam)},\n      "q": {_json_field(q)},\n      "lhs": ',
+    _json_field,
+    ',\n      "rhs": ',
+    ',\n      "margin": ',
+    lambda status, exact: (
+        f',\n      "status": {_json_field(status)},\n      "exact": {_json_field(exact)}\n    }}'
+    ),
+)
+
+
 def to_csv(records, out: Optional[TextIO] = None) -> Optional[str]:
     """The records as CSV, a header row of :data:`~hhbounds.records.FIELDS`
-    and one row per :class:`VerificationRecord`: returned as a string, or
-    written to ``out`` row by row and None returned.  ``records`` may be an
-    iterator, read as it is written.  Cells are written as ``csv.writer``
-    writes them: None as an empty cell, a float as its ``repr``; ``exact``
-    is written as ``true`` or ``false``.
-
-    As in :func:`_json_items`, the claim, function, a, b cells are
-    formatted once per block, the lambda, q cells once per grid point, the
-    lhs cell once per lam row and a str status with a bool exact once per
-    pair; per record, float sides are written by ``float.__repr__`` and
-    anything else through ``csv.writer``.
+    and one row per :class:`VerificationRecord` (:func:`_write_records`;
+    any other item raises TypeError): returned as a string, or written to
+    ``out`` row by row and None returned.  ``records`` may be an iterator,
+    read as it is written.  Cells are written as ``csv.writer`` writes
+    them: None as an empty cell, a float as its ``repr``; ``exact`` is
+    written as ``true`` or ``false``.
     """
     buf = io.StringIO() if out is None else out
-    write = buf.write
     cells = io.StringIO()
     writer = csv.writer(cells, lineterminator="\n")
 
@@ -296,43 +291,33 @@ def to_csv(records, out: Optional[TextIO] = None) -> Optional[str]:
         writer.writerow(values)
         return cells.getvalue()[:-1]
 
-    def cell(v) -> str:
+    def value(v) -> str:
+        if type(v) is float:
+            return _repr(v)
         # written beside an empty cell: alone, an empty value would be
         # quoted, as csv.writer quotes a row of one empty cell
-        return csv_cells(v, None)[:-1]
+        return "" if v is None else csv_cells(v, None)[:-1]
 
-    def end(status, exact) -> str:
+    def tail(status, exact) -> str:
         # a record's status is one of STATUSES, which need no quoting
-        return f"{status if type(status) is str else cell(status)},{'true' if exact else 'false'}\n"
+        return f",{status if type(status) is str else value(status)},{'true' if exact else 'false'}\n"
 
-    write(csv_cells(*FIELDS) + "\n")
-    block, prefix, row, lhs_text = (object(),) * 4, "", object(), ""
-    grid = _by_identity(lambda lam, q: csv_cells(lam, q) + ",")
-    ends = _by_identity(end)
-    for claim, function, a, b, lam, q, lhs, rhs, margin, status, exact in records:
-        if not (
-            claim is block[0] and function is block[1] and a is block[2] and b is block[3]
-        ):
-            block = claim, function, a, b
-            prefix = csv_cells(claim, function, a, b) + ","
-        if lhs is not row:
-            row = lhs
-            lhs_text = _repr(lhs) if type(lhs) is float else "" if lhs is None else cell(lhs)
-        tail = ends(status, exact) if type(status) is str and type(exact) is bool else None
-        write(
-            f"{prefix}{grid(lam, q)}{lhs_text},"
-            f"{_repr(rhs) if type(rhs) is float else '' if rhs is None else cell(rhs)},"
-            f"{_repr(margin) if type(margin) is float else '' if margin is None else cell(margin)},"
-            f"{tail or end(status, exact)}"
-        )
+    buf.write(csv_cells(*FIELDS) + "\n")
+    _write_records(
+        records, buf.write, "", "",
+        lambda claim, function, a, b: csv_cells(claim, function, a, b) + ",",
+        lambda lam, q: csv_cells(lam, q) + ",",
+        value, ",", ",", tail,
+    )
     return buf.getvalue() if out is None else None
 
 
 def to_table(doc: dict, out: Optional[TextIO] = None) -> Optional[str]:
     """A report document as a fixed-width table with a summary footer:
     returned as a string, or written to ``out`` and None returned.  Its
-    records (:class:`VerificationRecord` objects or their dicts) may be an
-    iterator; the summary is read after the last of them."""
+    records (:class:`VerificationRecord` objects; any other item raises
+    TypeError) may be an iterator; the summary is read after the last of
+    them."""
     buf = io.StringIO() if out is None else out
     header = f"{'claim':<18} {'function':<8} {'a':>9} {'b':>9} {'lambda':>8} {'q':>6} {'lhs':>13} {'rhs':>13} {'margin':>13} {'status':<17} exact"
     buf.write(f"{header}\n{'-' * len(header)}\n")
@@ -340,8 +325,10 @@ def to_table(doc: dict, out: Optional[TextIO] = None) -> Optional[str]:
     def num(v, width, digits=6):
         return ("" if v is None else f"{v:.{digits}g}").rjust(width)
 
-    for item in doc["records"]:
-        claim, function, a, b, lam, q, lhs, rhs, margin, status, exact = _fields(item)
+    for record in doc["records"]:
+        if type(record) is not VerificationRecord:
+            _not_a_record(record)
+        claim, function, a, b, lam, q, lhs, rhs, margin, status, exact = record
         buf.write(
             f"{claim:<18} {function:<8} {num(a, 9)} {num(b, 9)}"
             f" {num(lam, 8, 4)} {num(q, 6, 4)} {num(lhs, 13)}"

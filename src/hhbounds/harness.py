@@ -66,7 +66,7 @@ from typing import Iterator, Mapping, Optional
 import mpmath
 import numpy as np
 
-from . import bounds, functionals, kernel, means, oracle
+from . import bounds, functionals, kernel, oracle
 from .corpus import (
     GridSpec,
     Interval,
@@ -103,19 +103,16 @@ ORACLE_TOL = 1e-12  # the absolute tolerance of a panel's average
 
 @dataclass(frozen=True)
 class BoundClaim:
-    """One named inequality: lhs_spec <= rhs_spec under a hypothesis."""
+    """One named inequality, lhs <= rhs, under a hypothesis."""
 
     id: str
     description: str
     provenance: str
-    lhs_spec: str
-    rhs_spec: str
     hypothesis: str
     family: str
     rule: Optional[str] = None
     variant: Optional[str] = None
     form: Optional[str] = None
-    prop_idx: Optional[int] = None
     p: Optional[int] = None
     uses_lambda: bool = False
     fixed_lambda: Optional[float] = None
@@ -124,41 +121,40 @@ class BoundClaim:
 
 def ledger_standard() -> tuple[BoundClaim, ...]:
     """The full claims ledger; power-mean family claims appear twice
-    (stated and derived constants).  The corollaries fix lam at their
-    rule's value from :data:`bounds.RULE_LAMBDA_EXACT`."""
+    (stated and derived constants).  The corollaries and propositions fix
+    lam at their rule's value from :data:`bounds.RULE_LAMBDA_EXACT`;
+    propositions 1, 2 and 3 are the midpoint, trapezoid and Simpson rules.
+    thm5 is the derived power-mean bound at q = 1."""
     variants = (("stated", STATED_ONLY), ("derived", PROOF_BACKED))
     rule_lam = {r: float(lam) for r, lam in bounds.RULE_LAMBDA_EXACT.items()}
-    f_lam = "abs(functional_lambda)"
     d2q = "check_p_convex(|d2|^q)"
     claims = [
         BoundClaim(
             "thm5", "endpoint-sum deviation bound for P-convex |f''|", PROOF_BACKED,
-            f_lam, "bound_theorem5", "check_p_convex(|d2|)", "thm5", uses_lambda=True,
+            "check_p_convex(|d2|)", "thm5", variant="derived", uses_lambda=True,
         )
     ]
     claims += [
         BoundClaim(
-            f"thm6-{v}", f"power-mean deviation bound ({v} constant)", prov,
-            f_lam, "bound_theorem6", d2q, "thm6", variant=v, uses_lambda=True,
-            uses_q=True,
+            f"thm6-{v}", f"power-mean deviation bound ({v} constant)", prov, d2q,
+            "thm6", variant=v, uses_lambda=True, uses_q=True,
         )
         for v, prov in variants
     ]
     for num, rule in zip((1, 2, 3), rule_lam):
         claims += [
             BoundClaim(
-                f"cor{num}-{v}", f"{rule} power-mean bound ({v} constant)", prov,
-                f_lam, "bound_corollary", d2q, "cor", rule=rule, variant=v,
-                fixed_lambda=rule_lam[rule], uses_q=True,
+                f"cor{num}-{v}", f"{rule} power-mean bound ({v} constant)", prov, d2q,
+                "cor", rule=rule, variant=v, fixed_lambda=rule_lam[rule], uses_q=True,
             )
             for v, prov in variants
         ]
     for num, rule in zip((4, 5, 8), rule_lam):
         claims += [
             BoundClaim(
-                f"cor{num}-{v}", f"{rule} uniform-M bound with 2^(1/q) ({v})", prov,
-                f_lam, "bound_bounded_m", d2q, "corm", rule=rule, variant=v,
-                form="with_q", fixed_lambda=rule_lam[rule], uses_q=True,
+                f"cor{num}-{v}", f"{rule} uniform-M bound with 2^(1/q) ({v})", prov, d2q,
+                "corm", rule=rule, variant=v, form="with_q",
+                fixed_lambda=rule_lam[rule], uses_q=True,
             )
             for v, prov in variants
         ]
@@ -167,49 +163,43 @@ def ledger_standard() -> tuple[BoundClaim, ...]:
         claims.append(
             BoundClaim(
                 f"cor{num}-relaxed", f"{rule} uniform-M bound, q-free form",
-                PROOF_BACKED, f_lam, "bound_bounded_m", "check_p_convex(|d2|)",
-                "corm", rule=rule, variant="stated", form="relaxed",
-                fixed_lambda=rule_lam[rule],
+                PROOF_BACKED, "check_p_convex(|d2|)", "corm", rule=rule,
+                variant="stated", form="relaxed", fixed_lambda=rule_lam[rule],
             )
         )
     claims += [
         BoundClaim(
             "hh", "average-value enclosure for convex f", PROOF_BACKED,
-            "hh_gap_left/hh_gap_right", "0 <= gap", "f convex on [a, b]", "hh",
+            "f convex on [a, b]", "hh",
         ),
         BoundClaim(
             "hh-p", "doubled average-value enclosure for P-functions", PROOF_BACKED,
-            "hh_p_check sides", "hh_p_check sides", "check_p_convex(f)", "hh-p",
+            "check_p_convex(f)", "hh-p",
         ),
         BoundClaim(
             "mid-envelope", "two-sided midpoint-gap enclosure from f'' range",
-            PROOF_BACKED, "hh_gap_left", "bound_classical(midpoint)",
-            "f twice differentiable", "envelope", rule="midpoint",
+            PROOF_BACKED, "f twice differentiable", "envelope", rule="midpoint",
         ),
         BoundClaim(
             "trap-envelope", "two-sided trapezoid-gap enclosure from f'' range",
-            PROOF_BACKED, "hh_gap_right", "bound_classical(trapezoid)",
-            "f twice differentiable", "envelope", rule="trapezoid",
+            PROOF_BACKED, "f twice differentiable", "envelope", rule="trapezoid",
         ),
         BoundClaim(
             "simpson-4th-p4",
             "classical fourth-derivative Simpson bound (quartic width)", PROOF_BACKED,
-            "abs(simpson_deviation)", "bound_classical(simpson, p=4)", "f has d4",
-            "simpson4", rule="simpson", p=4,
+            "f has d4", "simpson4", rule="simpson", p=4,
         ),
         BoundClaim(
             "simpson-4th-p2", "quadratic-width variant of the Simpson bound",
-            STATED_ONLY, "abs(simpson_deviation)", "bound_classical(simpson, p=2)",
-            "f has d4", "simpson4", rule="simpson", p=2,
+            STATED_ONLY, "f has d4", "simpson4", rule="simpson", p=2,
         ),
     ]
-    for idx, rule in enumerate(means._PROP_RULES, 1):
+    for num, rule in zip((1, 2, 3), rule_lam):
         claims += [
             BoundClaim(
-                f"prop{idx}-{v}", f"special-means inequality {idx} ({v} constant)",
-                prov, "abs(mean combination)", "check_proposition",
-                "f = x^n, |n(n-1)| >= 3, 0 < a < b", "prop", prop_idx=idx, variant=v,
-                fixed_lambda=rule_lam[rule], uses_q=True,
+                f"prop{num}-{v}", f"special-means inequality {num} ({v} constant)",
+                prov, "f = x^n, |n(n-1)| >= 3, 0 < a < b", "prop", rule=rule,
+                variant=v, fixed_lambda=rule_lam[rule], uses_q=True,
             )
             for v, prov in variants
         ]
@@ -418,9 +408,9 @@ class _Panel:
         return v
 
     def theorem6_row(self, lam, qs, variant: str) -> list:
-        """:func:`bounds.bound_theorem6` at lam for each q of ``qs``, from
-        the cached lam factor c and power sums s: c * s, halved for the
-        stated constant.  On an exact panel a bound is a Fraction where s
+        """:func:`bounds.bound_theorem6` at lam for each q of ``qs`` (q None
+        taken as 1, the power sum of theorem 5), from the cached lam factor c
+        and power sums s: c * s, halved for the stated constant.  On an exact panel a bound is a Fraction where s
         is one (q = 1) and an mpf where s is an mpf root; there the stated
         constant halves the mpf factor once per row, before the products,
         which in binary mpf gives the same roundings."""
@@ -428,7 +418,7 @@ class _Panel:
         for q in qs:
             if q not in sums:
                 e = self.ends
-                sums[q] = bounds._power_sum(e.m_a, e.m_b, q)
+                sums[q] = bounds._power_sum(e.m_a, e.m_b, 1 if q is None else q)
         factors = self._memo["lam_factor"]
         c = factors.get(lam)
         if c is None:
@@ -601,16 +591,14 @@ _HYPOTHESES = {
 
 def _lambda_row(claim: BoundClaim, p: _Panel, lam, qs, env=None):
     """The verdicts of |F(lam)| against the theorem 5/6, corollary or
-    uniform-M bound at each q of ``qs``, on one panel; a special-means
-    proposition is the corollary bound of its rule for x^n.  On an exact
-    panel a claim that fixes lam reads its rule's exact lam.  The uniform-M
-    bound reads ``env``, by default the panel's sampled envelope."""
+    uniform-M bound at each q of ``qs``, on one panel; theorem 5 is the
+    derived theorem 6 bound at q = 1, and a special-means proposition the
+    corollary bound of its rule for x^n.  On an exact panel a claim that
+    fixes lam reads its rule's exact lam.  The uniform-M bound reads
+    ``env``, by default the panel's sampled envelope."""
     if p.exact and claim.fixed_lambda is not None:
-        lam = claim.rule or means._PROP_RULES[claim.prop_idx - 1]
-    fam = claim.family
-    if fam == "thm5":
-        rhss = [bounds.bound_theorem5(p.domain, p.lam(lam), p.ends)]
-    elif fam == "corm":
+        lam = claim.rule
+    if claim.family == "corm":
         env = env or p.env
         rhss = [
             bounds.bound_bounded_m(
@@ -619,7 +607,7 @@ def _lambda_row(claim: BoundClaim, p: _Panel, lam, qs, env=None):
             )
             for q in qs
         ]
-    else:  # thm6, and the corollaries and propositions at their rule's lam
+    else:  # thm5 and thm6, and the corollaries and propositions at their rule's lam
         rhss = p.theorem6_row(lam, qs, claim.variant)
     return classify_row(p.lhs(lam), rhss, TOL, EQ_TOL)
 
@@ -1009,28 +997,22 @@ def _screen(
       record's cell holds too;
     * (a polynomial) every half has m - E >= -TOL (E from
       :func:`_margin_error`), and a confirmed 'violated' needs an exact
-      margin below -TOL max(1, |lhs|, |rhs|) <= -TOL;
-    * (enveloped, with a hypothesis in :data:`_SAMPLED`) every half holds
-      on the sampled envelope, before the hypothesis is checked.
+      margin below -TOL max(1, |lhs|, |rhs|) <= -TOL.
     """
     if not fn.domain.contains(domain):
         return True
     hypothesis = claim.hypothesis
     if hypothesis not in _SAMPLED and not _HYPOTHESES[hypothesis](fn, domain, q, ctx):
         return True
-    row = _row(claim)
     try:
         p = ctx.panel(fn, domain, "float")
         env = _endpoint_envelope(fn, domain) if claim.family in _ENVELOPED else None
-        verdicts = row(claim, p, lam, (q,), env)
+        verdicts = _row(claim)(claim, p, lam, (q,), env)
         if claim.family != "prop" and all(v[0] == "holds" and v[3] > 0 for v in verdicts):
             return True
         if fn.poly_coeffs is not None:
             err = _margin_error(fn, p, q, sum(abs(v[1]) + abs(v[2]) for v in verdicts))
-            if all(v[3] - err >= -TOL for v in verdicts):
-                return True
-        if env is not None and hypothesis in _SAMPLED:
-            return all(v[0] == "holds" for v in row(claim, p, lam, (q,)))
+            return all(v[3] - err >= -TOL for v in verdicts)
     except Exception:  # noqa: BLE001 - the unscreened path decides the trial
         return False
     return False
@@ -1069,8 +1051,8 @@ def find_counterexample(
     or sampled envelope where every half of its float cell holds with a
     positive margin (on f'' and f'''' at a and b where the bound reads an
     envelope), and no exact panel where a polynomial's float margin cannot
-    become a confirmed violation.
-    ``trials=0`` searches no trial.
+    become a confirmed violation.  Every other trial is evaluated as a
+    campaign evaluates its cell.  ``trials=0`` searches no trial.
     """
     claim = get_claim(claim_id)
     fns = resolve_functions(search.functions, registry)

@@ -219,7 +219,7 @@ class Reference:
                 verdict = self.verdict(claim, fn, domain, lam, q)
                 return rec("undefined") if verdict[0] == "undefined" else rec(*verdict)
             inner = means.check_proposition(
-                claim.prop_idx,
+                means._PROP_RULES.index(claim.rule) + 1,
                 Fraction(domain.lo),
                 Fraction(domain.hi),
                 monomial_order(fn),

@@ -101,7 +101,8 @@ def test_search_checks_p_convexity_only_where_float_cell_is_not_comfortable(
     # polynomials (so the screen's polynomial rule never applies): a trial
     # whose float cell is a comfortable 'holds' is settled without its
     # sampled hypothesis, so the P-convexity scan runs only for the trials
-    # whose float verdict, from the reference, is not 'holds'
+    # whose float verdict, from the reference, is not 'holds'; a uniform-M
+    # cell is screened on f'' at a and b, not on the sampled envelope
     cfg = CampaignConfig(
         functions=("expx", "bump"), trials=60, seed=5, interval_range=(0.0, 1.0)
     )
@@ -111,6 +112,8 @@ def test_search_checks_p_convexity_only_where_float_cell_is_not_comfortable(
     assert (out.record, out.trials) == (None, 60)
 
     ref, rng = Reference(), random.Random(cfg.seed)
+    if claim.family == "corm":
+        ref.envelope = harness._endpoint_envelope
     fns = [get_function(fid) for fid in cfg.functions]
     unsettled = []
     for _ in range(cfg.trials):  # the trials, drawn as the search draws them

@@ -24,7 +24,6 @@ from hhbounds.bounds import (
     bound_theorem6_exact,
     bound_theorem6_mp,
     _power_sum,
-    compare_bounds,
 )
 from hhbounds.corpus import Interval, check_p_convex, get_function
 from hhbounds.functionals import functional_lambda, hh_gap_left_exact, hh_gap_right_exact
@@ -225,25 +224,6 @@ class TestClassical:
             DerivativeEnvelope(lower_d2=2.0, upper_d2=1.0)
         with pytest.raises(ValueError):
             bound_classical("trapezoid", UNIT, DerivativeEnvelope())
-
-
-class TestCompareBounds:
-    def test_cases(self):
-        # new = M/12 vs classical = K/12 comparisons
-        assert compare_bounds(1 / 12, 2 / 12) == "new_better"
-        assert compare_bounds(1 / 12, 1 / 12) == "same"
-        assert compare_bounds(2 / 12, 1 / 12) == "classical_better"
-
-    def test_tie_tolerance_is_relative(self):
-        big = 1e6
-        assert compare_bounds(big, big * (1 + 1e-15)) == "same"
-        assert compare_bounds(1.0, 1.0 + 1e-10) == "new_better"
-
-    def test_validation(self):
-        with pytest.raises(ValueError):
-            compare_bounds(-1.0, 1.0)
-        with pytest.raises(ValueError):
-            compare_bounds(math.inf, 1.0)
 
 
 class TestSoundnessSpotChecks:

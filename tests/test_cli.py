@@ -260,18 +260,13 @@ class TestVerifyCommand:
 
     def test_exit_two_on_proof_backed_violation(self, monkeypatch):
         # force a proof-backed violation by breaking the bound on both the
-        # float path and the exact confirmation path
+        # float path and the exact confirmation path: both read the power
+        # sum m_a + m_b of theorem 5
         from hhbounds import bounds as bmod
 
-        orig_f = bmod.bound_theorem5
-        orig_e = bmod.bound_theorem5_exact
+        orig = bmod._power_sum
         monkeypatch.setattr(
-            bmod, "bound_theorem5", lambda dom, lam, e: orig_f(dom, lam, e) * 1e-3
-        )
-        monkeypatch.setattr(
-            bmod,
-            "bound_theorem5_exact",
-            lambda dom, lam, ma, mb: orig_e(dom, lam, ma, mb) / 1000,
+            bmod, "_power_sum", lambda m_a, m_b, q: orig(m_a, m_b, q) / 1000
         )
         code, out = run_cli(
             "verify", "--claims", "thm5", "--functions", "poly3",
@@ -283,16 +278,12 @@ class TestVerifyCommand:
 
     def test_exact_confirmation_rescues_float_glitch(self, monkeypatch):
         # a float-path undershoot alone is rejected by the exact re-check:
-        # the one bound formula undershoots only when it receives floats
+        # only the float path reads the lam factor (b-a)^2 moment(lam)
+        # through bounds._coefficient
         from hhbounds import bounds as bmod
 
-        orig_f = bmod.bound_theorem5
-
-        def glitched(dom, lam, e):
-            value = orig_f(dom, lam, e)
-            return value * 1e-3 if isinstance(lam, float) else value
-
-        monkeypatch.setattr(bmod, "bound_theorem5", glitched)
+        orig = bmod._coefficient
+        monkeypatch.setattr(bmod, "_coefficient", lambda dom, lam: orig(dom, lam) * 1e-3)
         code, out = run_cli(
             "verify", "--claims", "thm5", "--functions", "poly3",
             "--lambda-grid", "0.5",

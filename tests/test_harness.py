@@ -32,42 +32,42 @@ LEDGER = ledger_standard()
 
 PB, SO, THIRD = "proof-backed", "stated-only", 1 / 3
 PIN_FIELDS = (
-    "id", "provenance", "family", "rule", "variant", "form", "prop_idx", "p",
-    "uses_lambda", "fixed_lambda", "uses_q",
+    "id", "provenance", "family", "rule", "variant", "form", "p", "uses_lambda",
+    "fixed_lambda", "uses_q",
 )
 # The whole ledger, field by field: provenances never change, and every
 # rule lambda comes from one table.
 LEDGER_PIN = (
-    ("thm5", PB, "thm5", None, None, None, None, None, True, None, False),
-    ("thm6-stated", SO, "thm6", None, "stated", None, None, None, True, None, True),
-    ("thm6-derived", PB, "thm6", None, "derived", None, None, None, True, None, True),
-    ("cor1-stated", SO, "cor", "midpoint", "stated", None, None, None, False, 0.0, True),
-    ("cor1-derived", PB, "cor", "midpoint", "derived", None, None, None, False, 0.0, True),
-    ("cor2-stated", SO, "cor", "trapezoid", "stated", None, None, None, False, 1.0, True),
-    ("cor2-derived", PB, "cor", "trapezoid", "derived", None, None, None, False, 1.0, True),
-    ("cor3-stated", SO, "cor", "simpson", "stated", None, None, None, False, THIRD, True),
-    ("cor3-derived", PB, "cor", "simpson", "derived", None, None, None, False, THIRD, True),
-    ("cor4-stated", SO, "corm", "midpoint", "stated", "with_q", None, None, False, 0.0, True),
-    ("cor4-derived", PB, "corm", "midpoint", "derived", "with_q", None, None, False, 0.0, True),
-    ("cor4-relaxed", PB, "corm", "midpoint", "stated", "relaxed", None, None, False, 0.0, False),
-    ("cor5-stated", SO, "corm", "trapezoid", "stated", "with_q", None, None, False, 1.0, True),
-    ("cor5-derived", PB, "corm", "trapezoid", "derived", "with_q", None, None, False, 1.0, True),
-    ("cor5-relaxed", PB, "corm", "trapezoid", "stated", "relaxed", None, None, False, 1.0, False),
-    ("cor8-stated", SO, "corm", "simpson", "stated", "with_q", None, None, False, THIRD, True),
-    ("cor8-derived", PB, "corm", "simpson", "derived", "with_q", None, None, False, THIRD, True),
-    ("cor8-relaxed", PB, "corm", "simpson", "stated", "relaxed", None, None, False, THIRD, False),
-    ("hh", PB, "hh", None, None, None, None, None, False, None, False),
-    ("hh-p", PB, "hh-p", None, None, None, None, None, False, None, False),
-    ("mid-envelope", PB, "envelope", "midpoint", None, None, None, None, False, None, False),
-    ("trap-envelope", PB, "envelope", "trapezoid", None, None, None, None, False, None, False),
-    ("simpson-4th-p4", PB, "simpson4", "simpson", None, None, None, 4, False, None, False),
-    ("simpson-4th-p2", SO, "simpson4", "simpson", None, None, None, 2, False, None, False),
-    ("prop1-stated", SO, "prop", None, "stated", None, 1, None, False, 0.0, True),
-    ("prop1-derived", PB, "prop", None, "derived", None, 1, None, False, 0.0, True),
-    ("prop2-stated", SO, "prop", None, "stated", None, 2, None, False, 1.0, True),
-    ("prop2-derived", PB, "prop", None, "derived", None, 2, None, False, 1.0, True),
-    ("prop3-stated", SO, "prop", None, "stated", None, 3, None, False, THIRD, True),
-    ("prop3-derived", PB, "prop", None, "derived", None, 3, None, False, THIRD, True),
+    ("thm5", PB, "thm5", None, "derived", None, None, True, None, False),
+    ("thm6-stated", SO, "thm6", None, "stated", None, None, True, None, True),
+    ("thm6-derived", PB, "thm6", None, "derived", None, None, True, None, True),
+    ("cor1-stated", SO, "cor", "midpoint", "stated", None, None, False, 0.0, True),
+    ("cor1-derived", PB, "cor", "midpoint", "derived", None, None, False, 0.0, True),
+    ("cor2-stated", SO, "cor", "trapezoid", "stated", None, None, False, 1.0, True),
+    ("cor2-derived", PB, "cor", "trapezoid", "derived", None, None, False, 1.0, True),
+    ("cor3-stated", SO, "cor", "simpson", "stated", None, None, False, THIRD, True),
+    ("cor3-derived", PB, "cor", "simpson", "derived", None, None, False, THIRD, True),
+    ("cor4-stated", SO, "corm", "midpoint", "stated", "with_q", None, False, 0.0, True),
+    ("cor4-derived", PB, "corm", "midpoint", "derived", "with_q", None, False, 0.0, True),
+    ("cor4-relaxed", PB, "corm", "midpoint", "stated", "relaxed", None, False, 0.0, False),
+    ("cor5-stated", SO, "corm", "trapezoid", "stated", "with_q", None, False, 1.0, True),
+    ("cor5-derived", PB, "corm", "trapezoid", "derived", "with_q", None, False, 1.0, True),
+    ("cor5-relaxed", PB, "corm", "trapezoid", "stated", "relaxed", None, False, 1.0, False),
+    ("cor8-stated", SO, "corm", "simpson", "stated", "with_q", None, False, THIRD, True),
+    ("cor8-derived", PB, "corm", "simpson", "derived", "with_q", None, False, THIRD, True),
+    ("cor8-relaxed", PB, "corm", "simpson", "stated", "relaxed", None, False, THIRD, False),
+    ("hh", PB, "hh", None, None, None, None, False, None, False),
+    ("hh-p", PB, "hh-p", None, None, None, None, False, None, False),
+    ("mid-envelope", PB, "envelope", "midpoint", None, None, None, False, None, False),
+    ("trap-envelope", PB, "envelope", "trapezoid", None, None, None, False, None, False),
+    ("simpson-4th-p4", PB, "simpson4", "simpson", None, None, 4, False, None, False),
+    ("simpson-4th-p2", SO, "simpson4", "simpson", None, None, 2, False, None, False),
+    ("prop1-stated", SO, "prop", "midpoint", "stated", None, None, False, 0.0, True),
+    ("prop1-derived", PB, "prop", "midpoint", "derived", None, None, False, 0.0, True),
+    ("prop2-stated", SO, "prop", "trapezoid", "stated", None, None, False, 1.0, True),
+    ("prop2-derived", PB, "prop", "trapezoid", "derived", None, None, False, 1.0, True),
+    ("prop3-stated", SO, "prop", "simpson", "stated", None, None, False, THIRD, True),
+    ("prop3-derived", PB, "prop", "simpson", "derived", None, None, False, THIRD, True),
 )
 
 
@@ -138,7 +138,6 @@ class TestLedger:
 
     def test_thm5_claim(self):
         c = get_claim("thm5")
-        assert c.rhs_spec == "bound_theorem5"
         assert c.provenance == PROOF_BACKED
 
     def test_power_mean_family_has_both_variants(self):
@@ -155,17 +154,6 @@ class TestLedger:
             assert cid in claim_ids()
         assert get_claim("simpson-4th-p2").provenance == STATED_ONLY
         assert get_claim("simpson-4th-p4").provenance == PROOF_BACKED
-
-    def test_selectors_resolve(self):
-        resolvable = {
-            "bound_theorem5": bounds.bound_theorem5,
-            "bound_theorem6": bounds.bound_theorem6,
-            "bound_corollary": bounds.bound_corollary,
-            "bound_bounded_m": bounds.bound_bounded_m,
-        }
-        for c in LEDGER:
-            if c.rhs_spec in resolvable:
-                assert callable(resolvable[c.rhs_spec])
 
     def test_unknown_claim(self):
         with pytest.raises(KeyError):

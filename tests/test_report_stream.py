@@ -135,9 +135,29 @@ def test_stream_equals_whole_document(claims, functions, intervals, lams, qs, tr
         buf = io.StringIO()
         cli._write_report(cli.report_document(CampaignStream(cfg)), fmt, buf)
         written[fmt] = buf.getvalue()
-    assert written["json"] == json.dumps(whole, indent=2) + "\n"
+    as_dicts = {**whole, "records": [r.as_dict() for r in records]}
+    assert written["json"] == json.dumps(as_dicts, indent=2) + "\n"
     assert written["csv"] == cli.to_csv(records)
     assert written["table"] == cli.to_table(whole)
+
+
+@pytest.mark.parametrize("fmt", sorted(PINS))
+def test_campaign_result_report_is_the_streamed_report(fmt):
+    # the report of PIN_ARGV's campaign from run_campaign's CampaignResult
+    cfg = CampaignConfig(claims=("all",), functions=("all",), trials=3, seed=5)
+    buf = io.StringIO()
+    cli._write_report(cli.report_document(harness.run_campaign(cfg)), fmt, buf)
+    assert _sha(buf.getvalue()) == PINS[fmt]
+
+
+@pytest.mark.parametrize("fmt", ["csv", "table"])  # json: tests/test_json_writer.py
+def test_a_dict_record_raises(fmt):
+    record = harness.run_campaign(CampaignConfig(claims=("thm5",), functions=("poly3",))).records[0]
+    summary = {"total": 1, "by_status": {}, "violated_stated_only": [], "violated_proof_backed": []}
+    for records in ([record.as_dict()], [record, record.as_dict()]):
+        doc = {"version": "0.1.0", "config": {}, "records": records, "summary": summary}
+        with pytest.raises(TypeError):
+            cli._write_report(doc, fmt, io.StringIO())
 
 
 def test_unsorted_grids_give_the_sorted_grids_records():
