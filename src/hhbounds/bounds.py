@@ -18,19 +18,27 @@ Simpson) fix lam to 0, 1 and 1/3 respectively.
 Each bound is written once and runs in the number type of its inputs.
 Floats give the double-precision value.  Fractions (an :class:`Interval`
 with Fraction endpoints, Fraction lam and derivative data) give the exact
-rational value, except that a q-th root with q != 1 is taken in mpf at the
-working precision, the one irrational step.  The ``_exact`` and ``_mp``
-names convert their arguments and call the same formula.
+rational value at q = 1.  At any other q the power sum
+(A^q + B^q)^(1/q) is irrational in general; for a q whose denominator is
+1 or 2 (every value of the default grid) it is kept exact as a
+:class:`_Root`, a rational multiple of the root that encloses itself
+between integers at any number of bits and rounds correctly; for any
+other q it is taken in mpf at 50 digits or the working precision, if
+higher.  The ``_exact`` and ``_mp`` names convert their arguments and
+call the same formula.
 """
 
 from __future__ import annotations
 
 import functools
+import math
+import operator
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Literal, Optional
 
 import mpmath
+from mpmath.libmp import from_rational, round_nearest
 
 from . import kernel
 from .corpus import Interval
@@ -130,23 +138,187 @@ def _exact_or_none(x) -> Optional[Fraction]:
 def _power_sum(m_a, m_b, q):
     """(m_a^q + m_b^q)^(1/q), which is m_a + m_b at q = 1 in any number type.
 
-    For other q the root is taken in float, or, for Fraction inputs, in mpf
-    at the working precision.
+    For other q the root is taken in float, or, for Fraction inputs, kept
+    exact as a :class:`_Root` when q's denominator is 1 or 2 (and its
+    numerator at most :data:`_MAX_ROOT_ORDER`) and taken in mpf otherwise.
     """
     if q == 1:
         return m_a + m_b
     if type(m_a) is Fraction:
-        qm = to_mpf(q)
-        return (to_mpf(m_a) ** qm + to_mpf(m_b) ** qm) ** (1 / qm)
+        u, v = Fraction(q).as_integer_ratio()
+        if v <= 2 and u <= _MAX_ROOT_ORDER:
+            return _Root(1, 1, _PowerRoot(m_a, m_b, u, v))
+        with _mp_context():
+            qm = to_mpf(q)
+            return (to_mpf(m_a) ** qm + to_mpf(m_b) ** qm) ** (1 / qm)
     return (m_a**q + m_b**q) ** (1.0 / q)
 
 
+def _mp_context():
+    """The precision of an mpf root: 50 digits, or the working precision
+    where that is higher."""
+    return mpmath.workdps(max(mpmath.mp.dps, 50))
+
+
 def _times(c, s):
-    """c * s, with an exact c converted to mpf once when s is an mpf root
-    (a c that is already an mpf is used as it is)."""
+    """c * s, with an exact c converted to mpf when s is an mpf root (a c
+    that is already an mpf is used as it is)."""
+    if type(s) is _Root:
+        return s * c
     if isinstance(s, mpmath.mpf) and not isinstance(c, mpmath.mpf):
-        return to_mpf(c) * s
+        with _mp_context():
+            return to_mpf(c) * s
     return c * s
+
+
+def _iroot(x: int, n: int) -> int:
+    """floor(x^(1/n)) for ints x >= 0 and n >= 1.
+
+    Newton's method on ints, started at or above the root: from the root
+    of x's top half, plus one and scaled back, or from 2^ceil(bits/n) for
+    a short x.  Each step from above the root stays at or above the floor
+    and decreases, so the first step that does not decrease ends it.
+    """
+    if n == 1 or x < 2:
+        return x
+    if n == 2:
+        return math.isqrt(x)
+    bits = x.bit_length()
+    s = bits // (2 * n)
+    y = (_iroot(x >> (n * s), n) + 1) << s if s else 1 << -(-bits // n)
+    while True:
+        z = ((n - 1) * y + x // y ** (n - 1)) // n
+        if z >= y:
+            return y
+        y = z
+
+
+def _exact_root(x: Fraction, n: int) -> Optional[Fraction]:
+    """x^(1/n) where it is rational, else None (x >= 0)."""
+    num, den = x.as_integer_ratio()
+    a, b = _iroot(num, n), _iroot(den, n)
+    return Fraction(a, b) if a**n == num and b**n == den else None
+
+
+# The relative bits of a root's first enclosure, and the bits past which
+# a root that has not rounded yet is tested for being rational: only a
+# rational root can put a bound or a margin on a rounding boundary.
+_ROOT_BITS = 96
+_RATIONAL_BITS = 4 * _ROOT_BITS
+# The largest numerator u of q = u/v that takes an exact root (every value
+# of the default grid has u <= 21): an enclosure raises (bits)-bit ints to
+# the u-th power, so a q such as 1e9 keeps the mpf root.
+_MAX_ROOT_ORDER = 64
+
+
+class _PowerRoot:
+    """(A^q + B^q)^(1/q) for Fractions A, B >= 0 and q = u/v with v 1 or
+    2, as integer enclosures: :meth:`enclosure` gives ints lo <= hi and a
+    denominator d with lo/d <= root <= hi/d.  A dyadic enclosure at k
+    fractional bits (k even where v = 2) comes from integer roots: with
+    a = floor(A 2^k) and b = floor(B 2^k), the v-th roots of a^u and b^u,
+    floored, sum to at most S 2^(uk/v), S = A^(u/v) + B^(u/v), and those of
+    (a + 1)^u and (b + 1)^u, plus one each, to at least it; lo and hi - 1
+    are the floor u-th roots of the two sums to the v-th power.  As the
+    q-norm is a norm, hi - lo is at most 6.
+
+    The narrowest enclosure taken is kept.  A rational root (one of A, B
+    is zero, or the test at :data:`_RATIONAL_BITS` finds it) is its own
+    enclosure, lo = hi.
+    """
+
+    __slots__ = ("a", "b", "u", "v", "_tested", "_best")
+
+    def __init__(self, a: Fraction, b: Fraction, u: int, v: int):
+        self.a, self.b, self.u, self.v = a, b, u, v
+        self._tested, self._best = False, (0, None)  # (bits, enclosure)
+        if a == 0 or b == 0:
+            self._set_point(max(a, b))
+
+    def _set_point(self, r: Fraction) -> None:
+        n, d = r.as_integer_ratio()
+        self._best = (math.inf, (n, n, d))
+
+    def enclosure(self, bits: int) -> tuple[int, int, int]:
+        """(lo, hi, d): lo/d <= root <= hi/d, with hi - lo at most 6 and
+        lo at least 2^bits, or lo = hi."""
+        have, enc = self._best
+        if have >= bits:
+            return enc
+        if bits >= _RATIONAL_BITS and not self._tested:
+            self._tested = True
+            r = self._rational()
+            if r is not None:
+                self._set_point(r)
+                return self._best[1]
+        (an, ad), (bn, bd), u, v = self.a.as_integer_ratio(), self.b.as_integer_ratio(), self.u, self.v
+        # log2 of the root is within 1 of that of max(A, B) or above it
+        k = max(0, bits + 2 - max(an.bit_length() - ad.bit_length(),
+                                  bn.bit_length() - bd.bit_length()))
+        k += k % v
+        a, b = (an << k) // ad, (bn << k) // bd
+        low = _iroot(a**u, v) + _iroot(b**u, v)
+        high = _iroot((a + 1) ** u, v) + _iroot((b + 1) ** u, v) + 2
+        enc = (_iroot(low**v, u), _iroot(high**v, u) + 1, 1 << k)
+        self._best = (bits, enc)
+        return enc
+
+    def _rational(self) -> Optional[Fraction]:
+        """The root where it is rational, else None."""
+        a, b, u = self.a, self.b, self.u
+        if self.v == 1:
+            return _exact_root(a**u + b**u, u)
+        # S^2 = A^u + B^u + 2 (AB)^(u/2) is rational only where (AB)^u is a square
+        t = _exact_root((a * b) ** u, 2)
+        return None if t is None else _exact_root(a**u + b**u + 2 * t, u)
+
+
+class _Root:
+    """c (A^q + B^q)^(1/q) for a rational c = cn/cd and a shared
+    :class:`_PowerRoot`: a bound that is exact, though irrational.  It is
+    multiplied and divided by rationals, and rounded correctly by
+    :meth:`rounded`, ``float`` and ``mpmath.mpf``."""
+
+    __slots__ = ("cn", "cd", "root")
+
+    def __init__(self, cn: int, cd: int, root: _PowerRoot):
+        self.cn, self.cd, self.root = cn, cd, root
+
+    def __mul__(self, c):
+        n, d = c.as_integer_ratio()
+        return _Root(self.cn * n, self.cd * d, self.root)
+
+    def __truediv__(self, c):
+        n, d = c.as_integer_ratio()
+        return _Root(self.cn * d, self.cd * n, self.root)
+
+    def rounded(self, ln: int = 0, ld: int = 1, div=operator.truediv) -> tuple:
+        """(div(self), div(self - ln/ld)) for a ``div`` that rounds a
+        quotient of ints, by default to the nearest float: each is taken at
+        both ends of the root's enclosure, which doubles its bits until
+        the two ends round alike (Ziv's loop)."""
+        cn, cd, bits = self.cn, self.cd, _ROOT_BITS
+        while True:
+            lo, hi, d = self.root.enclosure(bits)
+            d *= cd
+            n_lo, n_hi = cn * lo, cn * hi
+            value = div(n_lo, d)
+            if div(n_hi, d) == value:
+                m_lo, d_m = n_lo * ld - ln * d, d * ld
+                margin = div(m_lo, d_m)
+                if div(m_lo + (n_hi - n_lo) * ld, d_m) == margin:
+                    return value, margin
+            bits *= 2
+
+    def __float__(self) -> float:
+        return self.rounded()[0]
+
+    @property
+    def _mpf_(self):
+        """The value as an mpf at the working precision, for
+        ``mpmath.mpf``."""
+        prec = mpmath.mp.prec
+        return self.rounded(div=lambda n, d: from_rational(n, d, prec, round_nearest))[0]
 
 
 def _coefficient(domain, lam):
@@ -184,7 +356,8 @@ def bound_theorem6(domain: Interval, lam, q, e: EndpointData, variant: Variant):
     (b-a)^2/48 * (8 lam^3 - 3 lam + 1) * S (small lam) and
     (b-a)^2/48 * (3 lam - 1) * S (large lam); the derived family replaces
     /48 by /24 and reduces to :func:`bound_theorem5` at q = 1.  Exact
-    inputs give a Fraction at q = 1 and an mpf otherwise.  It is the
+    inputs give a Fraction at q = 1, an exact root (:class:`_Root`) where
+    q's denominator is 1 or 2, and an mpf otherwise.  It is the
     combination of its lam factor and its power sum, which campaigns cache
     per panel and combine themselves.
     """
@@ -204,11 +377,13 @@ def bound_theorem6_exact(domain, lam, q, m_a, m_b, variant: Variant) -> Fraction
 def bound_theorem6_mp(
     domain, lam, q, m_a, m_b, variant: Variant, dps: int = 50
 ) -> mpmath.mpf:
-    """High-precision power-mean bound for irrational q-th roots."""
+    """The power-mean bound as an mpf at ``dps`` digits: the exact bound
+    correctly rounded, or, for a q whose denominator is above 2, its mpf
+    form."""
     e = EndpointData(Fraction(m_a), Fraction(m_b))
     with mpmath.workdps(dps):
         bound = bound_theorem6(_exact(domain), Fraction(lam), Fraction(q), e, variant)
-        return bound if isinstance(bound, mpmath.mpf) else to_mpf(bound)
+        return to_mpf(bound) if type(bound) is Fraction else mpmath.mpf(bound)
 
 
 def bound_corollary(rule: Rule, domain: Interval, q, e: EndpointData, variant: Variant):
@@ -258,7 +433,7 @@ def bound_bounded_m(
 @functools.lru_cache(maxsize=64)
 def _root_of_two(kind, q, prec: int):
     """2^(1/q), the power sum of two ones of number type ``kind``.  An mpf
-    root is taken at the working precision, so ``prec`` (in bits) is part
+    root depends on the working precision, so ``prec`` (in bits) is part
     of the cache key."""
     one = kind(1)
     return _power_sum(one, one, q)

@@ -12,7 +12,8 @@ Subcommands:
 All real-valued inputs also accept exact fraction syntax ``p/q``; a value
 too large for a float, or input a formula rejects, is a usage error (exit
 64).  ``bound`` evaluates the generic bound formulas on exact rationals,
-with a q-th root at 50 digits, and prints the float of that value.
+with a q-th root kept exact, and prints the float nearest to that value
+(for a q whose denominator is above 2, the float of its 50-digit value).
 ``verify`` writes its report while the campaign is evaluated, block by
 block in canonical order (:class:`~hhbounds.harness.CampaignStream`), with
 the summary after the last record; ``--out`` is written beside its target
@@ -42,8 +43,6 @@ from collections.abc import Iterator
 from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, TextIO
-
-import mpmath
 
 from . import __version__, bounds, functionals, harness, means
 from .corpus import GridSpec, Interval, check_p_convex, function_ids, get_function
@@ -361,52 +360,51 @@ def _cmd_bound(args, parser) -> int:
 
 
 def _print_bound(args, parser) -> int:
-    """The bound in exact rationals, with a q-th root taken at 50 digits,
-    printed as the float of that value."""
+    """The bound in exact rationals, with its q-th root kept exact (taken
+    at 50 digits where q's denominator is above 2), printed as a float."""
     rule, variant = args.rule, args.variant
     q = args.q if args.q is not None else Fraction(1)
     if q < 1:
         parser.error("--q must be >= 1")
     domain = Interval(args.a, args.b)
-    with mpmath.workdps(50):
-        if args.ma is not None or args.mb is not None:
-            if args.ma is None or args.mb is None:
-                parser.error("--ma and --mb must be given together")
-            if isinstance(rule, str):
-                num = {"midpoint": 1, "trapezoid": 2, "simpson": 3}[rule]
-                claim, lam = f"cor{num}-{variant}", bounds.RULE_LAMBDA_EXACT[rule]
-            else:
-                claim, lam = f"thm6-{variant}", rule
-            ends = bounds.EndpointData(args.ma, args.mb)
-            values = [bounds.bound_theorem6(domain, lam, q, ends, variant)]
-        elif args.big_m is not None:
-            if not isinstance(rule, str):
-                parser.error(
-                    "--big-m requires a named rule (midpoint/trapezoid/simpson)"
-                )
-            num = {"midpoint": 4, "trapezoid": 5, "simpson": 8}[rule]
-            claim = f"cor{num}-{'relaxed' if args.form == 'relaxed' else variant}"
-            env = bounds.DerivativeEnvelope(sup_abs_d2=args.big_m)
-            values = [
-                bounds.bound_bounded_m(rule, domain, q, env, args.form, variant)
-            ]
-        elif args.k_lo is not None or args.k_hi is not None:
-            if args.k_lo is None or args.k_hi is None:
-                parser.error("--k-lo and --k-hi must be given together")
-            if rule not in ("midpoint", "trapezoid"):
-                parser.error("--k-lo/--k-hi apply to the midpoint or trapezoid rule")
-            claim = "mid-envelope" if rule == "midpoint" else "trap-envelope"
-            env = bounds.DerivativeEnvelope(lower_d2=args.k_lo, upper_d2=args.k_hi)
-            values = bounds.bound_classical(rule, domain, env)
-        elif args.d4_sup is not None:
-            if rule != "simpson":
-                parser.error("--d4-sup applies to the simpson rule")
-            claim = f"simpson-4th-p{args.p}"
-            env = bounds.DerivativeEnvelope(sup_abs_d4=args.d4_sup)
-            values = [bounds.bound_classical("simpson", domain, env, args.p)]
+    if args.ma is not None or args.mb is not None:
+        if args.ma is None or args.mb is None:
+            parser.error("--ma and --mb must be given together")
+        if isinstance(rule, str):
+            num = {"midpoint": 1, "trapezoid": 2, "simpson": 3}[rule]
+            claim, lam = f"cor{num}-{variant}", bounds.RULE_LAMBDA_EXACT[rule]
         else:
-            parser.error("provide endpoint data (--ma/--mb) or an envelope flag")
-    floats = [float(v) for v in values]  # a Fraction too large raises here
+            claim, lam = f"thm6-{variant}", rule
+        ends = bounds.EndpointData(args.ma, args.mb)
+        values = [bounds.bound_theorem6(domain, lam, q, ends, variant)]
+    elif args.big_m is not None:
+        if not isinstance(rule, str):
+            parser.error(
+                "--big-m requires a named rule (midpoint/trapezoid/simpson)"
+            )
+        num = {"midpoint": 4, "trapezoid": 5, "simpson": 8}[rule]
+        claim = f"cor{num}-{'relaxed' if args.form == 'relaxed' else variant}"
+        env = bounds.DerivativeEnvelope(sup_abs_d2=args.big_m)
+        values = [
+            bounds.bound_bounded_m(rule, domain, q, env, args.form, variant)
+        ]
+    elif args.k_lo is not None or args.k_hi is not None:
+        if args.k_lo is None or args.k_hi is None:
+            parser.error("--k-lo and --k-hi must be given together")
+        if rule not in ("midpoint", "trapezoid"):
+            parser.error("--k-lo/--k-hi apply to the midpoint or trapezoid rule")
+        claim = "mid-envelope" if rule == "midpoint" else "trap-envelope"
+        env = bounds.DerivativeEnvelope(lower_d2=args.k_lo, upper_d2=args.k_hi)
+        values = bounds.bound_classical(rule, domain, env)
+    elif args.d4_sup is not None:
+        if rule != "simpson":
+            parser.error("--d4-sup applies to the simpson rule")
+        claim = f"simpson-4th-p{args.p}"
+        env = bounds.DerivativeEnvelope(sup_abs_d4=args.d4_sup)
+        values = [bounds.bound_classical("simpson", domain, env, args.p)]
+    else:
+        parser.error("provide endpoint data (--ma/--mb) or an envelope flag")
+    floats = [float(v) for v in values]  # a Fraction or root too large raises here
     if not all(math.isfinite(v) for v in floats):  # an mpf too large is inf
         raise OverflowError("the bound is too large for a float")
     print(claim, *map(_fmt, floats))

@@ -33,13 +33,14 @@ it; an exact lam and its exact moment are constants of the run.  The side
 row of every other claim holds each half of its one cell: an enclosure has
 two, and the block keeps the half with the smaller float margin.  The
 float row comes first; each cell that is not a comfortable 'holds' is
-re-derived by the same row function, inside one 50-digit context per
-block, on the exact panel (polynomials) or on the refined one, and
-:func:`~hhbounds.records.classify_row` decides every status.  The
-propositions are the corollary rows of their rule, evaluated on the exact
-panel of x^n.  An oracle failure anywhere, confirmation included, yields
-an 'undefined' record, and so does an f, f'' or f'''' that raises where it
-is sampled.  Every per-run value (a panel, an envelope, a P-check) is
+re-derived by the same row function on the exact panel (polynomials),
+where a q-th root is an exact root of :mod:`bounds` (or, for a q whose
+denominator is above 2, an mpf in one 50-digit context per block), or on
+the refined one, and :func:`~hhbounds.records.classify_row` decides every
+status.  The propositions are the corollary rows of their rule, evaluated
+on the exact panel of x^n.  An oracle failure anywhere, confirmation
+included, yields an 'undefined' record, and so does an f, f'' or f''''
+that raises where it is sampled.  Every per-run value (a panel, an envelope, a P-check) is
 built once; one whose build failed is not built again.  Runs are
 deterministic for a fixed config.  A counterexample search screens every
 trial (:func:`_screen`) on the float row of the same row function, and
@@ -74,7 +75,7 @@ from .corpus import (
     _REGISTRY,
     check_p_convex,
 )
-from .oracle import OracleError, _sample, _terms_at, _value_at, to_mpf
+from .oracle import OracleError, _sample, _terms_at, _value_at
 from .records import EQ_TOL, STATUSES, TOL, VerificationRecord, classify_row
 
 __all__ = [
@@ -330,10 +331,10 @@ class _Panel:
     |F(lam)| and the lam factor (b-a)^2 moment(lam); per q, the power sum
     (|f''(a)|^q + |f''(b)|^q)^(1/q).  A lam is keyed by its float, or on an
     exact panel by the name of the rule whose exact lam a claim fixes; its
-    exact value and exact moment are per-run constants of the context.  An
-    exact panel also keeps the lam factor as an mpf (the stated constant
-    halves it once per row); it meets mpfs only inside the 50-digit
-    confirmation context, so they are all taken at that precision.
+    exact value and exact moment are per-run constants of the context.  On
+    an exact panel a power sum with q != 1 is an exact root
+    (:class:`bounds._Root`), or an mpf for a q whose denominator is above
+    2, which it meets only inside the 50-digit confirmation context.
     """
 
     __slots__ = (
@@ -410,10 +411,10 @@ class _Panel:
     def theorem6_row(self, lam, qs, variant: str) -> list:
         """:func:`bounds.bound_theorem6` at lam for each q of ``qs`` (q None
         taken as 1, the power sum of theorem 5), from the cached lam factor c
-        and power sums s: c * s, halved for the stated constant.  On an exact panel a bound is a Fraction where s
-        is one (q = 1) and an mpf where s is an mpf root; there the stated
-        constant halves the mpf factor once per row, before the products,
-        which in binary mpf gives the same roundings."""
+        and power sums s: c * s, halved for the stated constant.  On an
+        exact panel a bound is a Fraction where s is one (q = 1), c times
+        the exact root s where q's denominator is 1 or 2, and an mpf
+        otherwise."""
         sums = self._memo["power_sum"]
         for q in qs:
             if q not in sums:
@@ -431,20 +432,7 @@ class _Panel:
             if variant == "derived":
                 return [c * sums[q] for q in qs]
             return [c * sums[q] / 2 for q in qs]
-        c_mp = self._mpf("lam_factor_mp", lam, c)
-        row = [sums[q] for q in qs]
-        if variant == "derived":
-            return [c * s if type(s) is Fraction else c_mp * s for s in row]
-        half = c_mp / 2
-        return [c * s / 2 if type(s) is Fraction else half * s for s in row]
-
-    def _mpf(self, stat: str, key, value):
-        """``value`` as an mpf, cached as ``stat`` at ``key``."""
-        memo = self._memo[stat]
-        v = memo.get(key)
-        if v is None:
-            v = memo[key] = to_mpf(value)
-        return v
+        return [bounds._combine(c, sums[q], variant) for q in qs]
 
 
 def _envelope(fn: TestFunction, domain: Interval) -> bounds.DerivativeEnvelope:
@@ -662,11 +650,12 @@ def _evaluate_block(
 
     The hypothesis is checked once per q.  The block is evaluated a lam row
     at a time by the row function :func:`_row` picks for the claim: the
-    float row first, where each comfortable 'holds' is accepted, and then,
-    inside one 50-digit context per block, the same row function on the
-    panel's exact values (polynomials) or else on the refined average, for
-    the cells left.  Of an enclosure's two halves the block keeps the one
-    with the smaller float margin, and confirms that one.  The
+    float row first, where each comfortable 'holds' is accepted, and then
+    the same row function on the panel's exact values (polynomials) or
+    else on the refined average, for the cells left, inside one 50-digit
+    context per block for the mpf roots of a q whose denominator is above
+    2.  Of an enclosure's two halves the block keeps the one with the
+    smaller float margin, and confirms that one.  The
     propositions, stated for x^n, go to the exact panel directly.  An
     oracle failure makes the records it meets 'undefined'.
     """

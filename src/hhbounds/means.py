@@ -98,7 +98,8 @@ def check_proposition(
     |A(a^n, b^n)/3 + 2 A^n/3 - L_n^n|.  rhs: the power-mean bound with
     |f''(x)| = |n(n-1)| x^(n-2), i.e. |n(n-1)| (b-a)^2 / C *
     (a^(q(n-2)) + b^(q(n-2)))^(1/q) with C = 48, 24, 162 (stated) or 24,
-    12, 81 (derived).  The rhs is rational at q = 1 and evaluated at
+    12, 81 (derived).  The rhs is rational at q = 1, an exact root for a
+    q whose denominator is 2 or 1 (rounded correctly), and evaluated at
     50 decimal digits otherwise, so a reported violation never rests on
     double rounding.  The status band is :data:`~hhbounds.records.TOL`
     and :data:`~hhbounds.records.EQ_TOL`, as in a campaign.  The guard

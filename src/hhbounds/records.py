@@ -18,6 +18,7 @@ from operator import itemgetter
 
 import mpmath
 
+from .bounds import _Root
 from .oracle import to_mpf
 
 __all__ = ["STATUSES", "VerificationRecord"]
@@ -42,7 +43,8 @@ class VerificationRecord(tuple):
     ``lam`` and ``q`` are None for claims without that parameter; lhs, rhs
     and margin are None when the hypothesis failed or evaluation was
     undefined.  ``exact`` is True when the status was decided in rational
-    arithmetic or at 50-digit precision rather than in doubles.
+    arithmetic, on an exact root, or at 50-digit precision rather than in
+    doubles.
 
     A record is an immutable tuple of its values in the order of
     :data:`FIELDS`, built by position or by keyword and read by field
@@ -93,16 +95,19 @@ _NAMES = tuple("lam" if f == "lambda" else f for f in FIELDS)
 def classify(lhs, rhs, tol: float, eq_tol: float) -> tuple[str, float, float, float]:
     """The status of ``lhs <= rhs`` and the floats a record carries.
 
-    The sides may be floats, Fractions or mpfs; an exact side is converted
+    The sides may be floats, Fractions or mpfs, or an exact root of
+    :mod:`bounds` on the right of an exact lhs; an exact side is converted
     to mpf when the other is an mpf, so call this inside the working
     precision the mpf was computed at.  With margin = rhs - lhs and
     scale = max(1, |lhs|, |rhs|), the status is 'violated' when the margin
-    is below -tol * scale, 'equality' when an exact margin is zero or an
-    inexact one lies within eq_tol * scale, 'undefined' when it is NaN,
-    and 'holds' otherwise.  Campaigns and the special-means checks pass
+    is below -tol * scale, 'equality' when a rational margin is zero or
+    any other lies within eq_tol * scale, 'undefined' when it is NaN, and
+    'holds' otherwise.  Campaigns and the special-means checks pass
     tol = :data:`TOL` and eq_tol = :data:`EQ_TOL`.
 
-    Returns (status, lhs, rhs, margin) with the three values as floats.
+    Returns (status, lhs, rhs, margin) with the three values as floats;
+    against an exact root, rhs and margin are the floats nearest to their
+    exact values.
     """
     return classify_row(lhs, (rhs,), tol, eq_tol)[0]
 
@@ -111,25 +116,35 @@ def classify_row(lhs, rhss, tol: float, eq_tol: float) -> list[tuple]:
     """:func:`classify` of ``lhs <= rhs`` for each rhs of ``rhss``: the
     verdicts of a row of inequalities that share their left-hand side,
     which is converted once, to a float and, for the cells whose rhs is an
-    mpf, to an mpf at the working precision.
+    mpf, to an mpf at the working precision.  An exact root rhs and its
+    margin are rounded from the integer enclosures of the root
+    (:meth:`bounds._Root.rounded`), so every margin's sign is exact.
     """
     lhs_is_mp = isinstance(lhs, mpmath.mpf)
-    lhs_f = lhs_mp = lhs_mp_f = None
+    lhs_f = lhs_mp = lhs_mp_f = lhs_ratio = None
     out = []
     for rhs in rhss:
-        if isinstance(rhs, mpmath.mpf) and not lhs_is_mp:
-            if lhs_mp is None:
-                lhs_mp = to_mpf(lhs)
-                lhs_mp_f = float(lhs_mp)
-            side, side_f = lhs_mp, lhs_mp_f
-        else:
-            if lhs_f is None:
+        if type(rhs) is _Root:
+            if lhs_ratio is None:
+                lhs_ratio = lhs.as_integer_ratio()
                 lhs_f = float(lhs)
-            if lhs_is_mp and type(rhs) is Fraction:
-                rhs = to_mpf(rhs)
-            side, side_f = lhs, lhs_f
-        margin = rhs - side
-        rhs_f, margin_f = float(rhs), float(margin)
+            side_f = lhs_f
+            rhs_f, margin_f = rhs.rounded(*lhs_ratio)
+            margin = margin_f
+        else:
+            if isinstance(rhs, mpmath.mpf) and not lhs_is_mp:
+                if lhs_mp is None:
+                    lhs_mp = to_mpf(lhs)
+                    lhs_mp_f = float(lhs_mp)
+                side, side_f = lhs_mp, lhs_mp_f
+            else:
+                if lhs_f is None:
+                    lhs_f = float(lhs)
+                if lhs_is_mp and type(rhs) is Fraction:
+                    rhs = to_mpf(rhs)
+                side, side_f = lhs, lhs_f
+            margin = rhs - side
+            rhs_f, margin_f = float(rhs), float(margin)
         scale = max(1.0, abs(side_f), abs(rhs_f))
         if margin_f < -tol * scale:
             status = "violated"

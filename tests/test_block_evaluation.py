@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from hhbounds import harness
+from hhbounds import bounds, harness
 from hhbounds.bounds import DerivativeEnvelope
 from hhbounds.corpus import (
     Interval,
@@ -312,7 +312,9 @@ def _cell_pairs(claim, p, lam, q, env):
 
 
 def _mp(x):
-    return x if isinstance(x, mpmath.mpf) else to_mpf(x)
+    """``x`` at the working precision: an exact root of :mod:`bounds`
+    correctly rounded, a rational the nearest mpf."""
+    return mpmath.mpf(x) if isinstance(x, (mpmath.mpf, bounds._Root)) else to_mpf(x)
 
 
 @settings(max_examples=600, deadline=None, derandomize=True)

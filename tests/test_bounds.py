@@ -167,18 +167,28 @@ class TestBoundedM:
             assert wq <= rel + 1e-15
 
     def test_root_of_two_follows_working_precision(self):
-        # 2^(1/q) is cached per q; a root taken at 15 digits is not reused
-        # at 50, and repeated calls give the same value
+        # 2^(1/q) is cached per q; an mpf root (q = 5/3), taken at 50 digits
+        # or more, is not reused at 60, and repeated calls give the same
+        # value; an exact root (q = 3/2) is the same at every precision
         env = DerivativeEnvelope(sup_abs_d2=Fraction(7, 3))
         dom = Interval(Fraction(1), Fraction(5, 2))
-        q = Fraction(3, 2)
+        c = Fraction(7, 3) * Fraction(9, 4) / 162
+        q = Fraction(5, 3)
         with mpmath.workdps(15):
             low = bound_bounded_m("simpson", dom, q, env, "with_q")
-        with mpmath.workdps(50):
+        with mpmath.workdps(60):
             high = [bound_bounded_m("simpson", dom, q, env, "with_q") for _ in range(2)]
             root = _power_sum(Fraction(1), Fraction(1), q)
-            assert high == [to_mpf(Fraction(7, 3) * Fraction(9, 4) / 162) * root] * 2
-        assert mpmath.mpf(high[0]) != low
+            assert high == [to_mpf(c) * root] * 2
+        with mpmath.workdps(50):
+            assert low == to_mpf(c) * _power_sum(Fraction(1), Fraction(1), q)
+        assert high[0] != low
+        exact = [bound_bounded_m("simpson", dom, Fraction(3, 2), env, "with_q")]
+        with mpmath.workdps(60):
+            exact.append(bound_bounded_m("simpson", dom, Fraction(3, 2), env, "with_q"))
+            assert abs(mpmath.mpf(exact[1]) - c * mpmath.cbrt(4)) < mpmath.mpf(10) ** -60
+        assert [(e.cn, e.cd) for e in exact] == [c.as_integer_ratio()] * 2
+        assert float(exact[0]) == float(exact[1])
         assert bound_bounded_m("simpson", UNIT, 2.0, DerivativeEnvelope(sup_abs_d2=1.0),
                                "with_q") == 1.0 / 162 * 2.0**0.5
 
