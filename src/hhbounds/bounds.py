@@ -19,13 +19,13 @@ Each bound is written once and runs in the number type of its inputs.
 Floats give the double-precision value.  Fractions (an :class:`Interval`
 with Fraction endpoints, Fraction lam and derivative data) give the exact
 rational value at q = 1.  At any other q the power sum
-(A^q + B^q)^(1/q) is irrational in general; for a q whose denominator is
-1 or 2 (every value of the default grid) it is kept exact as a
+(A^q + B^q)^(1/q) is irrational in general, and its bound is a
 :class:`_Root`, a rational multiple of the root that encloses itself
-between integers at any number of bits and rounds correctly; for any
-other q it is taken in mpf at 50 digits or the working precision, if
-higher.  The ``_exact`` and ``_mp`` names convert their arguments and
-call the same formula.
+between integers and rounds correctly.  For a q whose denominator is 1
+or 2 (every value of the default grid) the enclosure narrows to any
+number of bits; for any other q it is the point of the root's 50-digit
+mpf value, whatever the caller's working precision.  The ``_exact`` and
+``_mp`` names convert their arguments and call the same formula.
 """
 
 from __future__ import annotations
@@ -38,7 +38,7 @@ from fractions import Fraction
 from typing import Literal, Optional
 
 import mpmath
-from mpmath.libmp import from_rational, round_nearest
+from mpmath.libmp import from_rational, round_nearest, to_rational
 
 from . import kernel
 from .corpus import Interval
@@ -139,8 +139,9 @@ def _power_sum(m_a, m_b, q):
     """(m_a^q + m_b^q)^(1/q), which is m_a + m_b at q = 1 in any number type.
 
     For other q the root is taken in float, or, for Fraction inputs, kept
-    exact as a :class:`_Root` when q's denominator is 1 or 2 (and its
-    numerator at most :data:`_MAX_ROOT_ORDER`) and taken in mpf otherwise.
+    as a :class:`_Root`: exact when q's denominator is 1 or 2 (and its
+    numerator at most :data:`_MAX_ROOT_ORDER`), and otherwise the point of
+    its value taken in mpf at 50 digits.
     """
     if q == 1:
         return m_a + m_b
@@ -148,27 +149,13 @@ def _power_sum(m_a, m_b, q):
         u, v = Fraction(q).as_integer_ratio()
         if v <= 2 and u <= _MAX_ROOT_ORDER:
             return _Root(1, 1, _PowerRoot(m_a, m_b, u, v))
-        with _mp_context():
+        with mpmath.workdps(50):
             qm = to_mpf(q)
-            return (to_mpf(m_a) ** qm + to_mpf(m_b) ** qm) ** (1 / qm)
+            root = (to_mpf(m_a) ** qm + to_mpf(m_b) ** qm) ** (1 / qm)
+        n, d = to_rational(root._mpf_)
+        # (P^1 + 0^1)^(1/1) is P: a point enclosure of the 50-digit root
+        return _Root(1, 1, _PowerRoot(Fraction(int(n), int(d)), Fraction(0), 1, 1))
     return (m_a**q + m_b**q) ** (1.0 / q)
-
-
-def _mp_context():
-    """The precision of an mpf root: 50 digits, or the working precision
-    where that is higher."""
-    return mpmath.workdps(max(mpmath.mp.dps, 50))
-
-
-def _times(c, s):
-    """c * s, with an exact c converted to mpf when s is an mpf root (a c
-    that is already an mpf is used as it is)."""
-    if type(s) is _Root:
-        return s * c
-    if isinstance(s, mpmath.mpf) and not isinstance(c, mpmath.mpf):
-        with _mp_context():
-            return to_mpf(c) * s
-    return c * s
 
 
 def _iroot(x: int, n: int) -> int:
@@ -207,7 +194,7 @@ _ROOT_BITS = 96
 _RATIONAL_BITS = 4 * _ROOT_BITS
 # The largest numerator u of q = u/v that takes an exact root (every value
 # of the default grid has u <= 21): an enclosure raises (bits)-bit ints to
-# the u-th power, so a q such as 1e9 keeps the mpf root.
+# the u-th power, so a q such as 1e9 takes the 50-digit root.
 _MAX_ROOT_ORDER = 64
 
 
@@ -275,8 +262,9 @@ class _PowerRoot:
 
 class _Root:
     """c (A^q + B^q)^(1/q) for a rational c = cn/cd and a shared
-    :class:`_PowerRoot`: a bound that is exact, though irrational.  It is
-    multiplied and divided by rationals, and rounded correctly by
+    :class:`_PowerRoot`: a bound that is exact, though irrational (or, for
+    a q whose denominator is above 2, c times the root's 50-digit value).
+    It is multiplied and divided by rationals, and rounded correctly by
     :meth:`rounded`, ``float`` and ``mpmath.mpf``."""
 
     __slots__ = ("cn", "cd", "root")
@@ -287,6 +275,8 @@ class _Root:
     def __mul__(self, c):
         n, d = c.as_integer_ratio()
         return _Root(self.cn * n, self.cd * d, self.root)
+
+    __rmul__ = __mul__
 
     def __truediv__(self, c):
         n, d = c.as_integer_ratio()
@@ -326,13 +316,6 @@ def _coefficient(domain, lam):
     return domain.width**2 * kernel.weighted_moment(lam)
 
 
-def _combine(c, s, variant: Variant):
-    """The power-mean bound from its lam factor ``c`` and power sum ``s``:
-    c * s for the derived constant, half of it for the stated one."""
-    bound = _times(c, s)
-    return bound if variant == "derived" else bound / 2
-
-
 def bound_theorem5(domain: Interval, lam, e: EndpointData):
     """Endpoint-sum deviation bound under P-convexity of |f''|:
 
@@ -356,14 +339,15 @@ def bound_theorem6(domain: Interval, lam, q, e: EndpointData, variant: Variant):
     (b-a)^2/48 * (8 lam^3 - 3 lam + 1) * S (small lam) and
     (b-a)^2/48 * (3 lam - 1) * S (large lam); the derived family replaces
     /48 by /24 and reduces to :func:`bound_theorem5` at q = 1.  Exact
-    inputs give a Fraction at q = 1, an exact root (:class:`_Root`) where
-    q's denominator is 1 or 2, and an mpf otherwise.  It is the
-    combination of its lam factor and its power sum, which campaigns cache
-    per panel and combine themselves.
+    inputs give a Fraction at q = 1 and a root (:class:`_Root`) otherwise.
+    It is the product of its lam factor and its power sum, halved for the
+    stated constant; campaigns cache both per panel and multiply them
+    themselves.
     """
     _check_q(q)
     _check_variant(variant)
-    return _combine(_coefficient(domain, lam), _power_sum(e.m_a, e.m_b, q), variant)
+    bound = _coefficient(domain, lam) * _power_sum(e.m_a, e.m_b, q)
+    return bound if variant == "derived" else bound / 2
 
 
 def bound_theorem6_exact(domain, lam, q, m_a, m_b, variant: Variant) -> Fraction:
@@ -374,14 +358,12 @@ def bound_theorem6_exact(domain, lam, q, m_a, m_b, variant: Variant) -> Fraction
     return bound_theorem6(_exact(domain), Fraction(lam), 1, e, variant)
 
 
-def bound_theorem6_mp(
-    domain, lam, q, m_a, m_b, variant: Variant, dps: int = 50
-) -> mpmath.mpf:
-    """The power-mean bound as an mpf at ``dps`` digits: the exact bound
-    correctly rounded, or, for a q whose denominator is above 2, its mpf
-    form."""
+def bound_theorem6_mp(domain, lam, q, m_a, m_b, variant: Variant) -> mpmath.mpf:
+    """The power-mean bound as an mpf at 50 digits: the exact bound (with
+    the 50-digit root, for a q whose denominator is above 2) correctly
+    rounded."""
     e = EndpointData(Fraction(m_a), Fraction(m_b))
-    with mpmath.workdps(dps):
+    with mpmath.workdps(50):
         bound = bound_theorem6(_exact(domain), Fraction(lam), Fraction(q), e, variant)
         return to_mpf(bound) if type(bound) is Fraction else mpmath.mpf(bound)
 
@@ -427,14 +409,12 @@ def bound_bounded_m(
     if form == "relaxed":
         return m * domain.width**2 / denom * 2
     _check_q(q)
-    return _times(m * domain.width**2 / denom, _root_of_two(type(m), q, mpmath.mp.prec))
+    return m * domain.width**2 / denom * _root_of_two(type(m), q)
 
 
 @functools.lru_cache(maxsize=64)
-def _root_of_two(kind, q, prec: int):
-    """2^(1/q), the power sum of two ones of number type ``kind``.  An mpf
-    root depends on the working precision, so ``prec`` (in bits) is part
-    of the cache key."""
+def _root_of_two(kind, q):
+    """2^(1/q), the power sum of two ones of number type ``kind``."""
     one = kind(1)
     return _power_sum(one, one, q)
 

@@ -34,11 +34,10 @@ row of every other claim holds each half of its one cell: an enclosure has
 two, and the block keeps the half with the smaller float margin.  The
 float row comes first; each cell that is not a comfortable 'holds' is
 re-derived by the same row function on the exact panel (polynomials),
-where a q-th root is an exact root of :mod:`bounds` (or, for a q whose
-denominator is above 2, an mpf in one 50-digit context per block), or on
-the refined one, and :func:`~hhbounds.records.classify_row` decides every
-status.  The propositions are the corollary rows of their rule, evaluated
-on the exact panel of x^n.  An oracle failure anywhere, confirmation
+where a q-th root is a root of :mod:`bounds`, or on the refined one, and
+:func:`~hhbounds.records.classify_row` decides every status.  The
+propositions are the corollary rows of their rule, evaluated on the exact
+panel of x^n.  An oracle failure anywhere, confirmation
 included, yields an 'undefined' record, and so does an f, f'' or f''''
 that raises where it is sampled.  Every per-run value (a panel, an envelope, a P-check) is
 built once; one whose build failed is not built again.  Runs are
@@ -64,7 +63,6 @@ from operator import attrgetter
 from types import SimpleNamespace
 from typing import Iterator, Mapping, Optional
 
-import mpmath
 import numpy as np
 
 from . import bounds, functionals, kernel, oracle
@@ -332,9 +330,8 @@ class _Panel:
     (|f''(a)|^q + |f''(b)|^q)^(1/q).  A lam is keyed by its float, or on an
     exact panel by the name of the rule whose exact lam a claim fixes; its
     exact value and exact moment are per-run constants of the context.  On
-    an exact panel a power sum with q != 1 is an exact root
-    (:class:`bounds._Root`), or an mpf for a q whose denominator is above
-    2, which it meets only inside the 50-digit confirmation context.
+    an exact panel a power sum with q != 1 is a root
+    (:class:`bounds._Root`).
     """
 
     __slots__ = (
@@ -412,9 +409,8 @@ class _Panel:
         """:func:`bounds.bound_theorem6` at lam for each q of ``qs`` (q None
         taken as 1, the power sum of theorem 5), from the cached lam factor c
         and power sums s: c * s, halved for the stated constant.  On an
-        exact panel a bound is a Fraction where s is one (q = 1), c times
-        the exact root s where q's denominator is 1 or 2, and an mpf
-        otherwise."""
+        exact panel a bound is a Fraction where s is one (q = 1) and c times
+        the root s otherwise."""
         sums = self._memo["power_sum"]
         for q in qs:
             if q not in sums:
@@ -428,11 +424,9 @@ class _Panel:
             else:
                 c = bounds._coefficient(self.domain, lam)
             factors[lam] = c
-        if not self.exact:
-            if variant == "derived":
-                return [c * sums[q] for q in qs]
-            return [c * sums[q] / 2 for q in qs]
-        return [bounds._combine(c, sums[q], variant) for q in qs]
+        if variant == "derived":
+            return [c * sums[q] for q in qs]
+        return [c * sums[q] / 2 for q in qs]
 
 
 def _envelope(fn: TestFunction, domain: Interval) -> bounds.DerivativeEnvelope:
@@ -652,12 +646,11 @@ def _evaluate_block(
     at a time by the row function :func:`_row` picks for the claim: the
     float row first, where each comfortable 'holds' is accepted, and then
     the same row function on the panel's exact values (polynomials) or
-    else on the refined average, for the cells left, inside one 50-digit
-    context per block for the mpf roots of a q whose denominator is above
-    2.  Of an enclosure's two halves the block keeps the one with the
-    smaller float margin, and confirms that one.  The
-    propositions, stated for x^n, go to the exact panel directly.  An
-    oracle failure makes the records it meets 'undefined'.
+    else on the refined average, for the cells left.  Of an enclosure's
+    two halves the block keeps the one with the smaller float margin, and
+    confirms that one.  The propositions, stated for x^n, go to the exact
+    panel directly.  An oracle failure makes the records it meets
+    'undefined'.
     """
     head = claim.id, fn.id, domain.lo, domain.hi
 
@@ -711,19 +704,18 @@ def _evaluate_block(
 
     if pending:
         p = None
-        with mpmath.workdps(50):
-            for lam, (indices, row_qs) in pending.items():
-                try:
-                    p = p or ctx.panel(fn, domain, "exact" if exact else "refined")
-                    verdicts = row(claim, p, lam, row_qs)[half:]
-                except OracleError:
-                    verdicts = [("undefined",)] * len(row_qs)
-                for k, q, verdict in zip(indices, row_qs, verdicts):
-                    if verdict[0] == "undefined":
-                        out[k] = bare(lam, q, "undefined")
-                    else:
-                        status, lhs, rhs, margin = verdict
-                        out[k] = VerificationRecord(*head, lam, q, lhs, rhs, margin, status, exact)
+        for lam, (indices, row_qs) in pending.items():
+            try:
+                p = p or ctx.panel(fn, domain, "exact" if exact else "refined")
+                verdicts = row(claim, p, lam, row_qs)[half:]
+            except OracleError:
+                verdicts = [("undefined",)] * len(row_qs)
+            for k, q, verdict in zip(indices, row_qs, verdicts):
+                if verdict[0] == "undefined":
+                    out[k] = bare(lam, q, "undefined")
+                else:
+                    status, lhs, rhs, margin = verdict
+                    out[k] = VerificationRecord(*head, lam, q, lhs, rhs, margin, status, exact)
     return out
 
 

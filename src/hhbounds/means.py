@@ -15,8 +15,6 @@ from __future__ import annotations
 import math
 from fractions import Fraction
 
-import mpmath
-
 from . import bounds, functionals
 from .corpus import Interval
 from .records import EQ_TOL, TOL, VerificationRecord, classify
@@ -98,11 +96,12 @@ def check_proposition(
     |A(a^n, b^n)/3 + 2 A^n/3 - L_n^n|.  rhs: the power-mean bound with
     |f''(x)| = |n(n-1)| x^(n-2), i.e. |n(n-1)| (b-a)^2 / C *
     (a^(q(n-2)) + b^(q(n-2)))^(1/q) with C = 48, 24, 162 (stated) or 24,
-    12, 81 (derived).  The rhs is rational at q = 1, an exact root for a
-    q whose denominator is 2 or 1 (rounded correctly), and evaluated at
-    50 decimal digits otherwise, so a reported violation never rests on
-    double rounding.  The status band is :data:`~hhbounds.records.TOL`
-    and :data:`~hhbounds.records.EQ_TOL`, as in a campaign.  The guard
+    12, 81 (derived).  The rhs is rational at q = 1 and a root of
+    :mod:`bounds` otherwise (exact for a q whose denominator is 2 or 1,
+    the 50-digit root for any other), rounded correctly, so a reported
+    violation never rests on double rounding.  The status band is
+    :data:`~hhbounds.records.TOL` and :data:`~hhbounds.records.EQ_TOL`, as
+    in a campaign.  The guard
     |n(n-1)| >= 3 is not enforced here; callers that treat it as a
     hypothesis filter on n do so themselves.
     """
@@ -126,13 +125,12 @@ def check_proposition(
     )
     k = abs(n * (n - 1))
     ends = bounds.EndpointData(k * af ** (n - 2), k * bf ** (n - 2))
-    with mpmath.workdps(50):
-        status, lhs, rhs, margin = classify(
-            abs(functionals._lambda_value(samples, bounds.RULE_LAMBDA_EXACT[rule])),
-            bounds.bound_corollary(rule, Interval(af, bf), q, ends, variant),
-            TOL,
-            EQ_TOL,
-        )
+    status, lhs, rhs, margin = classify(
+        abs(functionals._lambda_value(samples, bounds.RULE_LAMBDA_EXACT[rule])),
+        bounds.bound_corollary(rule, Interval(af, bf), q, ends, variant),
+        TOL,
+        EQ_TOL,
+    )
 
     fid = f"poly{n}" if 2 <= n <= 5 else f"x^{n}"
     return VerificationRecord(

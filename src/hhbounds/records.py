@@ -16,10 +16,7 @@ import math
 from fractions import Fraction
 from operator import itemgetter
 
-import mpmath
-
 from .bounds import _Root
-from .oracle import to_mpf
 
 __all__ = ["STATUSES", "VerificationRecord"]
 
@@ -43,8 +40,7 @@ class VerificationRecord(tuple):
     ``lam`` and ``q`` are None for claims without that parameter; lhs, rhs
     and margin are None when the hypothesis failed or evaluation was
     undefined.  ``exact`` is True when the status was decided in rational
-    arithmetic, on an exact root, or at 50-digit precision rather than in
-    doubles.
+    arithmetic or on a root of :mod:`bounds` rather than in doubles.
 
     A record is an immutable tuple of its values in the order of
     :data:`FIELDS`, built by position or by keyword and read by field
@@ -95,10 +91,8 @@ _NAMES = tuple("lam" if f == "lambda" else f for f in FIELDS)
 def classify(lhs, rhs, tol: float, eq_tol: float) -> tuple[str, float, float, float]:
     """The status of ``lhs <= rhs`` and the floats a record carries.
 
-    The sides may be floats, Fractions or mpfs, or an exact root of
-    :mod:`bounds` on the right of an exact lhs; an exact side is converted
-    to mpf when the other is an mpf, so call this inside the working
-    precision the mpf was computed at.  With margin = rhs - lhs and
+    The sides may be floats or Fractions, or a root of :mod:`bounds` on
+    the right of a Fraction lhs.  With margin = rhs - lhs and
     scale = max(1, |lhs|, |rhs|), the status is 'violated' when the margin
     is below -tol * scale, 'equality' when a rational margin is zero or
     any other lies within eq_tol * scale, 'undefined' when it is NaN, and
@@ -106,8 +100,8 @@ def classify(lhs, rhs, tol: float, eq_tol: float) -> tuple[str, float, float, fl
     tol = :data:`TOL` and eq_tol = :data:`EQ_TOL`.
 
     Returns (status, lhs, rhs, margin) with the three values as floats;
-    against an exact root, rhs and margin are the floats nearest to their
-    exact values.
+    against a root, rhs and margin are the floats nearest to their exact
+    values.
     """
     return classify_row(lhs, (rhs,), tol, eq_tol)[0]
 
@@ -115,37 +109,23 @@ def classify(lhs, rhs, tol: float, eq_tol: float) -> tuple[str, float, float, fl
 def classify_row(lhs, rhss, tol: float, eq_tol: float) -> list[tuple]:
     """:func:`classify` of ``lhs <= rhs`` for each rhs of ``rhss``: the
     verdicts of a row of inequalities that share their left-hand side,
-    which is converted once, to a float and, for the cells whose rhs is an
-    mpf, to an mpf at the working precision.  An exact root rhs and its
-    margin are rounded from the integer enclosures of the root
-    (:meth:`bounds._Root.rounded`), so every margin's sign is exact.
+    which is converted to a float once.  A root rhs and its margin are
+    rounded from the integer enclosures of the root
+    (:meth:`bounds._Root.rounded`), so every margin's sign is that of its
+    exact value.
     """
-    lhs_is_mp = isinstance(lhs, mpmath.mpf)
-    lhs_f = lhs_mp = lhs_mp_f = lhs_ratio = None
+    lhs_f, lhs_ratio = float(lhs), None
     out = []
     for rhs in rhss:
         if type(rhs) is _Root:
             if lhs_ratio is None:
                 lhs_ratio = lhs.as_integer_ratio()
-                lhs_f = float(lhs)
-            side_f = lhs_f
             rhs_f, margin_f = rhs.rounded(*lhs_ratio)
             margin = margin_f
         else:
-            if isinstance(rhs, mpmath.mpf) and not lhs_is_mp:
-                if lhs_mp is None:
-                    lhs_mp = to_mpf(lhs)
-                    lhs_mp_f = float(lhs_mp)
-                side, side_f = lhs_mp, lhs_mp_f
-            else:
-                if lhs_f is None:
-                    lhs_f = float(lhs)
-                if lhs_is_mp and type(rhs) is Fraction:
-                    rhs = to_mpf(rhs)
-                side, side_f = lhs, lhs_f
-            margin = rhs - side
+            margin = rhs - lhs
             rhs_f, margin_f = float(rhs), float(margin)
-        scale = max(1.0, abs(side_f), abs(rhs_f))
+        scale = max(1.0, abs(lhs_f), abs(rhs_f))
         if margin_f < -tol * scale:
             status = "violated"
         elif margin == 0 if type(margin) is Fraction else abs(margin_f) <= eq_tol * scale:
@@ -154,5 +134,5 @@ def classify_row(lhs, rhss, tol: float, eq_tol: float) -> list[tuple]:
             status = "undefined"
         else:
             status = "holds"
-        out.append((status, side_f, rhs_f, margin_f))
+        out.append((status, lhs_f, rhs_f, margin_f))
     return out

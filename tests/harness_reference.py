@@ -46,6 +46,24 @@ from hhbounds.records import EQ_TOL, STATUSES, TOL, VerificationRecord, classify
 PROP_RULES = ("midpoint", "trapezoid", "simpson")
 
 
+def _classify(lhs, rhs):
+    """:func:`classify` in the campaign band, with an mpf rhs (the 50-digit
+    power-mean bound) decided against the lhs at 50 digits, in the band."""
+    if not isinstance(rhs, mpmath.mpf):
+        return classify(lhs, rhs, TOL, EQ_TOL)
+    with mpmath.workdps(50):
+        margin = float(rhs - oracle.to_mpf(lhs))
+    lhs, rhs = float(lhs), float(rhs)
+    scale = max(1.0, abs(lhs), abs(rhs))
+    if margin < -TOL * scale:
+        status = "violated"
+    elif abs(margin) <= EQ_TOL * scale:
+        status = "equality"
+    else:
+        status = "holds"
+    return status, lhs, rhs, margin
+
+
 class Reference:
     """Evaluates single records; caches only the P-checks and envelopes,
     which are the hypotheses' sampled inputs."""
@@ -196,9 +214,8 @@ class Reference:
         if verdict[0] == "holds":
             return (*verdict, False)
         exact = fn.poly_coeffs is not None
-        with mpmath.workdps(50):
-            pairs = self.sides(claim, fn, domain, lam, q, "exact" if exact else "refined")
-            return (*classify(*pairs[i], TOL, EQ_TOL), exact)
+        pairs = self.sides(claim, fn, domain, lam, q, "exact" if exact else "refined")
+        return (*_classify(*pairs[i]), exact)
 
     def record(self, claim, fn, domain, lam, q) -> VerificationRecord:
         def rec(status, lhs=None, rhs=None, margin=None, exact=False):

@@ -166,23 +166,25 @@ class TestBoundedM:
             rel = bound_bounded_m(rule, UNIT, q, env, "relaxed")
             assert wq <= rel + 1e-15
 
-    def test_root_of_two_follows_working_precision(self):
-        # 2^(1/q) is cached per q; an mpf root (q = 5/3), taken at 50 digits
-        # or more, is not reused at 60, and repeated calls give the same
-        # value; an exact root (q = 3/2) is the same at every precision
+    def test_root_of_two_ignores_working_precision(self):
+        # 2^(1/q) is cached per q; at q = 5/3 it is one point, the root's
+        # 50-digit value, at 15 digits and at 60; an exact root (q = 3/2)
+        # is the same at every precision
         env = DerivativeEnvelope(sup_abs_d2=Fraction(7, 3))
         dom = Interval(Fraction(1), Fraction(5, 2))
         c = Fraction(7, 3) * Fraction(9, 4) / 162
         q = Fraction(5, 3)
-        with mpmath.workdps(15):
-            low = bound_bounded_m("simpson", dom, q, env, "with_q")
-        with mpmath.workdps(60):
-            high = [bound_bounded_m("simpson", dom, q, env, "with_q") for _ in range(2)]
-            root = _power_sum(Fraction(1), Fraction(1), q)
-            assert high == [to_mpf(c) * root] * 2
         with mpmath.workdps(50):
-            assert low == to_mpf(c) * _power_sum(Fraction(1), Fraction(1), q)
-        assert high[0] != low
+            man, exp = (to_mpf(2) ** (1 / to_mpf(q))).man_exp
+        n, d = (man * Fraction(2) ** exp).as_integer_ratio()
+        values = []
+        for dps in (15, 60, 60):
+            with mpmath.workdps(dps):
+                values.append(bound_bounded_m("simpson", dom, q, env, "with_q"))
+                assert _power_sum(Fraction(1), Fraction(1), q).root.enclosure(10**4) == (n, n, d)
+        assert [(v.cn, v.cd, v.root.enclosure(10**4)) for v in values] == [
+            (*c.as_integer_ratio(), (n, n, d))
+        ] * 3
         exact = [bound_bounded_m("simpson", dom, Fraction(3, 2), env, "with_q")]
         with mpmath.workdps(60):
             exact.append(bound_bounded_m("simpson", dom, Fraction(3, 2), env, "with_q"))

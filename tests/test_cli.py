@@ -57,8 +57,12 @@ BOUND_PATHS = [
      lambda: [_mp(_W2 * _moment("0.77")) * _power_sum("2/7", "13/3", "3/2")]),
     (("--rule", "midpoint", "--q", "10", *_ENDS),
      lambda: [_mp(_W2 * _moment(0) / 2) * _power_sum("2/7", "13/3", 10)]),
+    (("--rule", "trapezoid", "--q", "5/3", *_ENDS),
+     lambda: [_mp(_W2 * _moment(1) / 2) * _power_sum("2/7", "13/3", "5/3")]),
     (("--rule", "simpson", "--q", "3/2", "--big-m", "17/9", "--form", "with_q"),
      lambda: [_mp(_M * _W2 / 162) * _power_sum(1, 1, "3/2")]),
+    (("--rule", "midpoint", "--q", "5/3", "--big-m", "17/9", "--form", "with_q"),
+     lambda: [_mp(_M * _W2 / 48) * _power_sum(1, 1, "5/3")]),
     (("--rule", "trapezoid", "--q", "2", "--big-m", "17/9", "--variant", "derived"),
      lambda: [_mp(_M * _W2 / 12) * _power_sum(1, 1, 2)]),
     (("--rule", "midpoint", "--q", "3/2", "--big-m", "17/9", "--form", "relaxed"),
@@ -163,7 +167,8 @@ class TestBoundCommand:
     @pytest.mark.parametrize(
         "flags, expected",
         BOUND_PATHS,
-        ids=["cor-q1", "thm6-mp", "cor-mp", "big-m-with-q-mp", "big-m-derived-mp",
+        ids=["cor-q1", "thm6-mp", "cor-mp", "cor-50-digit-root", "big-m-with-q-mp",
+             "big-m-with-q-50-digit-root", "big-m-derived-mp",
              "big-m-relaxed", "trap-envelope", "mid-envelope", "simpson-p2",
              "simpson-p4"],
     )
@@ -405,6 +410,8 @@ class TestOtherCommands:
              "1e300", "--mb", "1"),
             ("bound", "--rule", "midpoint", "--a", "0", "--b", "1e300", "--ma",
              "1e300", "--mb", "1", "--q", "2"),
+            ("bound", "--rule", "midpoint", "--a", "0", "--b", "1e300", "--ma",
+             "1e300", "--mb", "1", "--q", "5/3"),
             ("means", "--a", "1", "--b", "1e400"),
             ("pconvex", "--function", "poly2", "--a", "0", "--b", "1e400"),
         ],
@@ -435,6 +442,7 @@ class TestOtherCommands:
             "bound-b-overflows-float",
             "bound-value-overflows-float",
             "bound-mp-value-overflows-float",
+            "bound-50-digit-root-value-overflows-float",
             "means-b-overflows-float",
             "pconvex-b-overflows-float",
         ],

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hhbounds import bounds, functionals, harness, oracle, records
+from hhbounds import bounds, functionals, harness, oracle
 from hhbounds.corpus import Interval, get_function
 from hhbounds.harness import (
     DEFAULT_LAMBDA_GRID,
@@ -218,15 +218,24 @@ def test_default_grid_polynomial_campaign_reads_no_mpf(monkeypatch):
     def no_mpf(*args):
         raise AssertionError("a polynomial record read an mpf")
 
-    for module in (oracle, bounds, records):
+    for module in (oracle, bounds):
         monkeypatch.setattr(module, "to_mpf", no_mpf)
-    monkeypatch.setattr(bounds, "_mp_context", no_mpf)
+    monkeypatch.setattr(bounds.mpmath, "workdps", no_mpf)
     monkeypatch.setattr(bounds._Root, "_mpf_", property(no_mpf))
     assert run_campaign(cfg).records == expected
 
 
 @pytest.mark.parametrize("q", [Fraction(5, 3), 1.7, 65, 1e9])
 def test_other_q_take_the_mpf_root(q):
-    # a denominator above 2, or a numerator above 64
-    s = bounds._power_sum(Fraction(2, 7), Fraction(13, 3), q)
-    assert isinstance(s, mpmath.mpf)
+    # a denominator above 2, or a numerator above 64: the root is the point
+    # of its 50-digit value, whatever the working precision
+    a, b = Fraction(2, 7), Fraction(13, 3)
+    with mpmath.workdps(50):
+        qm = oracle.to_mpf(q)
+        man, exp = ((oracle.to_mpf(a) ** qm + oracle.to_mpf(b) ** qm) ** (1 / qm)).man_exp
+    n, d = (man * Fraction(2) ** exp).as_integer_ratio()
+    with mpmath.workdps(15):
+        s = bounds._power_sum(a, b, q)
+    assert type(s) is bounds._Root and (s.cn, s.cd) == (1, 1)
+    assert s.root.enclosure(10**4) == (n, n, d)
+    assert float(s) == n / d

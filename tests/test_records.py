@@ -16,13 +16,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
-import mpmath
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from hhbounds import harness
-from hhbounds.oracle import to_mpf
+from hhbounds import bounds, harness
 from hhbounds.records import FIELDS, STATUSES, VerificationRecord, classify, classify_row
 
 # The attribute name of each report field, in field order.
@@ -212,39 +210,41 @@ def test_fraction_row_is_classified_cell_for_cell(row, tolerances):
     assert all(type(x) is float for v in row for x in v[1:])
 
 
+def point(r: Fraction) -> bounds._Root:
+    """A root of :mod:`bounds` whose enclosure is the point ``r`` >= 0, as
+    the 50-digit root of a q whose denominator is above 2 is."""
+    return bounds._Root(1, 1, bounds._PowerRoot(r, Fraction(0), 1, 1))
+
+
 @settings(max_examples=150, deadline=None)
 @given(
     fraction_rows(),
     st.lists(st.booleans(), min_size=6, max_size=6),
     TOLERANCES,
 )
-def test_mpf_row_is_classified_cell_for_cell(row, as_mpf, tolerances):
-    # the 50-digit confirmation: Fraction and mpf bounds in one row, the
-    # lhs given as a Fraction (converted once) or as an mpf, against mpf
-    # bounds alone or mixed with Fractions
+def test_root_row_is_classified_cell_for_cell(row, as_root, tolerances):
+    # Fraction bounds and point roots in one row: a root reads the floats
+    # its Fraction reads, and a status from its float margin, in the band
     lhs, exact_rhss = row
-    with mpmath.workdps(50):
-        rhss = [to_mpf(r) if m else r for r, m in zip(exact_rhss, as_mpf)]
-        lhs_mp = to_mpf(lhs)
-        assert_row_is_cellwise(lhs, rhss, *tolerances)
-        assert_row_is_cellwise(lhs_mp, [to_mpf(r) for r in exact_rhss], *tolerances)
-        assert_row_is_cellwise(lhs_mp, rhss, *tolerances)  # mpf against Fractions
-        # an mpf bound equal to the lhs: a zero mpf margin
-        assert_row_is_cellwise(lhs, [lhs_mp, lhs], *tolerances)
+    rhss = [point(r) if m and r >= 0 else r for r, m in zip(exact_rhss, as_root)]
+    tol, eq_tol = tolerances
+    verdicts = assert_row_is_cellwise(lhs, rhss, tol, eq_tol)
+    for r, rhs, (status, *floats) in zip(exact_rhss, rhss, verdicts):
+        margin = float(r - lhs)
+        assert floats == [float(lhs), float(r), margin]
+        scale = max(1.0, abs(float(lhs)), abs(float(r)))
+        if type(rhs) is not Fraction and margin >= -tol * scale:
+            assert (status == "equality") == (abs(margin) <= eq_tol * scale)
 
 
-def test_mpf_and_fraction_sides_mix():
-    # an mpf on one side and a Fraction on the other, either way round: the
-    # Fraction is taken to mpf, so the margin is an inexact mpf
-    third, half = Fraction(1, 3), Fraction(1, 2)
-    with mpmath.workdps(50):
-        third_mp, two_thirds_mp = to_mpf(third), to_mpf(Fraction(2, 3))
-        sixth = float(to_mpf(half) - third_mp)
-        assert classify(third_mp, third, 1e-9, 1e-12) == ("equality", 1 / 3, 1 / 3, 0.0)
-        assert classify(third_mp, half, 1e-9, 1e-12) == ("holds", 1 / 3, 0.5, sixth)
-        assert classify(half, third_mp, 1e-9, 1e-12) == ("violated", 0.5, 1 / 3, -sixth)
-        row = classify_row(third_mp, [half, third, 0.25, two_thirds_mp], 1e-9, 1e-12)
-        assert [v[0] for v in row] == ["holds", "equality", "violated", "holds"]
-        assert_row_is_cellwise(third_mp, [half, third, 0.25, two_thirds_mp], 1e-9, 1e-12)
-        row = classify_row(half, [third_mp, Fraction(1, 4), to_mpf(half)], 1e-9, 1e-12)
-        assert [v[0] for v in row] == ["violated", "violated", "equality"]
+def test_point_root_decides_in_the_band():
+    # a point root within EQ_TOL * scale of the lhs reads 'equality', and
+    # the same Fraction 'holds': only a rational margin is exactly zero
+    third = Fraction(1, 3)
+    near = third + Fraction(1, 10**13)
+    sides = (1 / 3, float(near), float(near - third))
+    assert classify(third, point(near), 1e-9, 1e-12) == ("equality", *sides)
+    assert classify(third, near, 1e-9, 1e-12) == ("holds", *sides)
+    rhss = [point(third), point(Fraction(1, 4)), point(Fraction(1, 2)), Fraction(1, 2)]
+    row = assert_row_is_cellwise(third, rhss, 1e-9, 1e-12)
+    assert [v[0] for v in row] == ["equality", "violated", "holds", "holds"]

@@ -1,6 +1,7 @@
 """The package's surface: what the root exports, what importing the CLI
 loads, the names the benchmark's tracer looks up, the fixed tolerances a
-report echoes, and the imports of every source module."""
+report echoes, the imports of every source module, and the modules that
+may read mpmath."""
 
 import ast
 import dataclasses
@@ -14,7 +15,7 @@ import numpy as np
 import pytest
 
 import hhbounds
-from hhbounds import corpus, means, oracle, records
+from hhbounds import bounds, corpus, means, oracle, records
 from hhbounds.corpus import GridSpec, Interval
 from hhbounds.harness import BoundClaim, CampaignConfig
 
@@ -89,6 +90,10 @@ def _classify_row(**kw):
     return records.classify_row(1.0, [2.0], 1e-9, 1e-12, **kw)
 
 
+def _bound_theorem6_mp(**kw):
+    return bounds.bound_theorem6_mp(Interval(0, 1), 0, 1.7, 1, 2, "derived", **kw)
+
+
 @pytest.mark.parametrize(
     "call, keyword, value",
     [
@@ -104,6 +109,7 @@ def _classify_row(**kw):
             (_integrate, "initial_panels", 8),
             (_check_p_convex, "tol_abs", 1e-12),
             (_classify_row, "lhs_mp", None),
+            (_bound_theorem6_mp, "dps", 50),
         ]
     ],
 )
@@ -134,3 +140,33 @@ def _unused_imports(path: Path) -> list[str]:
 @pytest.mark.parametrize("module", sorted(p.name for p in SRC.glob("*.py")))
 def test_every_import_is_used(module):
     assert _unused_imports(SRC / module) == []
+
+
+def _mpmath_readers(path: Path) -> tuple[bool, bool]:
+    """Whether a module imports mpmath (or a part of it), and whether it
+    calls a function named ``workdps``."""
+    tree = ast.parse(path.read_text())
+    imports = calls = False
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Import):
+            imports |= any(a.name.split(".")[0] == "mpmath" for a in node.names)
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            imports |= node.module.split(".")[0] == "mpmath"
+        elif isinstance(node, ast.Call):
+            f = node.func
+            name = f.attr if isinstance(f, ast.Attribute) else getattr(f, "id", None)
+            calls |= name == "workdps"
+    return imports, calls
+
+
+def test_only_bounds_and_oracle_read_mpmath():
+    # a decided value is a float, a Fraction or a root of bounds: the
+    # 50-digit root is fixed inside bounds, and oracle.to_mpf rounds a
+    # rational for it, so no other module sets a precision
+    readers = {
+        path.name: _mpmath_readers(path) for path in sorted(SRC.glob("*.py"))
+    }
+    assert {name for name, (imports, _) in readers.items() if imports} == {
+        "bounds.py", "oracle.py",
+    }
+    assert {name for name, (_, calls) in readers.items() if calls} <= {"bounds.py"}
