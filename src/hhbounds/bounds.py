@@ -399,6 +399,14 @@ def bound_bounded_m(
     stated C in {48, 24, 162} per rule (halved for the derived variant).
     ``relaxed`` applies 2^(1/q) <= 2: M (b-a)^2 / {24, 12, 81}.
     """
+    return _bounded_m_row(rule, domain, (q,), env, form, variant)[0]
+
+
+def _bounded_m_row(
+    rule: Rule, domain: Interval, qs, env: DerivativeEnvelope, form: MForm, variant: Variant
+) -> list:
+    """:func:`bound_bounded_m` at each q of ``qs``: the factor
+    M (b-a)^2 / C, which does not depend on q, is computed once."""
     if env.sup_abs_d2 is None:
         raise ValueError("bound_bounded_m requires env.sup_abs_d2 (M)")
     _check_variant(variant)
@@ -406,10 +414,12 @@ def bound_bounded_m(
     if variant == "derived":
         denom //= 2
     m = env.sup_abs_d2
+    factor = m * domain.width**2 / denom
     if form == "relaxed":
-        return m * domain.width**2 / denom * 2
-    _check_q(q)
-    return m * domain.width**2 / denom * _root_of_two(type(m), q)
+        return [factor * 2] * len(qs)
+    for q in qs:
+        _check_q(q)
+    return [factor * _root_of_two(type(m), q) for q in qs]
 
 
 @functools.lru_cache(maxsize=64)

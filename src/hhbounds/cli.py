@@ -22,7 +22,11 @@ and renamed onto it once the report is complete.  A report's records are
 from ``json.dumps`` except for their records (:func:`to_json`), and CSV
 reports are written row by row with cells as ``csv.writer`` writes them
 (:func:`to_csv`); both write their records through one loop
-(:func:`_write_records`).  Every format lays out the fields of
+(:func:`_record_writer`), whose caches last the whole report.  Given a
+stream, each campaign process formats the blocks it evaluates with that
+loop and the reader writes the text it receives
+(:func:`_write_records`); any other iterable is written a record at a
+time.  Every format lays out the fields of
 :data:`hhbounds.records.FIELDS` in that order.  The environment variable ``HHBOUNDS_SEED`` overrides
 ``--seed`` when set.
 """
@@ -111,18 +115,15 @@ def _fmt(value: float) -> str:
 def report_document(campaign) -> dict:
     """The report of a campaign, its records :class:`VerificationRecord`
     objects: those a :class:`~hhbounds.harness.CampaignResult` holds, or
-    those of a :class:`~hhbounds.harness.CampaignStream`, evaluated as a
-    writer reads them, whose summary is complete once the last one has
+    a :class:`~hhbounds.harness.CampaignStream` itself, evaluated as a
+    writer reads it, whose summary is complete once its last block has
     been read.
     """
-    if isinstance(campaign, harness.CampaignStream):
-        records = itertools.chain.from_iterable(campaign)
-    else:
-        records = campaign.records
+    stream = isinstance(campaign, harness.CampaignStream)
     return {
         "version": __version__,
         "config": campaign.config.as_dict(),
-        "records": records,
+        "records": campaign if stream else campaign.records,
         "summary": campaign.summary,
     }
 
@@ -136,14 +137,14 @@ def to_json(doc: dict, out: Optional[TextIO] = None) -> Optional[str]:
     ``json.dumps`` writes everything but the records, which go through
     :func:`_write_records`; a ``records`` item that is not a
     :class:`VerificationRecord` raises TypeError.  ``records`` may be an
-    iterator, read as it is written.  The keys after it are written once it
-    is exhausted, so it may fill in a value that follows it, as the summary
-    of a streamed campaign.  A document without a records list is written
-    by ``json.dumps`` alone.
+    iterator or a :class:`~hhbounds.harness.CampaignStream`, read as it is
+    written.  The keys after it are written once it is exhausted, so it may
+    fill in a value that follows it, as the summary of a streamed campaign.
+    A document without a records list is written by ``json.dumps`` alone.
     """
     buf = io.StringIO() if out is None else out
     records = doc.get("records") if isinstance(doc, dict) else None
-    if isinstance(records, (list, tuple, Iterator)):
+    if isinstance(records, (list, tuple, Iterator, harness.CampaignStream)):
         keys = list(doc)
         at = keys.index("records")
         head = json.dumps({**{k: doc[k] for k in keys[:at]}, "records": []}, indent=2)
@@ -167,12 +168,37 @@ _ascii = encode_basestring_ascii
 _NO_RECORDS = '\n  "records": []'
 
 
-def _write_records(
-    records, write, lead, between, block_text, grid_text, value, before_rhs, before_margin,
-    tail_text,
-):
-    """Write each record of ``records`` in the format its pieces give, and
-    return the lead written last (``lead`` itself for no records).
+def _write_records(records, write, lead, between, *pieces):
+    """Write each record of ``records`` in the format ``pieces`` give
+    (:func:`_record_writer`), and return the lead written last (``lead``
+    itself for no records).
+
+    A record is written after ``lead``, or ``between`` after the first.  A
+    :class:`~hhbounds.harness.CampaignStream` is read by its
+    :meth:`~hhbounds.harness.CampaignStream.rendered`, so each process
+    formats the blocks it evaluates, as the text of its records with
+    ``between`` between them; the text of a block is written after the
+    lead.  Any other iterable is written a record at a time, each before
+    the next is read.
+    """
+    write_records = _record_writer(*pieces)
+    if not isinstance(records, harness.CampaignStream):
+        return write_records(records, write, lead, between)
+
+    def render(block) -> str:
+        parts = []
+        write_records(block, parts.append, "", between)
+        return "".join(parts)
+
+    for text in records.rendered(render):  # a block holds at least one record
+        write(lead + text)
+        lead = between
+    return lead
+
+
+def _record_writer(block_text, grid_text, value, before_rhs, before_margin, tail_text):
+    """``write_records(records, write, lead, between)``, which writes each
+    record of ``records`` and returns the lead written last.
 
     A record is written as ``lead`` (``between`` after the first), its
     block prefix ``block_text(claim, function, a, b)``, its
@@ -183,35 +209,40 @@ def _write_records(
     block, and the (lambda, q) fragment once per grid point
     (:func:`_by_identity`).  The records of a lam row share their lhs
     object, formatted once per row, and a str status with a bool exact is
-    formatted once per pair.  Per record only rhs and margin are
-    formatted: a finite float by ``float.__repr__``, anything else by
-    ``value``.
+    formatted once per pair.  These caches last from call to call.  Per
+    record only rhs and margin are formatted: a finite float by
+    ``float.__repr__``, anything else by ``value``.
     """
     claim0 = function0 = a0 = b0 = row = object()
     prefix = lhs_text = ""
     grid, tails = _by_identity(grid_text), {}
-    for record in records:
-        if type(record) is not VerificationRecord:
-            _not_a_record(record)
-        claim, function, a, b, lam, q, lhs, rhs, margin, status, exact = record
-        if not (claim is claim0 and function is function0 and a is a0 and b is b0):
-            claim0, function0, a0, b0 = claim, function, a, b
-            prefix = block_text(claim, function, a, b)
-        if lhs is not row:
-            row, lhs_text = lhs, value(lhs) + before_rhs
-        if type(status) is str and type(exact) is bool:  # equal values, equal text
-            tail = tails.get((status, exact)) or tails.setdefault((status, exact), tail_text(status, exact))
-        else:
-            tail = tail_text(status, exact)
-        write(
-            f"{lead}{prefix}{grid(lam, q)}{lhs_text}"
-            f"{_repr(rhs) if type(rhs) is float and rhs - rhs == 0 else value(rhs)}"
-            f"{before_margin}"
-            f"{_repr(margin) if type(margin) is float and margin - margin == 0 else value(margin)}"
-            f"{tail}"
-        )
-        lead = between
-    return lead
+
+    def write_records(records, write, lead, between):
+        nonlocal claim0, function0, a0, b0, row, prefix, lhs_text
+        for record in records:
+            if type(record) is not VerificationRecord:
+                _not_a_record(record)
+            claim, function, a, b, lam, q, lhs, rhs, margin, status, exact = record
+            if not (claim is claim0 and function is function0 and a is a0 and b is b0):
+                claim0, function0, a0, b0 = claim, function, a, b
+                prefix = block_text(claim, function, a, b)
+            if lhs is not row:
+                row, lhs_text = lhs, value(lhs) + before_rhs
+            if type(status) is str and type(exact) is bool:  # equal values, equal text
+                tail = tails.get((status, exact)) or tails.setdefault((status, exact), tail_text(status, exact))
+            else:
+                tail = tail_text(status, exact)
+            write(
+                f"{lead}{prefix}{grid(lam, q)}{lhs_text}"
+                f"{_repr(rhs) if type(rhs) is float and rhs - rhs == 0 else value(rhs)}"
+                f"{before_margin}"
+                f"{_repr(margin) if type(margin) is float and margin - margin == 0 else value(margin)}"
+                f"{tail}"
+            )
+            lead = between
+        return lead
+
+    return write_records
 
 
 def _not_a_record(item):
@@ -250,7 +281,7 @@ def _json_field(v) -> str:
     return json.dumps(v, indent=2).replace("\n", "\n      ")
 
 
-# The pieces of a JSON record (see _write_records).
+# The pieces of a JSON record (see _record_writer).
 _JSON = (
     lambda claim, function, a, b: (
         f'{{\n      "claim": {_json_field(claim)},'
@@ -272,8 +303,8 @@ def to_csv(records, out: Optional[TextIO] = None) -> Optional[str]:
     """The records as CSV, a header row of :data:`~hhbounds.records.FIELDS`
     and one row per :class:`VerificationRecord` (:func:`_write_records`;
     any other item raises TypeError): returned as a string, or written to
-    ``out`` row by row and None returned.  ``records`` may be an iterator,
-    read as it is written.  Cells are written as ``csv.writer`` writes
+    ``out`` row by row and None returned.  ``records`` may be an iterator
+    or a :class:`~hhbounds.harness.CampaignStream`, read as it is written.  Cells are written as ``csv.writer`` writes
     them: None as an empty cell, a float as its ``repr``; ``exact`` is
     written as ``true`` or ``false``.
     """
@@ -314,8 +345,9 @@ def to_table(doc: dict, out: Optional[TextIO] = None) -> Optional[str]:
     """A report document as a fixed-width table with a summary footer:
     returned as a string, or written to ``out`` and None returned.  Its
     records (:class:`VerificationRecord` objects; any other item raises
-    TypeError) may be an iterator; the summary is read after the last of
-    them."""
+    TypeError) may be an iterator or a
+    :class:`~hhbounds.harness.CampaignStream`, read a record at a time;
+    the summary is read after the last of them."""
     buf = io.StringIO() if out is None else out
     header = f"{'claim':<18} {'function':<8} {'a':>9} {'b':>9} {'lambda':>8} {'q':>6} {'lhs':>13} {'rhs':>13} {'margin':>13} {'status':<17} exact"
     buf.write(f"{header}\n{'-' * len(header)}\n")
@@ -323,7 +355,10 @@ def to_table(doc: dict, out: Optional[TextIO] = None) -> Optional[str]:
     def num(v, width, digits=6):
         return ("" if v is None else f"{v:.{digits}g}").rjust(width)
 
-    for record in doc["records"]:
+    records = doc["records"]
+    if isinstance(records, harness.CampaignStream):
+        records = itertools.chain.from_iterable(records)
+    for record in records:
         if type(record) is not VerificationRecord:
             _not_a_record(record)
         claim, function, a, b, lam, q, lhs, rhs, margin, status, exact = record

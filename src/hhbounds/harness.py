@@ -581,14 +581,10 @@ def _lambda_row(claim: BoundClaim, p: _Panel, lam, qs, env=None):
     if p.exact and claim.fixed_lambda is not None:
         lam = claim.rule
     if claim.family == "corm":
-        env = env or p.env
-        rhss = [
-            bounds.bound_bounded_m(
-                claim.rule, p.domain, 1.0 if q is None else q, env, claim.form,
-                claim.variant,
-            )
-            for q in qs
-        ]
+        rhss = bounds._bounded_m_row(
+            claim.rule, p.domain, [1.0 if q is None else q for q in qs], env or p.env,
+            claim.form, claim.variant,
+        )
     else:  # thm5 and thm6, and the corollaries and propositions at their rule's lam
         rhss = p.theorem6_row(lam, qs, claim.variant)
     return classify_row(p.lhs(lam), rhss, TOL, EQ_TOL)
@@ -772,8 +768,11 @@ class CampaignStream:
     by claim, with its own per-run caches, by process i mod n
     (:func:`_processes`); the reader is process 0, forks the others
     (:func:`_fork`) and takes each block in its turn, so nothing depends
-    on n.  A reader that writes each block as it comes holds about one
-    block of records at a time.  Workers are killed and reaped when the
+    on n.  Each process tallies the summary counts of its own blocks
+    (:func:`_tally`), and the reader merges the tallies in that order.  A
+    reader that writes each block as it comes holds about one block of
+    records at a time; :meth:`rendered` also has each process format its
+    own blocks.  Workers are killed and reaped when the
     iteration ends, raises or is closed.  Unmet hypotheses yield
     'hypothesis_failed' records, oracle failures 'undefined' records;
     neither aborts the run.
@@ -790,6 +789,17 @@ class CampaignStream:
         self._fns = resolve_functions(config.functions, registry)
 
     def __iter__(self) -> Iterator[list[VerificationRecord]]:
+        return self._blocks(None)
+
+    def rendered(self, render) -> Iterator[str]:
+        """The text ``render(block)`` of each block, in the order iteration
+        yields the blocks, each made by the process that evaluated the
+        block: a worker sends the text with the block's summary tally
+        (:func:`_tally`), and the reader renders only its own blocks.
+        ``summary`` is filled in as for iteration."""
+        return self._blocks(render)
+
+    def _blocks(self, render):
         config = self.config
         intervals = [tuple(map(float, iv)) for iv in config.intervals]
         intervals = sorted(intervals + sample_intervals(config))
@@ -810,26 +820,29 @@ class CampaignStream:
             for c in self._claims
         }
 
-        def share(k):  # the blocks of process k, in canonical order
+        def share(k, form):  # (form(block) or block, tally) of process k's blocks, in order
             ctx = _Context()
             for claim, lams, qs in runs:
                 for fn, domain in pairs[k::n]:
-                    yield _evaluate_block(claim, fn, domain, lams, qs, ctx)
+                    block = _evaluate_block(claim, fn, domain, lams, qs, ctx)
+                    yield (block if form is None else form(block)), _tally(block)
 
         workers: list = []  # (pid, read end) of processes 1 to n - 1
         try:
             for k in range(1, n):
-                workers.append(_fork(share(k), workers))
-            own = share(0)
+                workers.append(_fork(share(k, render or _pack), workers))
+            own = share(0, render)
             for claim, lams, qs in runs:
                 for i, (fn, domain) in enumerate(pairs):
                     if i % n:
-                        head = claim.id, fn.id, domain.lo, domain.hi
-                        block = _receive(*workers[i % n - 1], head, lams, qs)
+                        item, tally = _receive(*workers[i % n - 1])
+                        if render is None:
+                            head = claim.id, fn.id, domain.lo, domain.hi
+                            item = _unpack(item, head, lams, qs)
                     else:
-                        block = next(own)
-                    _count(entries[claim.id], block)
-                    yield block
+                        item, tally = next(own)
+                    _merge(entries[claim.id], tally)
+                    yield item
         finally:
             for pid, reader in workers:
                 os.kill(pid, 9)  # SIGKILL; signal is not imported at start-up
@@ -845,10 +858,15 @@ def _processes(pairs: int) -> int:
     return max(1, min(cpus, pairs))
 
 
-def _fork(blocks, started: list) -> tuple:
-    """(pid, pipe read end) of a worker that pickles each block of ``blocks``
-    into the pipe as it is made (:func:`_pack`), or its exception and
-    traceback text; it closes ``started``'s read ends, exits by ``os._exit``."""
+class _Failure(tuple):
+    """A worker's message that it failed: (exception, traceback text)."""
+
+
+def _fork(messages, started: list) -> tuple:
+    """(pid, pipe read end) of a worker that pickles each message of
+    ``messages`` into the pipe as it is made, or its exception and
+    traceback text as a :class:`_Failure`; it closes ``started``'s read
+    ends, exits by ``os._exit``."""
     r, w = os.pipe()
     pid = os.fork()
     if pid:
@@ -860,18 +878,30 @@ def _fork(blocks, started: list) -> tuple:
             reader.close()
         with open(w, "wb") as out:
             try:
-                for block in blocks:
-                    pickle.dump(_pack(block), out)
+                for message in messages:
+                    pickle.dump(message, out)
                     out.flush()
             except BaseException as exc:
                 import traceback  # only a failing worker needs it
                 text = traceback.format_exc()
                 try:
-                    out.write(pickle.dumps((exc, text)))
+                    out.write(pickle.dumps(_Failure((exc, text))))
                 except Exception:  # an exception pickle cannot write
-                    out.write(pickle.dumps((RuntimeError(repr(exc)), text)))
+                    out.write(pickle.dumps(_Failure((RuntimeError(repr(exc)), text))))
     finally:
         os._exit(0)
+
+
+def _receive(pid: int, reader):
+    """Worker ``pid``'s next message, or the exception it sent, raised with
+    the worker's traceback."""
+    try:
+        message = pickle.load(reader)
+    except EOFError:
+        raise RuntimeError(f"campaign worker {pid} exited before its last block") from None
+    if type(message) is _Failure:
+        raise message[0] from RuntimeError(f"in campaign worker {pid}:\n{message[1]}")
+    return message
 
 
 def _pack(block: list) -> list:
@@ -886,17 +916,11 @@ def _pack(block: list) -> list:
     return out
 
 
-def _receive(pid: int, reader, head: tuple, lams, qs) -> list[VerificationRecord]:
-    """Worker ``pid``'s next block, rebuilt from its :func:`_pack` message,
-    or the exception it sent, raised with the worker's traceback."""
-    try:
-        message = pickle.load(reader)
-    except EOFError:
-        raise RuntimeError(f"campaign worker {pid} exited before its last block") from None
-    if type(message) is tuple:
-        raise message[0] from RuntimeError(f"in campaign worker {pid}:\n{message[1]}")
+def _unpack(packed: list, head: tuple, lams, qs) -> list[VerificationRecord]:
+    """The records of a block of ``head`` over ``lams`` x ``qs`` from its
+    :func:`_pack` form."""
     return [VerificationRecord(*head, lam, q, box[0], rhs, margin, STATUSES[s], x)
-            for (lam, q), (box, rhs, margin, s, x) in zip(itertools.product(lams, qs), message)]
+            for (lam, q), (box, rhs, margin, s, x) in zip(itertools.product(lams, qs), packed)]
 
 
 _BY_ID = attrgetter("id")
@@ -913,17 +937,29 @@ def run_campaign(
     return CampaignResult(config=config, records=records, summary=stream.summary)
 
 
-def _count(entry: dict, records) -> None:
-    """Add ``records``, all of one claim, to its summary ``entry``, in
-    emitted order, so that the first of equal least margins is kept."""
-    counts, low = entry["by_status"], entry["min_margin"]
-    for r in records:
+def _tally(block) -> tuple:
+    """(records, count of each status of STATUSES, least margin) of a block,
+    the first of equal least margins kept."""
+    counts, low = dict.fromkeys(STATUSES, 0), None
+    for r in block:
         counts[r[9]] += 1  # the status
         m = r[8]  # the margin
         if m is not None and (low is None or m < low):
             low = m
-    entry["records"] += len(records)
-    entry["min_margin"] = low
+    return len(block), tuple(counts.values()), low
+
+
+def _merge(entry: dict, tally: tuple) -> None:
+    """Add a block's :func:`_tally` to its claim's summary ``entry``.  Blocks
+    are merged in emitted order, so that the first of equal least margins is
+    kept, as though every record were counted in turn."""
+    records, counts, low = tally
+    entry["records"] += records
+    by_status = entry["by_status"]
+    for status, count in zip(STATUSES, counts):
+        by_status[status] += count
+    if low is not None and (entry["min_margin"] is None or low < entry["min_margin"]):
+        entry["min_margin"] = low
 
 
 def _summary(entries: dict) -> dict:

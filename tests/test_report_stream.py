@@ -187,6 +187,30 @@ def test_run_campaign_is_the_stream():
     assert all(len({(r.claim, r.function, r.a, r.b) for r in b}) == 1 for b in blocks)
 
 
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_an_iterator_is_written_a_record_at_a_time(fmt):
+    # each record reaches ``out`` before the next is drawn, so a writer
+    # holds no more than one record of an iterator that is not a stream
+    cfg = CampaignConfig(claims=("thm6-stated", "hh"), functions=("poly3", "expx"), trials=1)
+    records = harness.run_campaign(cfg).records
+    out, written = io.StringIO(), []
+
+    def drawn():
+        for record in records:
+            # the records in ``out`` so far: CSV rows after the header line
+            text = out.getvalue()
+            written.append(text.count('"claim": ') if fmt == "json" else text.count("\n") - 1)
+            yield record
+
+    if fmt == "json":
+        cli.to_json({"records": drawn(), "summary": {}}, out)
+        assert json.loads(out.getvalue())["records"] == [r.as_dict() for r in records]
+    else:
+        cli.to_csv(drawn(), out)
+        assert out.getvalue() == cli.to_csv(records)
+    assert written == list(range(len(records)))
+
+
 # Runs the command in its argv and prints that process's peak RSS in MB.  On
 # Linux a process reports at least the RSS of the process it was forked
 # from, so the command is forked from this small interpreter, not from the
@@ -280,11 +304,13 @@ def _on_processes(monkeypatch, n):
 
 
 def test_reports_do_not_depend_on_the_process_count(monkeypatch):
+    # every block a worker sends, as records or, for JSON and CSV, as text,
+    # is read by _receive
     receive, received = harness._receive, []
 
-    def counted(*args):
-        received.append(args[2])  # the block's head
-        return receive(*args)
+    def counted(pid, reader):
+        received.append(pid)
+        return receive(pid, reader)
 
     monkeypatch.setattr(harness, "_receive", counted)
     reports, summaries = {}, {}
@@ -298,6 +324,7 @@ def test_reports_do_not_depend_on_the_process_count(monkeypatch):
             summaries[n] = stream.summary
         # the blocks of pair i, for i mod n > 0, came from a worker
         assert len(received) == 3 * len(claim_ids()) * sum(i % n > 0 for i in range(9))
+        assert len(set(received)) == 3 * (n - 1)  # n - 1 workers per report
         received.clear()
     assert reports[1] == reports[2] == reports[3]
     assert summaries[1] == summaries[2] == summaries[3]
@@ -305,6 +332,38 @@ def test_reports_do_not_depend_on_the_process_count(monkeypatch):
         n: [repr(e["min_margin"]) for e in s["claims"].values()] for n, s in summaries.items()
     }
     assert margins[1] == margins[2] == margins[3]  # -0.0 and 0.0 too
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_workers_format_their_own_blocks(fmt, monkeypatch):
+    # at n = 2 the reader formats the records of pairs 0, 2, 4, 6 and 8
+    # (functions by id, intervals sorted) and no record of a worker's block
+    record_writer, reader, formatted = cli._record_writer, os.getpid(), []
+
+    def logged(*pieces):
+        write_records = record_writer(*pieces)
+
+        def logging(records, *args):
+            if os.getpid() == reader:
+                records = list(records)
+                formatted.extend((r.function, r.a, r.b) for r in records)
+            return write_records(records, *args)
+
+        return logging
+
+    reports = {}
+    for n in (1, 2):
+        _on_processes(monkeypatch, n)
+        if n == 2:
+            monkeypatch.setattr(cli, "_record_writer", logged)
+        stream, buf = CampaignStream(SPLIT), io.StringIO()
+        cli._write_report(cli.report_document(stream), fmt, buf)
+        reports[n] = buf.getvalue()
+    assert reports[1] == reports[2]
+    pairs = [(fid, *iv) for fid in sorted(SPLIT.functions) for iv in sorted(SPLIT.intervals)]
+    assert set(formatted) == set(pairs[::2])
+    # each pair has as many records, and the reader formats each of its own once
+    assert len(formatted) * 9 == stream.summary["total"] * 5
 
 
 def test_pinned_bench_scale_report_on_two_processes(monkeypatch, tmp_path):
@@ -316,19 +375,20 @@ def test_pinned_bench_scale_report_on_two_processes(monkeypatch, tmp_path):
     assert hashlib.sha256(target.read_bytes()).hexdigest() == BENCH_PIN
 
 
-def _failing(monkeypatch, where, exc):
-    """``_evaluate_block`` raises ``exc`` in the reading process
-    (``where="reader"``) or in the workers, from its second call there."""
-    evaluate, reader, calls = harness._evaluate_block, os.getpid(), []
+def _failing(monkeypatch, where, exc, module=harness, name="_evaluate_block"):
+    """``module.name`` (``harness._evaluate_block``) raises ``exc`` in the
+    reading process (``where="reader"``) or in the workers, from its second
+    call there."""
+    original, reader, calls = getattr(module, name), os.getpid(), []
 
     def failing(*args):
         if (os.getpid() == reader) == (where == "reader"):
             calls.append(None)
             if len(calls) > 1:
                 raise exc
-        return evaluate(*args)
+        return original(*args)
 
-    monkeypatch.setattr(harness, "_evaluate_block", failing)
+    monkeypatch.setattr(module, name, failing)
 
 
 def _no_child_left():
@@ -354,6 +414,29 @@ def test_worker_exception_pickle_cannot_write(monkeypatch):
     _failing(monkeypatch, "worker", Local("evaluation failed"))
     with pytest.raises(RuntimeError, match=r"Local\('evaluation failed'\)"):
         list(CampaignStream(SPLIT))
+    _no_child_left()
+
+
+# A worker that fails while it formats a block: ``cli._repr`` formats the
+# floats of JSON and CSV records; an exception of a class defined in a
+# function is one pickle cannot write.
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("picklable", [True, False])
+def test_worker_exception_in_render_reaches_the_caller(fmt, picklable, monkeypatch):
+    class Local(Exception):
+        pass
+
+    exc, match = (
+        (RuntimeError("formatting failed"), "formatting failed") if picklable
+        else (Local("formatting failed"), r"Local\('formatting failed'\)")
+    )
+    _on_processes(monkeypatch, 2)
+    _failing(monkeypatch, "worker", exc, cli, "_repr")
+    with pytest.raises(RuntimeError, match=match) as info:
+        cli._write_report(cli.report_document(CampaignStream(SPLIT)), fmt, io.StringIO())
+    # the worker's traceback is attached, through the block's render
+    assert "in render\n" in str(info.value.__cause__)
+    assert "in failing\n" in str(info.value.__cause__)
     _no_child_left()
 
 
