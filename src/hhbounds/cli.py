@@ -28,7 +28,9 @@ loop and the reader writes the text it receives
 (:func:`_write_records`); any other iterable is written a record at a
 time.  Every format lays out the fields of
 :data:`hhbounds.records.FIELDS` in that order.  The environment variable ``HHBOUNDS_SEED`` overrides
-``--seed`` when set.
+``--seed`` when set.  Importing this module sets ``OPENBLAS_NUM_THREADS`` to
+1 where it is unset, so that a campaign forks a single-threaded process; a
+process that imported numpy before it keeps numpy's thread pool.
 """
 
 from __future__ import annotations
@@ -47,9 +49,14 @@ from fractions import Fraction
 from json.encoder import encode_basestring_ascii
 from typing import Optional, Sequence, TextIO
 
-from . import __version__, bounds, functionals, harness, means
-from .corpus import GridSpec, Interval, check_p_convex, function_ids, get_function
-from .records import FIELDS, VerificationRecord
+# Campaigns fork their workers, and a fork should copy a single-threaded
+# process: keep numpy's OpenBLAS from starting its thread pool, unless the
+# environment already asks for one.  This must precede the first numpy import.
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+
+from . import __version__, bounds, functionals, harness, means  # noqa: E402
+from .corpus import GridSpec, Interval, check_p_convex, function_ids, get_function  # noqa: E402
+from .records import FIELDS, VerificationRecord  # noqa: E402
 
 USAGE_ERROR = 64
 

@@ -15,22 +15,23 @@ with g evaluated only n times, through the oracle's array sampler, so a
 point where g raises is non-finite and makes the check 'undefined'.
 
 The corpus is compiled in; functions are referenced by short id from the
-CLI (``poly3``, ``expx``, ``bump``, ...).  Every member carries analytic
-first and second derivatives, and an exact antiderivative difference where
-one exists in closed form.
+CLI (``poly3``, ``expx``, ``bump``, ...).  A polynomial member is written
+once, as its coefficients, from which its float f, f', f'' and f'''' derive;
+the others carry analytic derivatives and, where one exists in closed form,
+an exact antiderivative difference.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import Callable, Optional
 
 import numpy as np
 
-from .oracle import _poly_terms, _sample, integrate_exact_poly, poly_derivative_coeffs
+from .oracle import _poly_terms, _sample, poly_derivative_coeffs
 
 __all__ = [
     "Interval",
@@ -75,11 +76,12 @@ class TestFunction:
     """A corpus member with analytic derivatives.
 
     ``poly_coeffs`` (ascending, exact rationals) enables the exact
-    integration path; it is present exactly for the polynomial members.
+    integration path; it is present exactly for the polynomial members,
+    whose float f, d1, d2 and d4 the corpus derives from it.
     Search screens need their f, f'' and f'''' (on a float or an array) within
     (n + 1) 2^-52 sum |c_k| |x|^k of p's at x, over the derivative's c_k.
-    ``exact_integral(a, b)`` returns the antiderivative difference where a
-    closed form exists.
+    ``exact_integral(a, b)``, the antiderivative difference where a closed
+    form exists, is given only for non-polynomials.
 
     Instances are immutable, and every run in a process reads the standard
     registry's instances (:func:`get_function`), so the cached ``_terms``,
@@ -93,7 +95,6 @@ class TestFunction:
     d1: Callable[[float], float]
     d2: Callable[[float], float]
     domain: Interval
-    tags: frozenset[str] = frozenset()
     d4: Optional[Callable[[float], float]] = None
     exact_integral: Optional[Callable[[float, float], float]] = None
     poly_coeffs: Optional[tuple[Fraction, ...]] = None
@@ -253,56 +254,26 @@ _BUMP_CENTER = 0.5
 _BUMP_WIDTH = 1e-3  # denominator of the squared distance in the exponent
 
 
+def _power_derivative(n: int, k: int) -> Callable[[float], float]:
+    """The k-th derivative of x^n, n!/(n - k)! x^(n - k), on a float or an
+    array: a constant c is ``c + 0.0 * x`` and a vanished derivative
+    ``0.0 * x``, so that either keeps the shape of an array x."""
+    if k > n:
+        return lambda x: 0.0 * x
+    if k == n:
+        c = float(math.factorial(n))
+        return lambda x: c + 0.0 * x
+    c = math.perm(n, k)
+    return lambda x: c * x ** (n - k)
+
+
 def _monomial(n: int) -> TestFunction:
-    coeffs = tuple(Fraction(0) for _ in range(n)) + (Fraction(1),)
-
-    def f(x, _n=n):
-        return x**_n
-
-    def d1(x, _n=n):
-        return _n * x ** (_n - 1)
-
-    def d2(x, _n=n):
-        if _n == 2:
-            return 2.0 + 0.0 * x
-        return _n * (_n - 1) * x ** (_n - 2)
-
-    def d4(x, _n=n):
-        if _n < 4:
-            return 0.0 * x
-        if _n == 4:
-            return 24.0 + 0.0 * x
-        k = _n * (_n - 1) * (_n - 2) * (_n - 3)
-        return k * x ** (_n - 4)
-
-    def exact(a, b, _coeffs=coeffs):
-        return float(integrate_exact_poly(_coeffs, (Fraction(a), Fraction(b))))
-
+    """x^n on [0, 10], written once as its coefficients, with f, f', f''
+    and f'''' derived from them."""
+    f, d1, d2, d4 = (_power_derivative(n, k) for k in (0, 1, 2, 4))
     return TestFunction(
-        id=f"poly{n}",
-        f=f,
-        d1=d1,
-        d2=d2,
-        d4=d4,
-        exact_integral=exact,
-        poly_coeffs=coeffs,
-        domain=Interval(0.0, 10.0),
-        tags=frozenset({"nonnegative", "monotone", "convex", "polynomial"}),
-    )
-
-
-def _constant() -> TestFunction:
-    coeffs = (Fraction(1),)
-    return TestFunction(
-        id="const1",
-        f=lambda x: 1.0 + 0.0 * x,
-        d1=lambda x: 0.0 * x,
-        d2=lambda x: 0.0 * x,
-        d4=lambda x: 0.0 * x,
-        exact_integral=lambda a, b: float(b) - float(a),
-        poly_coeffs=coeffs,
-        domain=Interval(-100.0, 100.0),
-        tags=frozenset({"nonnegative", "convex", "polynomial"}),
+        id=f"poly{n}", f=f, d1=d1, d2=d2, d4=d4, domain=Interval(0.0, 10.0),
+        poly_coeffs=(Fraction(0),) * n + (Fraction(1),),
     )
 
 
@@ -318,7 +289,6 @@ def _exponential() -> TestFunction:
         d4=np.exp,
         exact_integral=exact,
         domain=Interval(-20.0, 20.0),
-        tags=frozenset({"nonnegative", "monotone", "convex"}),
     )
 
 
@@ -352,19 +322,15 @@ def _bump() -> TestFunction:
         d2=d2,
         exact_integral=exact,
         domain=Interval(0.0, 1.0),
-        tags=frozenset({"nonnegative"}),
     )
 
 
 def corpus_standard() -> tuple[TestFunction, ...]:
-    """The compiled-in corpus: x^n for n in 2..5, a constant, exp, and a
+    """The compiled-in corpus: x^n for n in 2..5, the constant x^0, exp, and a
     narrow Gaussian bump that is not P-convex around its peak."""
     return (
-        _monomial(2),
-        _monomial(3),
-        _monomial(4),
-        _monomial(5),
-        _constant(),
+        *map(_monomial, range(2, 6)),
+        replace(_monomial(0), id="const1", domain=Interval(-100.0, 100.0)),
         _exponential(),
         _bump(),
     )

@@ -11,19 +11,19 @@ specializations are the classical quadrature gaps:
     lam = 1    (minus) trapezoid   avg(f) - (f(a)+f(b))/2
     lam = 1/3  (minus) Simpson deviation
 
-Signed values are retained; absolute values are taken only where a bound
-claim demands it.  Polynomials with rational coefficients are evaluated on
-the exact rational path automatically.
+Every functional returns its signed value, a float (or, for the ``_exact``
+names, a Fraction); absolute values are taken only where a bound claim
+demands it.  A polynomial's average is its exact rational average, rounded.
 
 Every functional reads one panel tuple (f(a), f(m), f(b), avg(f)) and is
 written once: floats in the tuple give the double-precision value,
 Fractions the exact one.  The ``_exact`` names build the tuple in exact
-rationals (polynomials only) and call the same formula.
+rationals (polynomials only) and call the same formula; a polynomial's
+float f derives from the same ``poly_coeffs`` (see :mod:`hhbounds.corpus`).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
 
@@ -38,7 +38,6 @@ from .oracle import (
 )
 
 __all__ = [
-    "DeviationValue",
     "average_value",
     "average_value_exact",
     "functional_lambda",
@@ -53,17 +52,6 @@ __all__ = [
     "simpson_deviation",
     "simpson_deviation_exact",
 ]
-
-
-@dataclass(frozen=True)
-class DeviationValue:
-    """Signed deviation with its absolute value."""
-
-    value: float
-
-    @property
-    def abs_value(self) -> float:
-        return abs(self.value)
 
 
 def _require_subdomain(f: TestFunction, domain: Interval) -> None:
@@ -142,14 +130,14 @@ def functional_lambda(
     domain: Interval,
     lam: float,
     avg: Optional[float] = None,
-) -> DeviationValue:
+) -> float:
     """The lambda-family deviation functional, signed.
 
     ``avg`` short-circuits the integral when the caller already has it
     (campaigns reuse one average across the whole lambda grid).
     """
     kernel._check_lam(lam)
-    return DeviationValue(_lambda_value(_samples(f, domain, avg), lam))
+    return _lambda_value(_samples(f, domain, avg), lam)
 
 
 def functional_lambda_exact(f: TestFunction, domain, lam) -> Fraction:
@@ -185,9 +173,7 @@ def identity_residual(
     f: TestFunction, domain: Interval, lam: float, tol: float = 1e-12
 ) -> float:
     """Absolute difference between the functional and its kernel integral."""
-    lhs = functional_lambda(f, domain, lam).value
-    rhs = identity_rhs(f, domain, lam, tol)
-    return abs(lhs - rhs)
+    return abs(functional_lambda(f, domain, lam) - identity_rhs(f, domain, lam, tol))
 
 
 def hh_gap_left(f: TestFunction, domain: Interval) -> float:
@@ -217,14 +203,14 @@ def hh_p_check(f: TestFunction, domain: Interval, tol: float = 1e-12) -> bool:
     return (2.0 * avg - fm >= -tol) and (2.0 * (fa + fb) - 2.0 * avg >= -tol)
 
 
-def simpson_deviation(f: TestFunction, domain: Interval) -> DeviationValue:
+def simpson_deviation(f: TestFunction, domain: Interval) -> float:
     """Signed single-panel Simpson deviation from the average value:
 
     (1/3) [ (f(a)+f(b))/2 + 2 f(m) ] - avg(f).
 
     Equals minus the lambda-family functional at lam = 1/3.
     """
-    return DeviationValue(_simpson_value(_samples(f, domain)))
+    return _simpson_value(_samples(f, domain))
 
 
 def simpson_deviation_exact(f: TestFunction, domain) -> Fraction:

@@ -253,7 +253,7 @@ class TestSoundnessSpotChecks:
             ).passed, f"|d2| of {fid} not P-convex on [{a}, {b}]"
             e = EndpointData(abs(float(fn.d2(a))), abs(float(fn.d2(b))))
             for lam in (0.0, 0.3, 0.5, 0.8, 1.0):
-                lhs = abs(functional_lambda(fn, dom, lam).value)
+                lhs = abs(functional_lambda(fn, dom, lam))
                 assert lhs <= bound_theorem5(dom, lam, e) + 1e-9 * max(1.0, lhs)
                 for q in (1.0, 2.0, 10.0):
                     rhs = bound_theorem6(dom, lam, q, e, "derived")

@@ -3,6 +3,7 @@
 import csv
 import io
 import json
+import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -341,6 +342,42 @@ class TestOtherCommands:
         assert code == 1
         assert "status=violated" in out
 
+    # ``means --prop`` evaluates x^n for any integer n on any 0 < a < b, with
+    # exact endpoints; a campaign block has only the corpus members, their
+    # domains and float endpoints, so these outputs are pinned here.
+    def test_means_prop_negative_n(self):
+        code, out = run_cli("means", "--prop", "3", "--n", "-2", "--a", "1",
+                            "--b", "2", "--q", "2")
+        assert code == 0
+        assert out == (
+            "prop3-stated n=-2 a=1 b=2 q=2 lhs=0.0046296296296296294 "
+            "rhs=0.037109304495095828 margin=0.032479674865466199 status=holds\n"
+        )
+
+    def test_means_prop_exact_endpoints(self):
+        argv = ("means", "--prop", "3", "--n", "4", "--q", "2")
+        code, exact = run_cli(*argv, "--a", "1/3", "--b", "2/3")
+        assert code == 0
+        assert exact == (
+            "prop3-stated n=4 a=0.33333333333333331 b=0.66666666666666663 q=2 "
+            "lhs=0.00010288065843621399 rhs=0.0037705584139164704 "
+            "margin=0.0036676777554802567 status=holds\n"
+        )
+        # the nearest floats to 1/3 and 2/3 print alike but give another lhs
+        code, rounded = run_cli(*argv, "--a", repr(1 / 3), "--b", repr(2 / 3))
+        assert code == 0
+        assert "lhs=0.00010288065843621395 " in rounded
+
+    def test_means_prop_outside_corpus_domain(self):
+        # [12, 13] is outside [0, 10], the domain of the corpus's poly3
+        code, out = run_cli("means", "--prop", "1", "--n", "3", "--a", "12",
+                            "--b", "13")
+        assert code == 0
+        assert out == (
+            "prop1-stated n=3 a=12 b=13 q=1 lhs=3.125 rhs=3.125 margin=0 "
+            "status=equality\n"
+        )
+
     def test_means_plain(self):
         code, out = run_cli("means", "--a", "1", "--b", "2", "--n", "3")
         assert code == 0
@@ -494,6 +531,22 @@ class TestOtherCommands:
 
 
 class TestSubprocess:
+    @pytest.mark.skipif(not os.path.isdir("/proc/self/task"), reason="needs /proc")
+    def test_cli_import_starts_no_blas_threads(self):
+        # campaigns fork, so the CLI asks for a single-threaded OpenBLAS
+        env = {k: v for k, v in os.environ.items() if k != "OPENBLAS_NUM_THREADS"}
+        code = (
+            "import os, hhbounds.cli; "
+            "print(len(os.listdir('/proc/self/task')), os.environ['OPENBLAS_NUM_THREADS'])"
+        )
+        run = [sys.executable, "-c", code]
+        out = subprocess.run(run, env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split() == ["1", "1"]
+        # a value the user set wins
+        env["OPENBLAS_NUM_THREADS"] = "2"
+        out = subprocess.run(run, env=env, capture_output=True, text=True, check=True)
+        assert out.stdout.split()[1] == "2"
+
     def test_byte_identical_reports(self):
         cmd = [
             sys.executable, "-m", "hhbounds", "verify", "--claims", "all",

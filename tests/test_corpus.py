@@ -1,6 +1,8 @@
 """Corpus tests: derivative consistency, exact integrals, P-convexity scans."""
 
 import math
+import struct
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -12,12 +14,13 @@ from hhbounds.corpus import (
     Interval,
     PConvexityReport,
     PViolation,
+    _monomial,
     check_p_convex,
     corpus_standard,
     function_ids,
     get_function,
 )
-from hhbounds.oracle import _sample, integrate
+from hhbounds.oracle import _sample, integrate, integrate_exact_poly
 
 CORPUS = corpus_standard()
 IDS = [f.id for f in CORPUS]
@@ -136,15 +139,6 @@ class TestCorpusContents:
         xs = np.linspace(-5, 5, 11)
         assert np.all(np.asarray(c.d2(xs)) == 0.0)
 
-    def test_poly2_exact_integral(self):
-        p2 = get_function("poly2")
-        assert p2.exact_integral(0.0, 1.0) == pytest.approx(1 / 3, abs=1e-15)
-
-    def test_bump_marked_non_p_convex(self):
-        bump = get_function("bump")
-        assert bump.tags == frozenset({"nonnegative"})
-        assert "convex" not in bump.tags
-
     def test_unknown_id(self):
         with pytest.raises(KeyError):
             get_function("nope")
@@ -180,14 +174,90 @@ class TestDerivativeConsistency:
 
     @pytest.mark.parametrize("fn", CORPUS, ids=IDS)
     def test_exact_integral_agrees_with_oracle(self, fn):
-        if fn.exact_integral is None:
-            pytest.skip("no closed form")
+        exact = fn.exact_integral
+        if exact is None:  # a polynomial integrates exactly from its coefficients
+            def exact(a, b):
+                return float(integrate_exact_poly(fn.poly_coeffs, (Fraction(a), Fraction(b))))
         rng = np.random.default_rng(11)
         for _ in range(4):
             a = rng.uniform(fn.domain.lo, fn.domain.hi - 0.1)
             b = rng.uniform(a + 0.1, fn.domain.hi)
             num = integrate(fn.f, (a, b)).value
-            assert abs(num - fn.exact_integral(a, b)) <= 1e-12 * (1 + abs(num))
+            assert abs(num - exact(a, b)) <= 1e-12 * (1 + abs(num))
+
+
+def _closures_x_n(n):
+    """The hand-written f, f', f'' and f'''' of x^n (n >= 2) that the corpus
+    carried before it derived them from the coefficients."""
+
+    def f(x, _n=n):
+        return x**_n
+
+    def d1(x, _n=n):
+        return _n * x ** (_n - 1)
+
+    def d2(x, _n=n):
+        if _n == 2:
+            return 2.0 + 0.0 * x
+        return _n * (_n - 1) * x ** (_n - 2)
+
+    def d4(x, _n=n):
+        if _n < 4:
+            return 0.0 * x
+        if _n == 4:
+            return 24.0 + 0.0 * x
+        k = _n * (_n - 1) * (_n - 2) * (_n - 3)
+        return k * x ** (_n - 4)
+
+    return f, d1, d2, d4
+
+
+# the hand-written closures of const1 (x^0)
+_CLOSURES_CONST = (
+    lambda x: 1.0 + 0.0 * x, lambda x: 0.0 * x, lambda x: 0.0 * x, lambda x: 0.0 * x,
+)
+
+# x^1 had no closure (x ** (n - 2) above divides by zero at 0 for n = 1); its
+# reference is the rule n!/(n - k)! x^(n - k) written out
+_CLOSURES_X = (
+    lambda x: x**1, lambda x: 1.0 + 0.0 * x, lambda x: 0.0 * x, lambda x: 0.0 * x,
+)
+
+_BIT_FLOATS = (
+    0.0, -0.0, 1.0, -1.0, 0.5, -0.5, 3.7, -2.25, 10.0, -100.0, 1e-300, -1e-300,
+    5e-324, 1e20, -1e20, 1e30, -1e30, 1.7976931348623157e308, math.inf, -math.inf,
+    math.nan,
+)
+
+
+def _bits(g, x):
+    """g(x) as bytes, with its type; an overflow is an outcome too."""
+    try:
+        with np.errstate(all="ignore"):
+            y = g(x)
+    except OverflowError:
+        return "OverflowError"
+    if isinstance(y, np.ndarray):
+        return y.dtype.str, y.shape, y.tobytes()
+    return type(y), struct.pack("<d", y)
+
+
+class TestDerivedPolynomials:
+    @pytest.mark.parametrize("n", range(16))
+    def test_derived_callables_equal_the_closures_bit_for_bit(self, n):
+        fn = get_function("const1") if n == 0 else _monomial(n)
+        ref = {0: _CLOSURES_CONST, 1: _CLOSURES_X}.get(n) or _closures_x_n(n)
+        arrays = (np.array(_BIT_FLOATS), np.linspace(-10.0, 10.0, 41), np.array(-0.0))
+        for got, want in zip((fn.f, fn.d1, fn.d2, fn.d4), ref):
+            for x in (*_BIT_FLOATS, *arrays):
+                assert _bits(got, x) == _bits(want, x), (n, x)
+
+    def test_only_non_polynomials_carry_an_exact_integral(self):
+        for fn in CORPUS:
+            assert (fn.exact_integral is None) == (fn.poly_coeffs is not None), fn.id
+        assert [fn.id for fn in CORPUS if fn.poly_coeffs is not None] == [
+            "poly2", "poly3", "poly4", "poly5", "const1"
+        ]
 
 
 class TestCheckPConvex:

@@ -46,20 +46,19 @@ class TestFunctionalLambda:
     def test_x_squared_midpoint_gap(self):
         # 1/3 - 1/4 = 1/12
         v = functional_lambda(get_function("poly2"), UNIT, 0.0)
-        assert v.value == pytest.approx(1 / 12, abs=1e-15)
-        assert v.abs_value == v.value
+        assert v == pytest.approx(1 / 12, abs=1e-15)
 
     def test_constant_vanishes_for_every_lambda(self):
         c = get_function("const1")
         for lam in np.linspace(0, 1, 11):
-            assert functional_lambda(c, UNIT, float(lam)).value == pytest.approx(
+            assert functional_lambda(c, UNIT, float(lam)) == pytest.approx(
                 0.0, abs=1e-15
             )
 
     def test_x_squared_trapezoid(self):
         # -1/2 + 1/3 = -1/6
         v = functional_lambda(get_function("poly2"), UNIT, 1.0)
-        assert v.value == pytest.approx(-1 / 6, abs=1e-15)
+        assert v == pytest.approx(-1 / 6, abs=1e-15)
 
     def test_exact_path(self):
         assert functional_lambda_exact(get_function("poly2"), UNIT, 0) == Fraction(1, 12)
@@ -108,7 +107,7 @@ def test_float_average_is_the_exact_one_rounded(coeffs, lo, width):
 class TestIdentity:
     def test_x_squared_lam_one_both_sides(self):
         p2 = get_function("poly2")
-        lhs = functional_lambda(p2, UNIT, 1.0).value
+        lhs = functional_lambda(p2, UNIT, 1.0)
         rhs = identity_rhs(p2, UNIT, 1.0)
         assert lhs == pytest.approx(-1 / 6, abs=1e-13)
         assert rhs == pytest.approx(-1 / 6, abs=1e-12)
@@ -170,7 +169,7 @@ class TestHHPCheck:
 
 class TestSimpsonDeviation:
     def test_cubic_exactness(self):
-        assert simpson_deviation(get_function("poly3"), UNIT).value == pytest.approx(
+        assert simpson_deviation(get_function("poly3"), UNIT) == pytest.approx(
             0.0, abs=1e-15
         )
         assert simpson_deviation_exact(get_function("poly3"), UNIT) == 0
@@ -178,11 +177,11 @@ class TestSimpsonDeviation:
     def test_x_fourth(self):
         # (1/3)(1/2 + 2/16) - 1/5 = 1/120
         v = simpson_deviation(get_function("poly4"), UNIT)
-        assert v.value == pytest.approx(1 / 120, abs=1e-15)
+        assert v == pytest.approx(1 / 120, abs=1e-15)
         assert simpson_deviation_exact(get_function("poly4"), UNIT) == Fraction(1, 120)
 
     def test_constant(self):
-        assert simpson_deviation(get_function("const1"), UNIT).value == 0.0
+        assert simpson_deviation(get_function("const1"), UNIT) == 0.0
 
 
 class TestInvariants:
@@ -191,8 +190,8 @@ class TestInvariants:
         dom = Interval(
             max(fn.domain.lo, 0.25), min(fn.domain.hi, 0.875)
         )
-        assert abs(functional_lambda(fn, dom, 1 / 3).value) == pytest.approx(
-            abs(simpson_deviation(fn, dom).value), abs=1e-14
+        assert abs(functional_lambda(fn, dom, 1 / 3)) == pytest.approx(
+            abs(simpson_deviation(fn, dom)), abs=1e-14
         )
 
     @pytest.mark.parametrize("fn", corpus_standard(), ids=lambda f: f.id)
@@ -200,10 +199,10 @@ class TestInvariants:
         dom = Interval(
             max(fn.domain.lo, 0.25), min(fn.domain.hi, 0.875)
         )
-        assert functional_lambda(fn, dom, 0.0).value == pytest.approx(
+        assert functional_lambda(fn, dom, 0.0) == pytest.approx(
             hh_gap_left(fn, dom), abs=1e-14
         )
-        assert functional_lambda(fn, dom, 1.0).value == pytest.approx(
+        assert functional_lambda(fn, dom, 1.0) == pytest.approx(
             -hh_gap_right(fn, dom), abs=1e-14
         )
 
@@ -216,7 +215,7 @@ class TestInvariants:
     def test_affine_invariance(self, c0, c1, lam):
         # adding c0 + c1 x to f leaves the functional unchanged
         p2 = get_function("poly2")
-        base = functional_lambda(p2, ONE_TWO, lam).value
+        base = functional_lambda(p2, ONE_TWO, lam)
 
         coeffs = (Fraction(c0), Fraction(c1) + 0, Fraction(1))
         shifted = TestFunction(
@@ -227,6 +226,6 @@ class TestInvariants:
             domain=Interval(-100.0, 100.0),
             poly_coeffs=coeffs,
         )
-        assert functional_lambda(shifted, ONE_TWO, lam).value == pytest.approx(
+        assert functional_lambda(shifted, ONE_TWO, lam) == pytest.approx(
             base, abs=1e-12
         )

@@ -520,7 +520,7 @@ class TestRunCampaign:
                 lhs = abs(
                     functionals.functional_lambda(
                         fn, Interval(r.a, r.b), r.lam, refined
-                    ).value
+                    )
                 )
                 assert r.rhs - lhs < -TOL / 10 * scale, r
                 checked += 1
