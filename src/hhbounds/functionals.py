@@ -93,11 +93,9 @@ def _samples(f: TestFunction, domain: Interval, avg=None) -> tuple:
     return _value_at(f.f, domain.lo), fm, _value_at(f.f, domain.hi), avg
 
 
-def _samples_exact(f: TestFunction, domain, avg=None) -> tuple:
-    """The panel tuple in exact rationals (polynomials only); ``avg`` is
-    computed when not given."""
-    if avg is None:
-        avg = average_value_exact(f, domain)
+def _samples_exact(f: TestFunction, domain) -> tuple:
+    """The panel tuple in exact rationals (polynomials only)."""
+    avg = average_value_exact(f, domain)
     lo, hi = _as_fraction(domain.lo), _as_fraction(domain.hi)
     t = f._terms
     return _terms_at(t, lo), _terms_at(t, (lo + hi) / 2), _terms_at(t, hi), avg
@@ -131,11 +129,8 @@ def functional_lambda(
     lam: float,
     avg: Optional[float] = None,
 ) -> float:
-    """The lambda-family deviation functional, signed.
-
-    ``avg`` short-circuits the integral when the caller already has it
-    (campaigns reuse one average across the whole lambda grid).
-    """
+    """The lambda-family deviation functional, signed; ``avg`` short-circuits
+    the integral when the caller already has it."""
     kernel._check_lam(lam)
     return _lambda_value(_samples(f, domain, avg), lam)
 

@@ -105,7 +105,6 @@ class BoundClaim:
     """One named inequality, lhs <= rhs, under a hypothesis."""
 
     id: str
-    description: str
     provenance: str
     hypothesis: str
     family: str
@@ -129,30 +128,26 @@ def ledger_standard() -> tuple[BoundClaim, ...]:
     d2q = "check_p_convex(|d2|^q)"
     claims = [
         BoundClaim(
-            "thm5", "endpoint-sum deviation bound for P-convex |f''|", PROOF_BACKED,
-            "check_p_convex(|d2|)", "thm5", variant="derived", uses_lambda=True,
+            "thm5", PROOF_BACKED, "check_p_convex(|d2|)", "thm5", variant="derived",
+            uses_lambda=True,
         )
     ]
     claims += [
-        BoundClaim(
-            f"thm6-{v}", f"power-mean deviation bound ({v} constant)", prov, d2q,
-            "thm6", variant=v, uses_lambda=True, uses_q=True,
-        )
+        BoundClaim(f"thm6-{v}", prov, d2q, "thm6", variant=v, uses_lambda=True, uses_q=True)
         for v, prov in variants
     ]
     for num, rule in zip((1, 2, 3), rule_lam):
         claims += [
             BoundClaim(
-                f"cor{num}-{v}", f"{rule} power-mean bound ({v} constant)", prov, d2q,
-                "cor", rule=rule, variant=v, fixed_lambda=rule_lam[rule], uses_q=True,
+                f"cor{num}-{v}", prov, d2q, "cor", rule=rule, variant=v,
+                fixed_lambda=rule_lam[rule], uses_q=True,
             )
             for v, prov in variants
         ]
     for num, rule in zip((4, 5, 8), rule_lam):
         claims += [
             BoundClaim(
-                f"cor{num}-{v}", f"{rule} uniform-M bound with 2^(1/q) ({v})", prov, d2q,
-                "corm", rule=rule, variant=v, form="with_q",
+                f"cor{num}-{v}", prov, d2q, "corm", rule=rule, variant=v, form="with_q",
                 fixed_lambda=rule_lam[rule], uses_q=True,
             )
             for v, prov in variants
@@ -161,44 +156,29 @@ def ledger_standard() -> tuple[BoundClaim, ...]:
         # bounds M (b-a)^2 * int|k|, hence proof-backed.
         claims.append(
             BoundClaim(
-                f"cor{num}-relaxed", f"{rule} uniform-M bound, q-free form",
-                PROOF_BACKED, "check_p_convex(|d2|)", "corm", rule=rule,
-                variant="stated", form="relaxed", fixed_lambda=rule_lam[rule],
+                f"cor{num}-relaxed", PROOF_BACKED, "check_p_convex(|d2|)", "corm",
+                rule=rule, variant="stated", form="relaxed", fixed_lambda=rule_lam[rule],
             )
         )
     claims += [
+        BoundClaim("hh", PROOF_BACKED, "f convex on [a, b]", "hh"),
+        BoundClaim("hh-p", PROOF_BACKED, "check_p_convex(f)", "hh-p"),
         BoundClaim(
-            "hh", "average-value enclosure for convex f", PROOF_BACKED,
-            "f convex on [a, b]", "hh",
+            "mid-envelope", PROOF_BACKED, "f twice differentiable", "envelope",
+            rule="midpoint",
         ),
         BoundClaim(
-            "hh-p", "doubled average-value enclosure for P-functions", PROOF_BACKED,
-            "check_p_convex(f)", "hh-p",
+            "trap-envelope", PROOF_BACKED, "f twice differentiable", "envelope",
+            rule="trapezoid",
         ),
-        BoundClaim(
-            "mid-envelope", "two-sided midpoint-gap enclosure from f'' range",
-            PROOF_BACKED, "f twice differentiable", "envelope", rule="midpoint",
-        ),
-        BoundClaim(
-            "trap-envelope", "two-sided trapezoid-gap enclosure from f'' range",
-            PROOF_BACKED, "f twice differentiable", "envelope", rule="trapezoid",
-        ),
-        BoundClaim(
-            "simpson-4th-p4",
-            "classical fourth-derivative Simpson bound (quartic width)", PROOF_BACKED,
-            "f has d4", "simpson4", rule="simpson", p=4,
-        ),
-        BoundClaim(
-            "simpson-4th-p2", "quadratic-width variant of the Simpson bound",
-            STATED_ONLY, "f has d4", "simpson4", rule="simpson", p=2,
-        ),
+        BoundClaim("simpson-4th-p4", PROOF_BACKED, "f has d4", "simpson4", rule="simpson", p=4),
+        BoundClaim("simpson-4th-p2", STATED_ONLY, "f has d4", "simpson4", rule="simpson", p=2),
     ]
     for num, rule in zip((1, 2, 3), rule_lam):
         claims += [
             BoundClaim(
-                f"prop{num}-{v}", f"special-means inequality {num} ({v} constant)",
-                prov, "f = x^n, |n(n-1)| >= 3, 0 < a < b", "prop", rule=rule,
-                variant=v, fixed_lambda=rule_lam[rule], uses_q=True,
+                f"prop{num}-{v}", prov, "f = x^n, |n(n-1)| >= 3, 0 < a < b", "prop",
+                rule=rule, variant=v, fixed_lambda=rule_lam[rule], uses_q=True,
             )
             for v, prov in variants
         ]
