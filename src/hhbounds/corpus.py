@@ -16,7 +16,7 @@ point where g raises is non-finite and makes the check 'undefined'.
 
 The corpus is compiled in; functions are referenced by short id from the
 CLI (``poly3``, ``expx``, ``bump``, ...).  A polynomial member is written
-once, as its coefficients, from which its float f, f', f'' and f'''' derive;
+once, as its coefficients, from which its float f, f'' and f'''' derive;
 the others carry analytic derivatives and, where one exists in closed form,
 an exact antiderivative difference.
 """
@@ -77,7 +77,7 @@ class TestFunction:
 
     ``poly_coeffs`` (ascending, exact rationals) enables the exact
     integration path; it is present exactly for the polynomial members,
-    whose float f, d1, d2 and d4 the corpus derives from it.
+    whose float f, d2 and d4 the corpus derives from it.
     Search screens need their f, f'' and f'''' (on a float or an array) within
     (n + 1) 2^-52 sum |c_k| |x|^k of p's at x, over the derivative's c_k.
     ``exact_integral(a, b)``, the antiderivative difference where a closed
@@ -92,7 +92,6 @@ class TestFunction:
 
     id: str
     f: Callable[[float], float]
-    d1: Callable[[float], float]
     d2: Callable[[float], float]
     domain: Interval
     d4: Optional[Callable[[float], float]] = None
@@ -268,11 +267,11 @@ def _power_derivative(n: int, k: int) -> Callable[[float], float]:
 
 
 def _monomial(n: int) -> TestFunction:
-    """x^n on [0, 10], written once as its coefficients, with f, f', f''
-    and f'''' derived from them."""
-    f, d1, d2, d4 = (_power_derivative(n, k) for k in (0, 1, 2, 4))
+    """x^n on [0, 10], written once as its coefficients, with f, f'' and
+    f'''' derived from them."""
+    f, d2, d4 = (_power_derivative(n, k) for k in (0, 2, 4))
     return TestFunction(
-        id=f"poly{n}", f=f, d1=d1, d2=d2, d4=d4, domain=Interval(0.0, 10.0),
+        id=f"poly{n}", f=f, d2=d2, d4=d4, domain=Interval(0.0, 10.0),
         poly_coeffs=(Fraction(0),) * n + (Fraction(1),),
     )
 
@@ -284,7 +283,6 @@ def _exponential() -> TestFunction:
     return TestFunction(
         id="expx",
         f=np.exp,
-        d1=np.exp,
         d2=np.exp,
         d4=np.exp,
         exact_integral=exact,
@@ -298,10 +296,6 @@ def _bump() -> TestFunction:
     def f(x):
         u = x - c
         return np.exp(-(u * u) / w)
-
-    def d1(x):
-        u = x - c
-        return -(2.0 * u / w) * np.exp(-(u * u) / w)
 
     def d2(x):
         u = x - c
@@ -318,7 +312,6 @@ def _bump() -> TestFunction:
     return TestFunction(
         id="bump",
         f=f,
-        d1=d1,
         d2=d2,
         exact_integral=exact,
         domain=Interval(0.0, 1.0),

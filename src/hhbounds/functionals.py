@@ -25,7 +25,6 @@ float f derives from the same ``poly_coeffs`` (see :mod:`hhbounds.corpus`).
 from __future__ import annotations
 
 from fractions import Fraction
-from typing import Optional
 
 from . import kernel, oracle
 from .corpus import Interval, TestFunction
@@ -123,16 +122,10 @@ def _simpson_value(s: tuple):
     return ((fa + fb) / 2 + 2 * fm) / 3 - avg
 
 
-def functional_lambda(
-    f: TestFunction,
-    domain: Interval,
-    lam: float,
-    avg: Optional[float] = None,
-) -> float:
-    """The lambda-family deviation functional, signed; ``avg`` short-circuits
-    the integral when the caller already has it."""
+def functional_lambda(f: TestFunction, domain: Interval, lam: float) -> float:
+    """The lambda-family deviation functional, signed."""
     kernel._check_lam(lam)
-    return _lambda_value(_samples(f, domain, avg), lam)
+    return _lambda_value(_samples(f, domain), lam)
 
 
 def functional_lambda_exact(f: TestFunction, domain, lam) -> Fraction:
@@ -142,13 +135,12 @@ def functional_lambda_exact(f: TestFunction, domain, lam) -> Fraction:
     return _lambda_value(_samples_exact(f, domain), lf)
 
 
-def identity_rhs(
-    f: TestFunction, domain: Interval, lam: float, tol: float = 1e-12
-) -> float:
+def identity_rhs(f: TestFunction, domain: Interval, lam: float) -> float:
     """Kernel-integral side of the identity: (b-a)^2 int k(t) f''(ta+(1-t)b) dt.
 
     The t-integral is split at the kernel branch point and at the sign-change
-    abscissae so each oracle call sees a smooth piece.
+    abscissae so each oracle call sees a smooth piece, integrated to the
+    absolute tolerance 1e-12.
     """
     _require_subdomain(f, domain)
     kernel._check_lam(lam)
@@ -160,15 +152,13 @@ def identity_rhs(
     pts = sorted({0.0, 1.0, *(p for p in (lam, 0.5, 1.0 - lam) if 0.0 < p < 1.0)})
     total = 0.0
     for lo, hi in zip(pts[:-1], pts[1:]):
-        total += oracle.integrate(integrand, (lo, hi), tol).value
+        total += oracle.integrate(integrand, (lo, hi), 1e-12).value
     return (b - a) ** 2 * total
 
 
-def identity_residual(
-    f: TestFunction, domain: Interval, lam: float, tol: float = 1e-12
-) -> float:
+def identity_residual(f: TestFunction, domain: Interval, lam: float) -> float:
     """Absolute difference between the functional and its kernel integral."""
-    return abs(functional_lambda(f, domain, lam) - identity_rhs(f, domain, lam, tol))
+    return abs(functional_lambda(f, domain, lam) - identity_rhs(f, domain, lam))
 
 
 def hh_gap_left(f: TestFunction, domain: Interval) -> float:
@@ -189,13 +179,13 @@ def hh_gap_right_exact(f: TestFunction, domain) -> Fraction:
     return _gap_right(_samples_exact(f, domain))
 
 
-def hh_p_check(f: TestFunction, domain: Interval, tol: float = 1e-12) -> bool:
+def hh_p_check(f: TestFunction, domain: Interval) -> bool:
     """Two-sided average-value check for P-functions:
 
-    f(m) <= 2 avg(f) and 2 avg(f) <= 2 (f(a) + f(b)), with margin >= -tol.
+    f(m) <= 2 avg(f) and 2 avg(f) <= 2 (f(a) + f(b)), with margin >= -1e-12.
     """
     fa, fm, fb, avg = _samples(f, domain)
-    return (2.0 * avg - fm >= -tol) and (2.0 * (fa + fb) - 2.0 * avg >= -tol)
+    return (2.0 * avg - fm >= -1e-12) and (2.0 * (fa + fb) - 2.0 * avg >= -1e-12)
 
 
 def simpson_deviation(f: TestFunction, domain: Interval) -> float:

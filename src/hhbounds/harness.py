@@ -21,17 +21,19 @@ the blocks in that order and summarizes them as they pass; no record is
 sorted, and a writer holds one block of records at a time.  The
 hypothesis the ledger states is checked once per q.  A panel holds the
 values of one (function, interval) in floats, in floats with a refined
-average, or in exact rationals.  Every claim is evaluated a lam row at a
-time by one of two row functions, chosen once per block; a claim without
-lam or q is a 1x1 block.  The lambda-family claims (theorems 5 and 6,
-their corollaries and the special-means propositions) have bounds that
-factor into a value per lam and one per q, so their row function reads
-|F(lam)|, the lam factor (b-a)^2 moment(lam) and the power sums
-(|f''(a)|^q + |f''(b)|^q)^(1/q) from the panel's caches, each computed
-once by the formulas of :mod:`bounds` and shared by every claim that reads
-it; an exact lam and its exact moment are constants of the run.  The side
-row of every other claim holds each half of its one cell: an enclosure has
-two, and the block keeps the half with the smaller float margin.  The
+average, or in exact rationals, and nothing of its run: a row that reads
+the sampled envelope is passed it by its caller.  Every claim is
+evaluated a lam row at a time by one of two row functions, chosen once
+per block; a claim without lam or q is a 1x1 block.  The lambda-family
+claims (theorems 5 and 6, their corollaries and the special-means
+propositions) have bounds that factor into a value per lam and one per
+q, so their row function reads |F(lam)|, the lam factor (b-a)^2
+moment(lam) and the power sums (|f''(a)|^q + |f''(b)|^q)^(1/q) from the
+panel's caches, each computed once by the formulas of :mod:`bounds` and
+shared by every claim that reads it; an exact lam and its exact moment
+are computed once per process.  The side row of every other claim holds
+each half of its one cell: an enclosure has two, and the block keeps the
+half with the smaller float margin.  The
 float row comes first; each cell that is not a comfortable 'holds' is
 re-derived by the same row function on the exact panel (polynomials),
 where a q-th root is a root of :mod:`bounds`, or on the refined one, and
@@ -50,13 +52,12 @@ where a polynomial's margin less :func:`_margin_error` is >= -TOL.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 import os
 import pickle
 import random
-import weakref
-from collections import defaultdict
 from dataclasses import dataclass
 from fractions import Fraction
 from operator import attrgetter
@@ -298,8 +299,9 @@ class _Panel:
     by the oracle at a tenth of the tolerance, bypassing any closed form)
     or 'exact' (Fractions; polynomials only).  ``domain`` has endpoints of
     that type and ``samples`` is (f(a), f(m), f(b), avg(f)).  The endpoint
-    data |f''(a)|, |f''(b)| and the sampled envelope are computed on first
-    use, since only some claim families read them.
+    data |f''(a)|, |f''(b)| are computed on first use, since only some
+    claim families read them.  A panel holds these values only: the
+    envelope a row reads is passed in by its caller.
 
     The lambda-family claims are evaluated a lam row at a time: |F(lam)|
     against the bound at every q of the row.  The bounds factor into one
@@ -309,22 +311,16 @@ class _Panel:
     |F(lam)| and the lam factor (b-a)^2 moment(lam); per q, the power sum
     (|f''(a)|^q + |f''(b)|^q)^(1/q).  A lam is keyed by its float, or on an
     exact panel by the name of the rule whose exact lam a claim fixes; its
-    exact value and exact moment are per-run constants of the context.  On
-    an exact panel a power sum with q != 1 is a root
-    (:class:`bounds._Root`).
+    exact value and exact moment come from :func:`_exact_lambda`.  On an
+    exact panel a power sum with q != 1 is a root (:class:`bounds._Root`).
     """
 
-    __slots__ = (
-        "_ctx", "_fn", "_interval", "_ends", "_env", "_memo", "_line", "exact",
-        "domain", "samples",
-    )
+    __slots__ = ("_fn", "_ends", "_line", "_lhs", "_factors", "_sums", "exact", "domain", "samples")
 
-    def __init__(self, ctx: "_Context", fn: TestFunction, domain: Interval, kind: str):
-        # a weak reference, so that a run's caches are freed with its
-        # context rather than kept in a cycle until a full collection
-        self._ctx, self._fn, self._interval = weakref.proxy(ctx), fn, domain
-        self._ends = self._env = self._line = None
-        self._memo = defaultdict(dict)  # statistic -> {lam or q: value}
+    def __init__(self, fn: TestFunction, domain: Interval, kind: str):
+        self._fn = fn
+        self._ends = self._line = None
+        self._lhs, self._factors, self._sums = {}, {}, {}  # per lam, per lam, per q
         self.exact = kind == "exact"
         if self.exact:
             self.domain = bounds._exact(domain)
@@ -349,28 +345,9 @@ class _Panel:
             self._ends = bounds.EndpointData(abs(m_a), abs(m_b))
         return self._ends
 
-    @property
-    def env(self) -> bounds.DerivativeEnvelope:
-        if self._env is None:
-            env = self._ctx.envelope(self._fn, self._interval)
-            if self.exact:
-                d4 = env.sup_abs_d4
-                env = bounds.DerivativeEnvelope(
-                    Fraction(env.sup_abs_d2),
-                    Fraction(env.lower_d2),
-                    Fraction(env.upper_d2),
-                    None if d4 is None else Fraction(d4),
-                )
-            self._env = env
-        return self._env
-
-    def lam(self, lam):
-        """The lam of key ``lam`` in the panel's number type."""
-        return self._ctx.exact_lambda(lam)[0] if self.exact else lam
-
     def lhs(self, lam):
         """|F(lam)|."""
-        memo = self._memo["lhs"]
+        memo = self._lhs
         v = memo.get(lam)
         if v is None:
             if not self.exact:
@@ -382,7 +359,7 @@ class _Panel:
                 f0 = functionals._gap_left(self.samples)
                 self._line = f0, -functionals._gap_right(self.samples) - f0
             f0, slope = self._line
-            v = memo[lam] = abs(f0 + self.lam(lam) * slope)
+            v = memo[lam] = abs(f0 + _exact_lambda(lam)[0] * slope)
         return v
 
     def theorem6_row(self, lam, qs, variant: str) -> list:
@@ -391,22 +368,30 @@ class _Panel:
         and power sums s: c * s, halved for the stated constant.  On an
         exact panel a bound is a Fraction where s is one (q = 1) and c times
         the root s otherwise."""
-        sums = self._memo["power_sum"]
+        sums = self._sums
         for q in qs:
             if q not in sums:
                 e = self.ends
                 sums[q] = bounds._power_sum(e.m_a, e.m_b, 1 if q is None else q)
-        factors = self._memo["lam_factor"]
+        factors = self._factors
         c = factors.get(lam)
         if c is None:
-            if self.exact:  # the exact moment is a constant of the run
-                c = self.domain.width**2 * self._ctx.exact_lambda(lam)[1]
+            if self.exact:
+                c = self.domain.width**2 * _exact_lambda(lam)[1]
             else:
                 c = bounds._coefficient(self.domain, lam)
             factors[lam] = c
         if variant == "derived":
             return [c * sums[q] for q in qs]
         return [c * sums[q] / 2 for q in qs]
+
+
+@functools.lru_cache(maxsize=1024)
+def _exact_lambda(lam) -> tuple:
+    """(the exact lam, its kernel moment) of a lam key: a grid float stands
+    for its exact value, a rule name for the rule's lam."""
+    x = bounds.RULE_LAMBDA_EXACT[lam] if type(lam) is str else Fraction(lam)
+    return x, kernel.weighted_moment(x)
 
 
 def _envelope(fn: TestFunction, domain: Interval) -> bounds.DerivativeEnvelope:
@@ -418,6 +403,11 @@ def _envelope(fn: TestFunction, domain: Interval) -> bounds.DerivativeEnvelope:
     if fn.d4 is not None:
         sup_d4 = max(map(abs, _range(fn, "d4", xs)))
     return bounds.DerivativeEnvelope(max(abs(lo), abs(hi)), lo, hi, sup_d4)
+
+
+def _exact_envelope(env: bounds.DerivativeEnvelope) -> bounds.DerivativeEnvelope:
+    """``env`` with its fields as Fractions, a missing sup |f''''| None."""
+    return bounds.DerivativeEnvelope(*(v if v is None else Fraction(v) for v in vars(env).values()))
 
 
 def _range(fn: TestFunction, name: str, xs) -> tuple[float, float]:
@@ -470,13 +460,13 @@ def _pconvex(fn: TestFunction, domain: Interval, q: float, of: str):
 
 
 class _Context:
-    """Per-run caches of panels, envelopes and P-checks.  Each is built
-    once: a build that raised an OracleError keeps its message, and every
-    later lookup raises an OracleError with it without building anew."""
+    """Per-run caches of panels, envelopes (in floats and in Fractions) and
+    P-checks.  Each is built once: a build that raised an OracleError keeps
+    its message, and every later lookup raises an OracleError with it
+    without building anew."""
 
     def __init__(self):
         self._cache: dict = {}  # key -> value, or the message of its failed build
-        self._lams: dict = {}  # lam key -> (exact lam, its exact moment)
 
     def _get(self, key, build, *args):
         cache = self._cache
@@ -494,9 +484,13 @@ class _Context:
 
     def panel(self, fn: TestFunction, domain: Interval, kind: str) -> _Panel:
         key = (kind, fn.id, domain.lo, domain.hi)
-        return self._get(key, _Panel, self, fn, domain, kind)
+        return self._get(key, _Panel, fn, domain, kind)
 
-    def envelope(self, fn: TestFunction, domain: Interval) -> bounds.DerivativeEnvelope:
+    def envelope(self, fn: TestFunction, domain: Interval, exact: bool = False):
+        """The sampled envelope, its fields as Fractions where ``exact``."""
+        if exact:
+            key = ("exact envelope", fn.id, domain.lo, domain.hi)
+            return self._get(key, _exact_envelope, self.envelope(fn, domain))
         key = ("envelope", fn.id, domain.lo, domain.hi)
         return self._get(key, _envelope, fn, domain)
 
@@ -507,16 +501,6 @@ class _Context:
     def convex(self, fn: TestFunction, domain: Interval) -> bool:
         env = self.envelope(fn, domain)
         return env.lower_d2 >= -1e-12 * (1.0 + abs(env.upper_d2))
-
-    def exact_lambda(self, lam) -> tuple:
-        """(the exact lam, its kernel moment) of a lam key, a constant of
-        the run: a grid float stands for its exact value, a rule name for
-        the rule's lam."""
-        v = self._lams.get(lam)
-        if v is None:
-            x = bounds.RULE_LAMBDA_EXACT[lam] if type(lam) is str else Fraction(lam)
-            v = self._lams[lam] = x, kernel.weighted_moment(x)
-        return v
 
 
 def _monomial_case(fn: TestFunction, domain: Interval, q, ctx) -> bool:
@@ -551,18 +535,18 @@ _HYPOTHESES = {
 # ---------------------------------------------------------------------------
 
 
-def _lambda_row(claim: BoundClaim, p: _Panel, lam, qs, env=None):
+def _lambda_row(claim: BoundClaim, p: _Panel, lam, qs, env):
     """The verdicts of |F(lam)| against the theorem 5/6, corollary or
     uniform-M bound at each q of ``qs``, on one panel; theorem 5 is the
     derived theorem 6 bound at q = 1, and a special-means proposition the
     corollary bound of its rule for x^n.  On an exact panel a claim that
     fixes lam reads its rule's exact lam.  The uniform-M bound reads
-    ``env``, by default the panel's sampled envelope."""
+    ``env``, an envelope in the panel's number type."""
     if p.exact and claim.fixed_lambda is not None:
         lam = claim.rule
     if claim.family == "corm":
         rhss = bounds._bounded_m_row(
-            claim.rule, p.domain, [1.0 if q is None else q for q in qs], env or p.env,
+            claim.rule, p.domain, [1.0 if q is None else q for q in qs], env,
             claim.form, claim.variant,
         )
     else:  # thm5 and thm6, and the corollaries and propositions at their rule's lam
@@ -570,7 +554,7 @@ def _lambda_row(claim: BoundClaim, p: _Panel, lam, qs, env=None):
     return classify_row(p.lhs(lam), rhss, TOL, EQ_TOL)
 
 
-def _side_row(claim: BoundClaim, p: _Panel, lam, qs, env=None):
+def _side_row(claim: BoundClaim, p: _Panel, lam, qs, env):
     """The verdict of each half of the one cell of a claim without lam or
     q, on one panel, in the panel's number type: a two-sided enclosure has
     two, so its row is longer than ``qs``.
@@ -581,16 +565,16 @@ def _side_row(claim: BoundClaim, p: _Panel, lam, qs, env=None):
       enclosure;
     * simpson4: |Simpson deviation| <= sup|f''''| (b-a)^p / 2880.
 
-    The envelope and simpson4 claims read ``env``, by default the panel's
-    sampled envelope."""
+    The envelope and simpson4 claims read ``env``, an envelope in the
+    panel's number type."""
     fam, samples = claim.family, p.samples
     if fam == "simpson4":
-        rhs = bounds.bound_classical("simpson", p.domain, env or p.env, claim.p)
+        rhs = bounds.bound_classical("simpson", p.domain, env, claim.p)
         pairs = ((abs(functionals._simpson_value(samples)), rhs),)
     elif fam == "envelope":
         gap = (functionals._gap_left if claim.rule == "midpoint"
                else functionals._gap_right)(samples)
-        lo_b, hi_b = bounds.bound_classical(claim.rule, p.domain, env or p.env)
+        lo_b, hi_b = bounds.bound_classical(claim.rule, p.domain, env)
         pairs = ((lo_b, gap), (gap, hi_b))
     else:
         fa, fm, fb, avg = samples
@@ -599,6 +583,9 @@ def _side_row(claim: BoundClaim, p: _Panel, lam, qs, env=None):
         else:
             pairs = ((fm, 2 * avg), (2 * avg, 2 * (fa + fb)))
     return [classify_row(lhs, (rhs,), TOL, EQ_TOL)[0] for lhs, rhs in pairs]
+
+
+_ENVELOPED = {"corm", "envelope", "simpson4"}  # the families that read an envelope
 
 
 def _row(claim: BoundClaim):
@@ -625,8 +612,9 @@ def _evaluate_block(
     else on the refined average, for the cells left.  Of an enclosure's
     two halves the block keeps the one with the smaller float margin, and
     confirms that one.  The propositions, stated for x^n, go to the exact
-    panel directly.  An oracle failure makes the records it meets
-    'undefined'.
+    panel directly.  A family of :data:`_ENVELOPED` is passed the sampled
+    envelope (with Fraction fields for the exact panel), every other
+    family None.  An oracle failure makes the records it meets 'undefined'.
     """
     head = claim.id, fn.id, domain.lo, domain.hi
 
@@ -644,7 +632,7 @@ def _evaluate_block(
         if not ok:
             unmet[q] = "undefined" if ok is None else "hypothesis_failed"
 
-    exact, row = fn.poly_coeffs is not None, _row(claim)
+    exact, row, enveloped = fn.poly_coeffs is not None, _row(claim), claim.family in _ENVELOPED
     met = [q for q in qs if q not in unmet] if unmet else qs
     float_first = claim.family != "prop"
     out: list = []
@@ -655,7 +643,7 @@ def _evaluate_block(
         if float_first and met:
             try:
                 p = p or ctx.panel(fn, domain, "float")
-                verdicts = row(claim, p, lam, met)
+                verdicts = row(claim, p, lam, met, ctx.envelope(fn, domain) if enveloped else None)
             except OracleError:
                 failed = True
             if len(verdicts) > len(met):
@@ -683,7 +671,8 @@ def _evaluate_block(
         for lam, (indices, row_qs) in pending.items():
             try:
                 p = p or ctx.panel(fn, domain, "exact" if exact else "refined")
-                verdicts = row(claim, p, lam, row_qs)[half:]
+                env = ctx.envelope(fn, domain, exact) if enveloped else None
+                verdicts = row(claim, p, lam, row_qs, env)[half:]
             except OracleError:
                 verdicts = [("undefined",)] * len(row_qs)
             for k, q, verdict in zip(indices, row_qs, verdicts):
@@ -970,9 +959,6 @@ class CounterexampleSearch:
 
     record: Optional[VerificationRecord]
     trials: int
-
-
-_ENVELOPED = {"corm", "envelope", "simpson4"}  # the families that read an envelope
 
 
 def _screen(

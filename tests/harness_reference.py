@@ -184,7 +184,7 @@ class Reference:
             m_a = abs(poly_eval_exact(d2c, Fraction(domain.lo)))
             m_b = abs(poly_eval_exact(d2c, Fraction(domain.hi)))
         else:
-            lhs = abs(functionals.functional_lambda(fn, domain, lam, avg))
+            lhs = abs((lam - 1) * fm - lam * (fa + fb) / 2 + avg)
             m_a, m_b = abs(float(fn.d2(domain.lo))), abs(float(fn.d2(domain.hi)))
         if fam == "thm5":
             if exact:

@@ -1,5 +1,5 @@
 """Test functions for the search screen's error bounds: polynomials whose
-f, f', f'' and f'''' are evaluated by Horner's rule, as the contract of
+f, f'' and f'''' are evaluated by Horner's rule, as the contract of
 :class:`~hhbounds.corpus.TestFunction` asks of a function with
 ``poly_coeffs``, and functions whose array evaluation rounds differently."""
 
@@ -21,7 +21,7 @@ def horner_function(fid: str, coeffs, domain: Interval) -> TestFunction:
         return lambda x: np.polyval(cs, x)
 
     return TestFunction(
-        id=fid, f=horner(0), d1=horner(1), d2=horner(2), d4=horner(4),
+        id=fid, f=horner(0), d2=horner(2), d4=horner(4),
         domain=domain, poly_coeffs=tuple(map(Fraction, coeffs)),
     )
 

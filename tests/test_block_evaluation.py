@@ -142,9 +142,9 @@ def _counted_builds(monkeypatch) -> list:
         built.append(("envelope", domain.lo, domain.hi))
         return envelope(fn, domain)
 
-    def counted_init(self, ctx, fn, domain, kind):
+    def counted_init(self, fn, domain, kind):
         built.append((kind, domain.lo, domain.hi))
-        panel_init(self, ctx, fn, domain, kind)
+        panel_init(self, fn, domain, kind)
 
     def counted_pcheck(g, domain):
         built.append(("pcheck", domain.lo, domain.hi))
@@ -405,7 +405,7 @@ def test_envelope_matches_the_elementwise_formula(d2, d4):
     d2v = np.resize(np.array(d2, dtype=float), 257)
     d4v = None if d4 is None else np.resize(np.array(d4, dtype=float), 257)
     fn = TestFunction(
-        id="samples", f=lambda x: x, d1=lambda x: 1.0 + 0.0 * x,
+        id="samples", f=lambda x: x,
         d2=lambda x: d2v.copy(), d4=None if d4v is None else (lambda x: d4v.copy()),
         domain=Interval(0.0, 1.0),
     )
@@ -423,7 +423,6 @@ def test_scaled_monomial_is_not_a_proposition_case():
     scaled = TestFunction(
         id="3x3",
         f=lambda x: 3 * x**3,
-        d1=lambda x: 9 * x**2,
         d2=lambda x: 18 * x,
         domain=Interval(0.0, 10.0),
         d4=lambda x: 0.0 * x,
@@ -450,7 +449,6 @@ def _flat_quartic() -> TestFunction:
     return TestFunction(
         id="flat4",
         f=lambda x: e * (6 * x**2 - x**4),
-        d1=lambda x: e * (12 * x - 4 * x**3),
         d2=lambda x: e * (12 - 12 * x**2),
         d4=lambda x: -24 * e + 0.0 * x,
         domain=Interval(-2.0, 2.0),
@@ -525,7 +523,7 @@ def _d2_raising(scalars_only: bool) -> TestFunction:
         return 2.0 + 0.0 * x
 
     return TestFunction(
-        id="d2raise", f=lambda x: x * x, d1=lambda x: 2.0 * x, d2=d2,
+        id="d2raise", f=lambda x: x * x, d2=d2,
         domain=Interval(0.0, 10.0), exact_integral=lambda a, b: (b**3 - a**3) / 3,
     )
 

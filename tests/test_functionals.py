@@ -35,7 +35,6 @@ def _linear(c0: float, c1: float) -> TestFunction:
     return TestFunction(
         id="lin",
         f=lambda x: c0 + c1 * x,
-        d1=lambda x: c1 + 0.0 * x,
         d2=lambda x: 0.0 * x,
         domain=Interval(-100.0, 100.0),
         poly_coeffs=coeffs,
@@ -97,7 +96,7 @@ def test_float_average_is_the_exact_one_rounded(coeffs, lo, width):
     # to a Fraction; true division rounds it correctly
     domain = Interval(lo, lo + width) if lo < lo + width else Interval(lo, lo + 1.0)
     fn = TestFunction(
-        id="p", f=lambda x: x, d1=lambda x: x, d2=lambda x: x,
+        id="p", f=lambda x: x, d2=lambda x: x,
         domain=Interval(-1000.0, 1000.0),
         poly_coeffs=tuple(Fraction(c) for c in coeffs),
     )
@@ -221,7 +220,6 @@ class TestInvariants:
         shifted = TestFunction(
             id="shifted",
             f=lambda x: c0 + c1 * x + x**2,
-            d1=lambda x: c1 + 2.0 * x,
             d2=lambda x: 2.0 + 0.0 * x,
             domain=Interval(-100.0, 100.0),
             poly_coeffs=coeffs,

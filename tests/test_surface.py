@@ -15,8 +15,8 @@ import numpy as np
 import pytest
 
 import hhbounds
-from hhbounds import bounds, corpus, means, oracle, records
-from hhbounds.corpus import GridSpec, Interval
+from hhbounds import bounds, corpus, functionals, means, oracle, records
+from hhbounds.corpus import GridSpec, Interval, get_function
 from hhbounds.harness import BoundClaim, CampaignConfig
 
 SRC = Path(hhbounds.__file__).resolve().parent
@@ -94,6 +94,22 @@ def _bound_theorem6_mp(**kw):
     return bounds.bound_theorem6_mp(Interval(0, 1), 0, 1.7, 1, 2, "derived", **kw)
 
 
+def _functional_lambda(**kw):
+    return functionals.functional_lambda(get_function("poly2"), Interval(0.0, 1.0), 0.5, **kw)
+
+
+def _identity_rhs(**kw):
+    return functionals.identity_rhs(get_function("poly2"), Interval(0.0, 1.0), 0.5, **kw)
+
+
+def _identity_residual(**kw):
+    return functionals.identity_residual(get_function("poly2"), Interval(0.0, 1.0), 0.5, **kw)
+
+
+def _hh_p_check(**kw):
+    return functionals.hh_p_check(get_function("poly2"), Interval(0.0, 1.0), **kw)
+
+
 @pytest.mark.parametrize(
     "call, keyword, value",
     [
@@ -110,6 +126,10 @@ def _bound_theorem6_mp(**kw):
             (_check_p_convex, "tol_abs", 1e-12),
             (_classify_row, "lhs_mp", None),
             (_bound_theorem6_mp, "dps", 50),
+            (_functional_lambda, "avg", 1 / 3),
+            (_identity_rhs, "tol", 1e-12),
+            (_identity_residual, "tol", 1e-12),
+            (_hh_p_check, "tol", 1e-12),
         ]
     ],
 )
