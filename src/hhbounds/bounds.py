@@ -117,8 +117,8 @@ class DerivativeEnvelope:
 
 
 def _check_q(q) -> None:
-    if not q >= 1:
-        raise ValueError(f"q must be >= 1, got {q}")
+    if not 1 <= q < math.inf:
+        raise ValueError(f"q must be finite and >= 1, got {q}")
 
 
 def _check_variant(variant: str) -> None:
@@ -397,7 +397,8 @@ def bound_bounded_m(
 
     ``with_q``  keeps the 2^(1/q) factor: M (b-a)^2 / C * 2^(1/q) with the
     stated C in {48, 24, 162} per rule (halved for the derived variant).
-    ``relaxed`` applies 2^(1/q) <= 2: M (b-a)^2 / {24, 12, 81}.
+    ``relaxed`` applies 2^(1/q) <= 2, which holds for q >= 1:
+    M (b-a)^2 / {24, 12, 81}.  Both forms require a finite q >= 1.
     """
     return _bounded_m_row(rule, domain, (q,), env, form, variant)[0]
 
@@ -410,6 +411,8 @@ def _bounded_m_row(
     if env.sup_abs_d2 is None:
         raise ValueError("bound_bounded_m requires env.sup_abs_d2 (M)")
     _check_variant(variant)
+    for q in qs:
+        _check_q(q)
     denom = _RULE_DENOMINATOR[rule]
     if variant == "derived":
         denom //= 2
@@ -417,8 +420,6 @@ def _bounded_m_row(
     factor = m * domain.width**2 / denom
     if form == "relaxed":
         return [factor * 2] * len(qs)
-    for q in qs:
-        _check_q(q)
     return [factor * _root_of_two(type(m), q) for q in qs]
 
 

@@ -22,32 +22,32 @@ sorted, and a writer holds one block of records at a time.  The
 hypothesis the ledger states is checked once per q.  A panel holds the
 values of one (function, interval) in floats, in floats with a refined
 average, or in exact rationals, and nothing of its run: a row that reads
-the sampled envelope is passed it by its caller.  Every claim is
-evaluated a lam row at a time by one of two row functions, chosen once
-per block; a claim without lam or q is a 1x1 block.  The lambda-family
-claims (theorems 5 and 6, their corollaries and the special-means
-propositions) have bounds that factor into a value per lam and one per
-q, so their row function reads |F(lam)|, the lam factor (b-a)^2
-moment(lam) and the power sums (|f''(a)|^q + |f''(b)|^q)^(1/q) from the
-panel's caches, each computed once by the formulas of :mod:`bounds` and
-shared by every claim that reads it; an exact lam and its exact moment
-are computed once per process.  The side row of every other claim holds
-each half of its one cell: an enclosure has two, and the block keeps the
-half with the smaller float margin.  The
+the sampled envelope is passed it by its caller.  Each claim carries its
+row function, its constants bound, which evaluates it a lam row at a time
+on a panel, in the panel's number type; a claim without lam or q is a 1x1
+block.  The bounds of theorems 5 and 6, their corollaries and the
+special-means propositions factor into a value per lam and one per q, so
+their row reads |F(lam)|, the lam factor (b-a)^2 moment(lam) and the power
+sums (|f''(a)|^q + |f''(b)|^q)^(1/q) from the panel's caches, each
+computed once by the formulas of :mod:`bounds` and shared by every claim
+that reads it; an exact lam and its exact moment are computed once per
+process.  The row of a two-sided enclosure holds each half of its one
+cell, and the block keeps the half with the smaller float margin.  The
 float row comes first; each cell that is not a comfortable 'holds' is
 re-derived by the same row function on the exact panel (polynomials),
-where a q-th root is a root of :mod:`bounds`, or on the refined one, and
+where a claim that fixes lam reads its rule's exact lam and a q-th root is
+a root of :mod:`bounds`, or on the refined one, and
 :func:`~hhbounds.records.classify_row` decides every status.  The
-propositions are the corollary rows of their rule, evaluated on the exact
-panel of x^n.  An oracle failure anywhere, confirmation
-included, yields an 'undefined' record, and so does an f, f'' or f''''
-that raises where it is sampled.  Every per-run value (a panel, an envelope, a P-check) is
-built once; one whose build failed is not built again.  Runs are
-deterministic for a fixed config.  A counterexample search screens every
-trial (:func:`_screen`) on the float row of the same row function, and
-builds no record, sampled check, envelope or exact panel for one that
-cannot be a hit: one where every half holds with a positive margin, or
-where a polynomial's margin less :func:`_margin_error` is >= -TOL.
+propositions are evaluated on the exact panel of x^n alone.  An oracle
+failure anywhere, confirmation included, yields an 'undefined' record, and
+so does an f, f'' or f'''' that raises where it is sampled.  Every
+per-run value (a panel, an envelope, a P-check) is built once; one whose
+build failed is not built again.  Runs are deterministic for a fixed
+config.  A counterexample search screens every trial (:func:`_screen`)
+on the float row of the claim's row function, and builds no record,
+sampled check, envelope or exact panel for one that cannot be a hit: one
+where every half holds with a positive margin, or where a polynomial's
+margin less :func:`_margin_error` is >= -TOL.
 """
 
 from __future__ import annotations
@@ -60,9 +60,10 @@ import pickle
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import partial
 from operator import attrgetter
 from types import SimpleNamespace
-from typing import Iterator, Mapping, Optional
+from typing import Callable, Iterator, Mapping, Optional
 
 import numpy as np
 
@@ -75,7 +76,7 @@ from .corpus import (
     check_p_convex,
 )
 from .oracle import OracleError, _sample, _terms_at, _value_at
-from .records import EQ_TOL, STATUSES, TOL, VerificationRecord, classify_row
+from .records import EQ_TOL, STATUSES, TOL, VerificationRecord, classify, classify_row
 
 __all__ = [
     "BoundClaim",
@@ -103,19 +104,81 @@ ORACLE_TOL = 1e-12  # the absolute tolerance of a panel's average
 
 @dataclass(frozen=True)
 class BoundClaim:
-    """One named inequality, lhs <= rhs, under a hypothesis."""
+    """One named inequality, lhs <= rhs, under a hypothesis.
+
+    ``row(panel, lam, qs, env)`` evaluates it: a row function with the
+    claim's constants bound.  ``rule`` names the rule whose lam the claim
+    fixes; an ``exact`` claim is decided on the exact panel alone."""
 
     id: str
     provenance: str
     hypothesis: str
-    family: str
+    row: Callable
     rule: Optional[str] = None
-    variant: Optional[str] = None
-    form: Optional[str] = None
-    p: Optional[int] = None
     uses_lambda: bool = False
-    fixed_lambda: Optional[float] = None
     uses_q: bool = False
+    exact: bool = False
+
+    # derived once per claim: a search reads both on every trial
+    @functools.cached_property
+    def fixed_lambda(self) -> Optional[float]:
+        """The float lam of ``rule``, or None."""
+        return None if self.rule is None else float(bounds.RULE_LAMBDA_EXACT[self.rule])
+
+    @functools.cached_property
+    def enveloped(self) -> bool:
+        """Whether ``row`` reads an envelope ``env``."""
+        return self.row.func in (_uniform_row, _classical_row)
+
+
+# ---------------------------------------------------------------------------
+# Row functions.  A claim's ``row`` is one of these with its constants
+# bound: on a panel, in its number type, the verdicts of a lam row at each q
+# of ``qs`` (q None where the claim has no q), or of each half of the one
+# cell of a two-sided enclosure.  A row that reads ``env`` is passed an
+# envelope in the panel's number type.
+# ---------------------------------------------------------------------------
+
+
+def _moment_row(variant, p, lam, qs, env):
+    """|F(lam)| against the theorem 6 bound of ``variant`` at each q, q
+    None the power sum of theorem 5; the corollaries and propositions are
+    this row at their rule's lam."""
+    rhss = p.theorem6_row(lam, qs, variant)
+    return classify_row(p.lhs(lam), rhss, TOL, EQ_TOL)
+
+
+def _uniform_row(rule, form, variant, p, lam, qs, env):
+    """|F(lam)| against the uniform-M bound (:func:`bounds.bound_bounded_m`)
+    of ``rule`` at each q, q None taken as 1, with M = ``env.sup_abs_d2``."""
+    qs = [1.0 if q is None else q for q in qs]
+    rhss = bounds._bounded_m_row(rule, p.domain, qs, env, form, variant)
+    return classify_row(p.lhs(lam), rhss, TOL, EQ_TOL)
+
+
+def _hh_row(k, d, p, lam, qs, env):
+    """f(m) <= k avg(f) <= k (f(a) + f(b)) / d, a verdict per half: the
+    Hermite-Hadamard enclosure of a convex f (k, d = 1, 2) or of a
+    P-function (2, 1)."""
+    fa, fm, fb, avg = p.samples
+    mean = k * avg
+    return _halves(((fm, mean), (mean, k * (fa + fb) / d)))
+
+
+def _classical_row(rule, power, p, lam, qs, env):
+    """The classical bound of ``rule`` (:func:`bounds.bound_classical`):
+    the midpoint or trapezoid gap inside its f''-range enclosure, a verdict
+    per half, or |Simpson deviation| <= sup|f''''| (b-a)^power / 2880."""
+    bound = bounds.bound_classical(rule, p.domain, env, power)
+    if rule == "simpson":
+        return _halves(((abs(functionals._simpson_value(p.samples)), bound),))
+    gap = (functionals._gap_left if rule == "midpoint" else functionals._gap_right)(p.samples)
+    return _halves(((bound[0], gap), (gap, bound[1])))
+
+
+def _halves(pairs) -> list:
+    """The verdict of each (lhs, rhs) of ``pairs``."""
+    return [classify(lhs, rhs, TOL, EQ_TOL) for lhs, rhs in pairs]
 
 
 def ledger_standard() -> tuple[BoundClaim, ...]:
@@ -125,61 +188,45 @@ def ledger_standard() -> tuple[BoundClaim, ...]:
     propositions 1, 2 and 3 are the midpoint, trapezoid and Simpson rules.
     thm5 is the derived power-mean bound at q = 1."""
     variants = (("stated", STATED_ONLY), ("derived", PROOF_BACKED))
-    rule_lam = {r: float(lam) for r, lam in bounds.RULE_LAMBDA_EXACT.items()}
-    d2q = "check_p_convex(|d2|^q)"
-    claims = [
-        BoundClaim(
-            "thm5", PROOF_BACKED, "check_p_convex(|d2|)", "thm5", variant="derived",
-            uses_lambda=True,
-        )
-    ]
+    rules = tuple(bounds.RULE_LAMBDA_EXACT)
+    d2, d2q = "check_p_convex(|d2|)", "check_p_convex(|d2|^q)"
+    thm5 = partial(_moment_row, "derived")
+    claims = [BoundClaim("thm5", PROOF_BACKED, d2, thm5, uses_lambda=True)]
     claims += [
-        BoundClaim(f"thm6-{v}", prov, d2q, "thm6", variant=v, uses_lambda=True, uses_q=True)
+        BoundClaim(f"thm6-{v}", prov, d2q, partial(_moment_row, v), uses_lambda=True, uses_q=True)
         for v, prov in variants
     ]
-    for num, rule in zip((1, 2, 3), rule_lam):
+    for num, rule in zip((1, 2, 3), rules):
         claims += [
-            BoundClaim(
-                f"cor{num}-{v}", prov, d2q, "cor", rule=rule, variant=v,
-                fixed_lambda=rule_lam[rule], uses_q=True,
-            )
+            BoundClaim(f"cor{num}-{v}", prov, d2q, partial(_moment_row, v), rule, uses_q=True)
             for v, prov in variants
         ]
-    for num, rule in zip((4, 5, 8), rule_lam):
+    for num, rule in zip((4, 5, 8), rules):
         claims += [
             BoundClaim(
-                f"cor{num}-{v}", prov, d2q, "corm", rule=rule, variant=v, form="with_q",
-                fixed_lambda=rule_lam[rule], uses_q=True,
+                f"cor{num}-{v}", prov, d2q, partial(_uniform_row, rule, "with_q", v), rule,
+                uses_q=True,
             )
             for v, prov in variants
         ]
         # The relaxed forms (2^(1/q) <= 2) coincide with the sharp kernel
         # bounds M (b-a)^2 * int|k|, hence proof-backed.
-        claims.append(
-            BoundClaim(
-                f"cor{num}-relaxed", PROOF_BACKED, "check_p_convex(|d2|)", "corm",
-                rule=rule, variant="stated", form="relaxed", fixed_lambda=rule_lam[rule],
-            )
-        )
+        relaxed = partial(_uniform_row, rule, "relaxed", "stated")
+        claims.append(BoundClaim(f"cor{num}-relaxed", PROOF_BACKED, d2, relaxed, rule))
+    twice, d4 = "f twice differentiable", "f has d4"
     claims += [
-        BoundClaim("hh", PROOF_BACKED, "f convex on [a, b]", "hh"),
-        BoundClaim("hh-p", PROOF_BACKED, "check_p_convex(f)", "hh-p"),
-        BoundClaim(
-            "mid-envelope", PROOF_BACKED, "f twice differentiable", "envelope",
-            rule="midpoint",
-        ),
-        BoundClaim(
-            "trap-envelope", PROOF_BACKED, "f twice differentiable", "envelope",
-            rule="trapezoid",
-        ),
-        BoundClaim("simpson-4th-p4", PROOF_BACKED, "f has d4", "simpson4", rule="simpson", p=4),
-        BoundClaim("simpson-4th-p2", STATED_ONLY, "f has d4", "simpson4", rule="simpson", p=2),
+        BoundClaim("hh", PROOF_BACKED, "f convex on [a, b]", partial(_hh_row, 1, 2)),
+        BoundClaim("hh-p", PROOF_BACKED, "check_p_convex(f)", partial(_hh_row, 2, 1)),
+        BoundClaim("mid-envelope", PROOF_BACKED, twice, partial(_classical_row, "midpoint", 4)),
+        BoundClaim("trap-envelope", PROOF_BACKED, twice, partial(_classical_row, "trapezoid", 4)),
+        BoundClaim("simpson-4th-p4", PROOF_BACKED, d4, partial(_classical_row, "simpson", 4)),
+        BoundClaim("simpson-4th-p2", STATED_ONLY, d4, partial(_classical_row, "simpson", 2)),
     ]
-    for num, rule in zip((1, 2, 3), rule_lam):
+    xn = "f = x^n, |n(n-1)| >= 3, 0 < a < b"
+    for num, rule in zip((1, 2, 3), rules):
         claims += [
             BoundClaim(
-                f"prop{num}-{v}", prov, "f = x^n, |n(n-1)| >= 3, 0 < a < b", "prop",
-                rule=rule, variant=v, fixed_lambda=rule_lam[rule], uses_q=True,
+                f"prop{num}-{v}", prov, xn, partial(_moment_row, v), rule, uses_q=True, exact=True
             )
             for v, prov in variants
         ]
@@ -232,8 +279,8 @@ class CampaignConfig:
             raise ValueError("lambda and q grids must be nonempty")
         if not all(0 <= lam <= 1 for lam in self.lambda_grid):
             raise ValueError("lambda grid values must lie in [0, 1]")
-        if not all(q >= 1 for q in self.q_grid):
-            raise ValueError("q grid values must be >= 1")
+        if not all(1 <= q < math.inf for q in self.q_grid):
+            raise ValueError("q grid values must be finite and >= 1")
         if self.trials < 0:
             raise ValueError("trials must be nonnegative")
         lo, hi = self.interval_range  # hi - lo is finite only where lo and hi are
@@ -303,11 +350,10 @@ class _Panel:
     claim families read them.  A panel holds these values only: the
     envelope a row reads is passed in by its caller.
 
-    The lambda-family claims are evaluated a lam row at a time: |F(lam)|
-    against the bound at every q of the row.  The bounds factor into one
-    value per lam and one per q, so the panel serves whole rows from its
-    caches, each value computed once by the formulas of :mod:`bounds` and
-    :mod:`functionals` and shared by every claim that reads it: per lam,
+    The lambda-family bounds factor into one value per lam and one per q,
+    so the panel serves whole lam rows from its caches, each value computed
+    once by the formulas of :mod:`bounds` and :mod:`functionals` and
+    shared by every claim that reads it: per lam,
     |F(lam)| and the lam factor (b-a)^2 moment(lam); per q, the power sum
     (|f''(a)|^q + |f''(b)|^q)^(1/q).  A lam is keyed by its float, or on an
     exact panel by the name of the rule whose exact lam a claim fixes; its
@@ -535,64 +581,6 @@ _HYPOTHESES = {
 # ---------------------------------------------------------------------------
 
 
-def _lambda_row(claim: BoundClaim, p: _Panel, lam, qs, env):
-    """The verdicts of |F(lam)| against the theorem 5/6, corollary or
-    uniform-M bound at each q of ``qs``, on one panel; theorem 5 is the
-    derived theorem 6 bound at q = 1, and a special-means proposition the
-    corollary bound of its rule for x^n.  On an exact panel a claim that
-    fixes lam reads its rule's exact lam.  The uniform-M bound reads
-    ``env``, an envelope in the panel's number type."""
-    if p.exact and claim.fixed_lambda is not None:
-        lam = claim.rule
-    if claim.family == "corm":
-        rhss = bounds._bounded_m_row(
-            claim.rule, p.domain, [1.0 if q is None else q for q in qs], env,
-            claim.form, claim.variant,
-        )
-    else:  # thm5 and thm6, and the corollaries and propositions at their rule's lam
-        rhss = p.theorem6_row(lam, qs, claim.variant)
-    return classify_row(p.lhs(lam), rhss, TOL, EQ_TOL)
-
-
-def _side_row(claim: BoundClaim, p: _Panel, lam, qs, env):
-    """The verdict of each half of the one cell of a claim without lam or
-    q, on one panel, in the panel's number type: a two-sided enclosure has
-    two, so its row is longer than ``qs``.
-
-    * hh, hh-p: f(m) <= avg(f) <= (f(a)+f(b))/2, doubled where f is a
-      P-function;
-    * envelope: the midpoint or trapezoid gap inside its f''-range
-      enclosure;
-    * simpson4: |Simpson deviation| <= sup|f''''| (b-a)^p / 2880.
-
-    The envelope and simpson4 claims read ``env``, an envelope in the
-    panel's number type."""
-    fam, samples = claim.family, p.samples
-    if fam == "simpson4":
-        rhs = bounds.bound_classical("simpson", p.domain, env, claim.p)
-        pairs = ((abs(functionals._simpson_value(samples)), rhs),)
-    elif fam == "envelope":
-        gap = (functionals._gap_left if claim.rule == "midpoint"
-               else functionals._gap_right)(samples)
-        lo_b, hi_b = bounds.bound_classical(claim.rule, p.domain, env)
-        pairs = ((lo_b, gap), (gap, hi_b))
-    else:
-        fa, fm, fb, avg = samples
-        if fam == "hh":
-            pairs = ((fm, avg), (avg, (fa + fb) / 2))
-        else:
-            pairs = ((fm, 2 * avg), (2 * avg, 2 * (fa + fb)))
-    return [classify_row(lhs, (rhs,), TOL, EQ_TOL)[0] for lhs, rhs in pairs]
-
-
-_ENVELOPED = {"corm", "envelope", "simpson4"}  # the families that read an envelope
-
-
-def _row(claim: BoundClaim):
-    """The row function of ``claim``: :func:`_side_row` where it has no lam."""
-    return _lambda_row if claim.uses_lambda or claim.fixed_lambda is not None else _side_row
-
-
 def _evaluate_block(
     claim: BoundClaim,
     fn: TestFunction,
@@ -606,15 +594,17 @@ def _evaluate_block(
     ``lams = qs = (None,)``.
 
     The hypothesis is checked once per q.  The block is evaluated a lam row
-    at a time by the row function :func:`_row` picks for the claim: the
-    float row first, where each comfortable 'holds' is accepted, and then
-    the same row function on the panel's exact values (polynomials) or
-    else on the refined average, for the cells left.  Of an enclosure's
-    two halves the block keeps the one with the smaller float margin, and
-    confirms that one.  The propositions, stated for x^n, go to the exact
-    panel directly.  A family of :data:`_ENVELOPED` is passed the sampled
-    envelope (with Fraction fields for the exact panel), every other
-    family None.  An oracle failure makes the records it meets 'undefined'.
+    at a time by the claim's ``row``: the float row first, where each
+    comfortable 'holds' is accepted, and then the same row on the panel's
+    exact values (polynomials) or else on the refined average, for the
+    cells left.  On the exact panel a claim that fixes lam passes its
+    ``rule`` in place of lam, so that its row reads the rule's exact lam.
+    Of an enclosure's two halves the block keeps the one with the smaller
+    float margin, and confirms that one.  An ``exact`` claim (the
+    propositions, stated for x^n) goes to the exact panel directly.  A row
+    that reads an envelope (``claim.enveloped``) is passed the sampled one
+    (with Fraction fields for the exact panel), every other row None.  An
+    oracle failure makes the records it meets 'undefined'.
     """
     head = claim.id, fn.id, domain.lo, domain.hi
 
@@ -632,9 +622,9 @@ def _evaluate_block(
         if not ok:
             unmet[q] = "undefined" if ok is None else "hypothesis_failed"
 
-    exact, row, enveloped = fn.poly_coeffs is not None, _row(claim), claim.family in _ENVELOPED
+    exact, row, enveloped = fn.poly_coeffs is not None, claim.row, claim.enveloped
     met = [q for q in qs if q not in unmet] if unmet else qs
-    float_first = claim.family != "prop"
+    float_first = not claim.exact
     out: list = []
     pending: dict = {}  # lam -> ([record index], [q]) of the cells left to confirm
     p, half = None, 0  # the float panel; the enclosure half the block keeps
@@ -643,7 +633,7 @@ def _evaluate_block(
         if float_first and met:
             try:
                 p = p or ctx.panel(fn, domain, "float")
-                verdicts = row(claim, p, lam, met, ctx.envelope(fn, domain) if enveloped else None)
+                verdicts = row(p, lam, met, ctx.envelope(fn, domain) if enveloped else None)
             except OracleError:
                 failed = True
             if len(verdicts) > len(met):
@@ -672,7 +662,7 @@ def _evaluate_block(
             try:
                 p = p or ctx.panel(fn, domain, "exact" if exact else "refined")
                 env = ctx.envelope(fn, domain, exact) if enveloped else None
-                verdicts = row(claim, p, lam, row_qs, env)[half:]
+                verdicts = row(p, (claim.rule or lam) if exact else lam, row_qs, env)[half:]
             except OracleError:
                 verdicts = [("undefined",)] * len(row_qs)
             for k, q, verdict in zip(indices, row_qs, verdicts):
@@ -972,10 +962,10 @@ def _screen(
     hit, so a trial is settled where
 
     * its interval leaves f's domain or a guard ('f has d4', x^n) is unmet;
-    * (every family but the propositions, which :func:`_evaluate_block`
+    * (every claim but an ``exact`` one, which :func:`_evaluate_block`
       decides on the exact panel) every half holds with a positive margin,
-      on :func:`_endpoint_envelope` for the families in :data:`_ENVELOPED`:
-      the block accepts a float 'holds' whatever the hypothesis, and a
+      on :func:`_endpoint_envelope` where the row reads an envelope: the
+      block accepts a float 'holds' whatever the hypothesis, and a
       sampled envelope only raises M or widens the f'' range, so the
       record's cell holds too;
     * (a polynomial) every half has m - E >= -TOL (E from
@@ -989,9 +979,9 @@ def _screen(
         return True
     try:
         p = ctx.panel(fn, domain, "float")
-        env = _endpoint_envelope(fn, domain) if claim.family in _ENVELOPED else None
-        verdicts = _row(claim)(claim, p, lam, (q,), env)
-        if claim.family != "prop" and all(v[0] == "holds" and v[3] > 0 for v in verdicts):
+        env = _endpoint_envelope(fn, domain) if claim.enveloped else None
+        verdicts = claim.row(p, lam, (q,), env)
+        if not claim.exact and all(v[0] == "holds" and v[3] > 0 for v in verdicts):
             return True
         if fn.poly_coeffs is not None:
             err = _margin_error(fn, p, q, sum(abs(v[1]) + abs(v[2]) for v in verdicts))

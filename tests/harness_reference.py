@@ -7,7 +7,9 @@ The hypothesis is checked first.  Both sides are evaluated in floats, and a
 margin that is not a comfortable 'holds' is re-derived in exact rationals
 (polynomials; at 50 digits where a q-th root is irrational) or with the
 average re-integrated at a tenth of the oracle tolerance.  The special-means
-propositions go through :func:`means.check_proposition`.
+propositions go through :func:`means.check_proposition`.  The reference
+reads each claim's formula from its own table, :data:`LEDGER_PIN`, and
+nothing but the id from the ledger's claims.
 
 ``reference_records`` and ``reference_search`` must give exactly what
 ``run_campaign`` and ``find_counterexample`` give, and
@@ -19,6 +21,7 @@ were streamed.
 from __future__ import annotations
 
 import random
+from collections import namedtuple
 from fractions import Fraction
 
 import mpmath
@@ -44,6 +47,49 @@ from hhbounds.oracle import (
 from hhbounds.records import EQ_TOL, STATUSES, TOL, VerificationRecord, classify
 
 PROP_RULES = ("midpoint", "trapezoid", "simpson")
+
+PB, SO, THIRD = PROOF_BACKED, STATED_ONLY, 1 / 3
+ClaimSpec = namedtuple(
+    "ClaimSpec",
+    "id provenance family rule variant form p uses_lambda fixed_lambda uses_q",
+)
+# Every claim of the ledger, in ledger order, with its family and formula
+# parameters: the table the reference evaluates each claim by.
+LEDGER_PIN = (
+    ("thm5", PB, "thm5", None, "derived", None, None, True, None, False),
+    ("thm6-stated", SO, "thm6", None, "stated", None, None, True, None, True),
+    ("thm6-derived", PB, "thm6", None, "derived", None, None, True, None, True),
+    ("cor1-stated", SO, "cor", "midpoint", "stated", None, None, False, 0.0, True),
+    ("cor1-derived", PB, "cor", "midpoint", "derived", None, None, False, 0.0, True),
+    ("cor2-stated", SO, "cor", "trapezoid", "stated", None, None, False, 1.0, True),
+    ("cor2-derived", PB, "cor", "trapezoid", "derived", None, None, False, 1.0, True),
+    ("cor3-stated", SO, "cor", "simpson", "stated", None, None, False, THIRD, True),
+    ("cor3-derived", PB, "cor", "simpson", "derived", None, None, False, THIRD, True),
+    ("cor4-stated", SO, "corm", "midpoint", "stated", "with_q", None, False, 0.0, True),
+    ("cor4-derived", PB, "corm", "midpoint", "derived", "with_q", None, False, 0.0, True),
+    ("cor4-relaxed", PB, "corm", "midpoint", "stated", "relaxed", None, False, 0.0, False),
+    ("cor5-stated", SO, "corm", "trapezoid", "stated", "with_q", None, False, 1.0, True),
+    ("cor5-derived", PB, "corm", "trapezoid", "derived", "with_q", None, False, 1.0, True),
+    ("cor5-relaxed", PB, "corm", "trapezoid", "stated", "relaxed", None, False, 1.0, False),
+    ("cor8-stated", SO, "corm", "simpson", "stated", "with_q", None, False, THIRD, True),
+    ("cor8-derived", PB, "corm", "simpson", "derived", "with_q", None, False, THIRD, True),
+    ("cor8-relaxed", PB, "corm", "simpson", "stated", "relaxed", None, False, THIRD, False),
+    ("hh", PB, "hh", None, None, None, None, False, None, False),
+    ("hh-p", PB, "hh-p", None, None, None, None, False, None, False),
+    ("mid-envelope", PB, "envelope", "midpoint", None, None, None, False, None, False),
+    ("trap-envelope", PB, "envelope", "trapezoid", None, None, None, False, None, False),
+    ("simpson-4th-p4", PB, "simpson4", "simpson", None, None, 4, False, None, False),
+    ("simpson-4th-p2", SO, "simpson4", "simpson", None, None, 2, False, None, False),
+    ("prop1-stated", SO, "prop", "midpoint", "stated", None, None, False, 0.0, True),
+    ("prop1-derived", PB, "prop", "midpoint", "derived", None, None, False, 0.0, True),
+    ("prop2-stated", SO, "prop", "trapezoid", "stated", None, None, False, 1.0, True),
+    ("prop2-derived", PB, "prop", "trapezoid", "derived", None, None, False, 1.0, True),
+    ("prop3-stated", SO, "prop", "simpson", "stated", None, None, False, THIRD, True),
+    ("prop3-derived", PB, "prop", "simpson", "derived", None, None, False, THIRD, True),
+)
+SPECS = {row[0]: ClaimSpec(*row) for row in LEDGER_PIN}
+# the families whose bounds read the sampled envelope
+ENVELOPED = {"corm", "envelope", "simpson4"}
 
 
 def _classify(lhs, rhs):
@@ -109,7 +155,7 @@ class Reference:
         return self._pcheck[key]
 
     def hypothesis(self, claim, fn, domain, q):
-        fam = claim.family
+        fam = SPECS[claim.id].family
         if fam == "thm5":
             return self.pconvex(fn, domain, 1.0, "d2")
         if fam in ("thm6", "cor", "corm"):
@@ -153,13 +199,14 @@ class Reference:
         s = self.samples(fn, domain, kind)
         fa, fm, fb, avg = s
         dom = Interval(Fraction(domain.lo), Fraction(domain.hi)) if exact else domain
+        claim = SPECS[claim.id]
         fam = claim.family
         if fam in ("hh", "hh-p"):
             if fam == "hh":
                 return ((fm, avg), (avg, (fa + fb) / 2))
             return ((fm, 2 * avg), (2 * avg, 2 * (fa + fb)))
         env = None
-        if fam in ("envelope", "simpson4", "corm"):
+        if fam in ENVELOPED:
             env = self.envelope(fn, domain)
             if exact:
                 d4 = env.sup_abs_d4
@@ -218,6 +265,8 @@ class Reference:
         return (*_classify(*pairs[i]), exact)
 
     def record(self, claim, fn, domain, lam, q) -> VerificationRecord:
+        claim = SPECS[claim.id]
+
         def rec(status, lhs=None, rhs=None, margin=None, exact=False):
             return VerificationRecord(
                 claim.id, fn.id, domain.lo, domain.hi, lam, q,
@@ -266,6 +315,7 @@ def reference_records(config, registry=None) -> list[VerificationRecord]:
     intervals += sample_intervals(config)
     records = []
     for claim in resolve_claims(config.claims):
+        claim = SPECS[claim.id]
         lams = list(config.lambda_grid) if claim.uses_lambda else [claim.fixed_lambda]
         qs = list(config.q_grid) if claim.uses_q else [None]
         for fn in fns:
@@ -325,7 +375,7 @@ def reference_summary(records, claims) -> dict:
 
 def reference_search(claim_id, search, registry=None):
     """The counterexample search over single records: (record, trials)."""
-    claim = get_claim(claim_id)
+    claim = SPECS[get_claim(claim_id).id]
     fns = resolve_functions(search.functions, registry)
     if not fns:
         return None, 0

@@ -34,7 +34,7 @@ from hhbounds.harness import (
 from hhbounds.oracle import EvaluationError, OracleError, _poly_terms, to_mpf
 from hhbounds.records import EQ_TOL, TOL, classify
 
-from harness_reference import Reference, reference_records, reference_search
+from harness_reference import SPECS, Reference, reference_records, reference_search
 from poly_functions import QUARTIC, SHIFTED_QUINTIC, array_shifted, at_contract_edge
 
 
@@ -106,7 +106,7 @@ def test_search_checks_p_convexity_only_where_float_cell_is_not_comfortable(
     cfg = CampaignConfig(
         functions=("expx", "bump"), trials=60, seed=5, interval_range=(0.0, 1.0)
     )
-    claim = get_claim(claim_id)
+    claim = SPECS[claim_id]
     built = _counted_builds(monkeypatch)
     out = find_counterexample(claim_id, cfg)
     assert (out.record, out.trials) == (None, 60)
@@ -178,7 +178,7 @@ def test_search_builds_no_envelope_or_exact_panel_where_endpoints_settle(
     # without the endpoint screen each trial samples the envelope of f''
     # (or builds the exact panel of x^n): 60 of them.  A polynomial's trial
     # of an enveloped claim is settled by the endpoint screen alone here.
-    if get_claim(claim_id).family in harness._ENVELOPED:
+    if get_claim(claim_id).enveloped:
         monkeypatch.setattr(harness, "_margin_error", lambda *args: math.inf)
     built = _counted_builds(monkeypatch)
     out = find_counterexample(claim_id, CampaignConfig(functions=functions, trials=60, seed=5))
@@ -305,10 +305,14 @@ BOUND_FUNCTIONS = {
 
 def _cell_pairs(claim, p, lam, q, env):
     """The (lhs, rhs) pairs of a search trial's cell on panel ``p``, in the
-    panel's number type, as the screen's float cell classifies them."""
+    panel's number type, as the screen's float cell classifies them; on an
+    exact panel a claim that fixes lam reads its rule's exact lam, as in a
+    block."""
     pairs = lambda lhs, rhss, *args: [(lhs, rhs) for rhs in rhss]  # noqa: E731
-    with mock.patch.object(harness, "classify_row", pairs):
-        return harness._row(claim)(claim, p, lam, (q,), env)
+    pair = lambda lhs, rhs, *args: (lhs, rhs)  # noqa: E731
+    with mock.patch.object(harness, "classify_row", pairs), \
+            mock.patch.object(harness, "classify", pair):
+        return claim.row(p, (claim.rule or lam) if p.exact else lam, (q,), env)
 
 
 def _mp(x):
@@ -356,7 +360,7 @@ def test_rounding_bound_covers_the_float_margin_error(fid, cid, q, lam, a, log_w
     domain, ctx = Interval(a, b), harness._Context()
     p = ctx.panel(fn, domain, "float")
     env = None
-    if claim.family in harness._ENVELOPED:
+    if claim.enveloped:
         env = harness._endpoint_envelope(fn, domain)
     try:
         pairs = _cell_pairs(claim, p, lam, q, env)

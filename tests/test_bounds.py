@@ -79,6 +79,12 @@ class TestTheorem6:
         with pytest.raises(ValueError):
             bound_theorem6_exact(UNIT, 0, 2, 1, 1, "stated")
 
+    @pytest.mark.parametrize("q", [math.inf, Fraction(1, 2), math.nan])
+    def test_q_must_be_finite_and_at_least_one(self, q):
+        # an infinite q gave a finite bound (0.0208 here) instead of raising
+        with pytest.raises(ValueError, match="q must be finite and >= 1"):
+            bound_theorem6(UNIT, 0.5, q, EndpointData(3.0, 2.0), "derived")
+
     @given(
         lam=unit,
         ma=pos,
@@ -157,6 +163,15 @@ class TestBoundedM:
     def test_requires_m(self):
         with pytest.raises(ValueError):
             bound_bounded_m("midpoint", UNIT, 1.0, DerivativeEnvelope(), "relaxed")
+
+    @pytest.mark.parametrize("form", ["with_q", "relaxed"])
+    @pytest.mark.parametrize("q", [0.5, math.inf])
+    def test_both_forms_check_q(self, form, q):
+        # the relaxed form rests on 2^(1/q) <= 2, which needs q >= 1; it
+        # once returned 1/24 at q = 1/2
+        env = DerivativeEnvelope(sup_abs_d2=1.0)
+        with pytest.raises(ValueError, match="q must be finite and >= 1"):
+            bound_bounded_m("midpoint", UNIT, q, env, form)
 
     @given(q=st.floats(1.0, 20.0), m=st.floats(0.0, 10.0))
     def test_with_q_below_relaxed(self, q, m):

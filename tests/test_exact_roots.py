@@ -21,6 +21,8 @@ from hhbounds.harness import (
     run_campaign,
 )
 
+from harness_reference import SPECS
+
 
 @contextlib.contextmanager
 def time_limit(seconds: float):
@@ -168,6 +170,7 @@ def test_exact_zero_margins_end_the_rounding_loop():
 def expected_rhs(claim, fn, a: Fraction, b: Fraction, lam, q):
     """The rhs of an exact record at 100 digits, from the formulas of the
     paper, and its exact lhs."""
+    claim = SPECS[claim.id]
     lam_x = bounds.RULE_LAMBDA_EXACT[claim.rule] if claim.rule else Fraction(lam)
     w = b - a
     lhs = abs(functionals.functional_lambda_exact(fn, Interval(a, b), lam_x))

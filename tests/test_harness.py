@@ -1,5 +1,6 @@
 """Harness tests: ledger contents, campaign semantics, search, determinism."""
 
+import dataclasses
 import gc
 import json
 import math
@@ -25,50 +26,67 @@ from hhbounds.harness import (
 from hhbounds.oracle import to_mpf
 from hhbounds.records import TOL
 
-from harness_reference import reference_search, sort_key
+from harness_reference import ENVELOPED, LEDGER_PIN, SPECS, reference_search, sort_key
 from poly_functions import QUARTIC, SHIFTED_QUINTIC, array_shifted
 
 LEDGER = ledger_standard()
 
-PB, SO, THIRD = "proof-backed", "stated-only", 1 / 3
-PIN_FIELDS = (
-    "id", "provenance", "family", "rule", "variant", "form", "p", "uses_lambda",
-    "fixed_lambda", "uses_q",
-)
-# The whole ledger, field by field: provenances never change, and every
-# rule lambda comes from one table.
-LEDGER_PIN = (
-    ("thm5", PB, "thm5", None, "derived", None, None, True, None, False),
-    ("thm6-stated", SO, "thm6", None, "stated", None, None, True, None, True),
-    ("thm6-derived", PB, "thm6", None, "derived", None, None, True, None, True),
-    ("cor1-stated", SO, "cor", "midpoint", "stated", None, None, False, 0.0, True),
-    ("cor1-derived", PB, "cor", "midpoint", "derived", None, None, False, 0.0, True),
-    ("cor2-stated", SO, "cor", "trapezoid", "stated", None, None, False, 1.0, True),
-    ("cor2-derived", PB, "cor", "trapezoid", "derived", None, None, False, 1.0, True),
-    ("cor3-stated", SO, "cor", "simpson", "stated", None, None, False, THIRD, True),
-    ("cor3-derived", PB, "cor", "simpson", "derived", None, None, False, THIRD, True),
-    ("cor4-stated", SO, "corm", "midpoint", "stated", "with_q", None, False, 0.0, True),
-    ("cor4-derived", PB, "corm", "midpoint", "derived", "with_q", None, False, 0.0, True),
-    ("cor4-relaxed", PB, "corm", "midpoint", "stated", "relaxed", None, False, 0.0, False),
-    ("cor5-stated", SO, "corm", "trapezoid", "stated", "with_q", None, False, 1.0, True),
-    ("cor5-derived", PB, "corm", "trapezoid", "derived", "with_q", None, False, 1.0, True),
-    ("cor5-relaxed", PB, "corm", "trapezoid", "stated", "relaxed", None, False, 1.0, False),
-    ("cor8-stated", SO, "corm", "simpson", "stated", "with_q", None, False, THIRD, True),
-    ("cor8-derived", PB, "corm", "simpson", "derived", "with_q", None, False, THIRD, True),
-    ("cor8-relaxed", PB, "corm", "simpson", "stated", "relaxed", None, False, THIRD, False),
-    ("hh", PB, "hh", None, None, None, None, False, None, False),
-    ("hh-p", PB, "hh-p", None, None, None, None, False, None, False),
-    ("mid-envelope", PB, "envelope", "midpoint", None, None, None, False, None, False),
-    ("trap-envelope", PB, "envelope", "trapezoid", None, None, None, False, None, False),
-    ("simpson-4th-p4", PB, "simpson4", "simpson", None, None, 4, False, None, False),
-    ("simpson-4th-p2", SO, "simpson4", "simpson", None, None, 2, False, None, False),
-    ("prop1-stated", SO, "prop", "midpoint", "stated", None, None, False, 0.0, True),
-    ("prop1-derived", PB, "prop", "midpoint", "derived", None, None, False, 0.0, True),
-    ("prop2-stated", SO, "prop", "trapezoid", "stated", None, None, False, 1.0, True),
-    ("prop2-derived", PB, "prop", "trapezoid", "derived", None, None, False, 1.0, True),
-    ("prop3-stated", SO, "prop", "simpson", "stated", None, None, False, THIRD, True),
-    ("prop3-derived", PB, "prop", "simpson", "derived", None, None, False, THIRD, True),
-)
+THIRD = 1 / 3
+# The whole ledger, claim by claim: (its row function's name and the
+# constants the claim binds to it, the rule whose lam it fixes,
+# uses_lambda, uses_q, exact, fixed_lambda).  Ids and provenances are
+# pinned by the reference's own table, LEDGER_PIN; provenances never
+# change, and every rule lambda comes from one table.
+ROW_PIN = {
+    "thm5": (("_moment_row", "derived"), None, True, False, False, None),
+    "thm6-stated": (("_moment_row", "stated"), None, True, True, False, None),
+    "thm6-derived": (("_moment_row", "derived"), None, True, True, False, None),
+    "cor1-stated": (("_moment_row", "stated"), "midpoint", False, True, False, 0.0),
+    "cor1-derived": (("_moment_row", "derived"), "midpoint", False, True, False, 0.0),
+    "cor2-stated": (("_moment_row", "stated"), "trapezoid", False, True, False, 1.0),
+    "cor2-derived": (("_moment_row", "derived"), "trapezoid", False, True, False, 1.0),
+    "cor3-stated": (("_moment_row", "stated"), "simpson", False, True, False, THIRD),
+    "cor3-derived": (("_moment_row", "derived"), "simpson", False, True, False, THIRD),
+    "cor4-stated": (
+        ("_uniform_row", "midpoint", "with_q", "stated"), "midpoint", False, True, False, 0.0
+    ),
+    "cor4-derived": (
+        ("_uniform_row", "midpoint", "with_q", "derived"), "midpoint", False, True, False, 0.0
+    ),
+    "cor4-relaxed": (
+        ("_uniform_row", "midpoint", "relaxed", "stated"), "midpoint", False, False, False, 0.0
+    ),
+    "cor5-stated": (
+        ("_uniform_row", "trapezoid", "with_q", "stated"), "trapezoid", False, True, False, 1.0
+    ),
+    "cor5-derived": (
+        ("_uniform_row", "trapezoid", "with_q", "derived"), "trapezoid", False, True, False, 1.0
+    ),
+    "cor5-relaxed": (
+        ("_uniform_row", "trapezoid", "relaxed", "stated"), "trapezoid", False, False, False, 1.0
+    ),
+    "cor8-stated": (
+        ("_uniform_row", "simpson", "with_q", "stated"), "simpson", False, True, False, THIRD
+    ),
+    "cor8-derived": (
+        ("_uniform_row", "simpson", "with_q", "derived"), "simpson", False, True, False, THIRD
+    ),
+    "cor8-relaxed": (
+        ("_uniform_row", "simpson", "relaxed", "stated"), "simpson", False, False, False, THIRD
+    ),
+    "hh": (("_hh_row", 1, 2), None, False, False, False, None),
+    "hh-p": (("_hh_row", 2, 1), None, False, False, False, None),
+    "mid-envelope": (("_classical_row", "midpoint", 4), None, False, False, False, None),
+    "trap-envelope": (("_classical_row", "trapezoid", 4), None, False, False, False, None),
+    "simpson-4th-p4": (("_classical_row", "simpson", 4), None, False, False, False, None),
+    "simpson-4th-p2": (("_classical_row", "simpson", 2), None, False, False, False, None),
+    "prop1-stated": (("_moment_row", "stated"), "midpoint", False, True, True, 0.0),
+    "prop1-derived": (("_moment_row", "derived"), "midpoint", False, True, True, 0.0),
+    "prop2-stated": (("_moment_row", "stated"), "trapezoid", False, True, True, 1.0),
+    "prop2-derived": (("_moment_row", "derived"), "trapezoid", False, True, True, 1.0),
+    "prop3-stated": (("_moment_row", "stated"), "simpson", False, True, True, THIRD),
+    "prop3-derived": (("_moment_row", "derived"), "simpson", False, True, True, THIRD),
+}
 
 
 def _finite_only_at_samples() -> TestFunction:
@@ -159,11 +177,45 @@ class TestLedger:
             get_claim("thm99")
 
     def test_ledger_pinned(self):
-        rows = tuple(tuple(getattr(c, f) for f in PIN_FIELDS) for c in LEDGER)
-        assert rows == LEDGER_PIN
+        assert [(c.id, c.provenance) for c in LEDGER] == [row[:2] for row in LEDGER_PIN]
+        rows = {
+            c.id: ((c.row.func.__name__, *c.row.args), c.rule, c.uses_lambda, c.uses_q,
+                   c.exact, c.fixed_lambda)
+            for c in LEDGER
+        }
+        assert rows == ROW_PIN
         for c in LEDGER:
+            assert not c.row.keywords
             if c.fixed_lambda is not None:
                 assert type(c.fixed_lambda) is float
+        # the reference's table fixes the same lam and flags
+        for c in LEDGER:
+            spec = SPECS[c.id]
+            assert (c.uses_lambda, c.uses_q, c.fixed_lambda) == (
+                spec.uses_lambda, spec.uses_q, spec.fixed_lambda
+            )
+            assert c.exact == (spec.family == "prop")
+
+    def test_a_claim_is_its_row(self):
+        # no family name, variant, form or power: the row binds them
+        assert [f.name for f in dataclasses.fields(harness.BoundClaim)] == [
+            "id", "provenance", "hypothesis", "row", "rule", "uses_lambda", "uses_q", "exact",
+        ]
+
+    def test_enveloped_is_exactly_the_rows_that_read_an_envelope(self):
+        # the float row of every claim on poly3 at [1, 2] without an
+        # envelope raises where the claim is enveloped, and only there
+        ctx = harness._Context()
+        p = ctx.panel(corpus.get_function("poly3"), Interval(1.0, 2.0), "float")
+        for c in LEDGER:
+            lam = 0.5 if c.uses_lambda else c.fixed_lambda
+            qs = (1.0, 2.0) if c.uses_q else (None,)
+            assert c.enveloped == (SPECS[c.id].family in ENVELOPED), c.id
+            if c.enveloped:
+                with pytest.raises(AttributeError):
+                    c.row(p, lam, qs, None)
+            else:
+                assert all(v[0] in ("holds", "equality", "violated") for v in c.row(p, lam, qs, None))
 
 
 class TestSharedInstances:
@@ -220,6 +272,15 @@ class TestSampler:
     def test_invalid_interval_range_rejected(self, interval_range, min_width):
         with pytest.raises(ValueError, match="interval_range must be finite"):
             CampaignConfig(interval_range=interval_range, min_width=min_width)
+
+    @pytest.mark.parametrize(
+        "q_grid", [(math.inf,), (1.0, math.inf), (math.nan,), (0.5,), (1.0, -math.inf)]
+    )
+    def test_q_grid_must_be_finite_and_at_least_one(self, q_grid):
+        # an infinite q once passed, and the campaign then raised
+        # OverflowError in a power sum instead of recording a status
+        with pytest.raises(ValueError, match="q grid values must be finite and >= 1"):
+            CampaignConfig(q_grid=q_grid)
 
     @pytest.mark.parametrize(
         "interval",
@@ -497,7 +558,7 @@ class TestRunCampaign:
         for r in res.records:
             if r.status != "violated" or checked >= 40:
                 continue
-            claim = get_claim(r.claim)
+            claim = SPECS[r.claim]
             fn = {f.id: f for f in corpus_standard()}[r.function]
             scale = max(1.0, abs(r.lhs), abs(r.rhs))
             if claim.family in ("thm5", "thm6", "cor") and fn.poly_coeffs is not None:
